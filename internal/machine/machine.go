@@ -247,12 +247,11 @@ func (m *Machine) Alloc(size, align uint64) memdata.Addr {
 		align = 1
 	}
 	base := m.brk + memdata.Addr(memdata.AlignRem(m.brk, align))
-	end := base + memdata.Addr(size)
-	if uint64(end) > m.Phys.Size() {
+	if have := m.Phys.Size(); size > have || uint64(base) > have-size {
 		panic(fmt.Sprintf("machine: out of simulated memory (want %d bytes at %#x, have %d)",
-			size, base, m.Phys.Size()))
+			size, base, have))
 	}
-	m.brk = end
+	m.brk = base + memdata.Addr(size)
 	return base
 }
 

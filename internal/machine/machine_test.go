@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mcsquare/internal/cpu"
@@ -27,16 +28,53 @@ func TestAllocAlignment(t *testing.T) {
 	}
 }
 
+// TestAllocExhaustionPanics: a request that does not fit must panic and
+// leave the watermark where it was, including sizes so large that base+size
+// wraps past 2^64: a wrapped end must not move the watermark backwards and
+// make later buffers overlap earlier ones.
 func TestAllocExhaustionPanics(t *testing.T) {
 	p := DefaultParams()
 	p.MemSize = 1 << 20
 	m := New(p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-allocation did not panic")
+	first := m.Alloc(100, 64)
+	for _, c := range []struct {
+		name        string
+		size, align uint64
+	}{
+		{"larger than memory", 2 << 20, 1},
+		{"just past the end", 1<<20 - 4096, 1},
+		{"base+size wraps", ^uint64(0) - 4096, 1},
+		{"largest size", ^uint64(0), 4096},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "machine: out of simulated memory") {
+					t.Errorf("%s: panic %q, want out of simulated memory", c.name, msg)
+				}
+			}()
+			m.Alloc(c.size, c.align)
+		}()
+	}
+	if next := m.Alloc(100, 64); next < first+100 {
+		t.Fatalf("allocation after failed requests at %#x overlaps the first at %#x", next, first)
+	}
+}
+
+// TestNewAllocationPin keeps machine construction cheap in host memory: the
+// sparse physical store costs a page table, not MemSize bytes, so building
+// the 256 MB Table I machine allocates a few MB. A dense store would
+// allocate over 256 MB per machine and fail here.
+func TestNewAllocationPin(t *testing.T) {
+	const limit = 16 << 20
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			New(DefaultParams())
 		}
-	}()
-	m.Alloc(2<<20, 1)
+	})
+	if got := r.AllocedBytesPerOp(); got > limit {
+		t.Fatalf("New(DefaultParams()) allocates %d bytes per machine, want at most %d", got, limit)
+	}
 }
 
 // TestNewGuards pins the last-resort panics on hand-built Params — spec

@@ -1,6 +1,6 @@
 // Package memdata provides the physical memory substrate of the simulated
 // machine: address types, cacheline/page arithmetic, byte ranges, and a
-// flat byte-addressable backing store.
+// sparse, page-granular byte-addressable backing store.
 //
 // Everything above this package (caches, controllers, the CTT) operates on
 // these types, so the constants here define the machine's granularities.

@@ -2,6 +2,7 @@ package memdata
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -184,18 +185,28 @@ func TestPhysicalZeroAndCopy(t *testing.T) {
 	}
 }
 
+// Every bad access must panic with memdata's own message, not a runtime
+// slice error, including the cases where a+n wraps past 2^64.
 func TestPhysicalBoundsPanics(t *testing.T) {
 	p := NewPhysical(64)
 	for name, fn := range map[string]func(){
-		"read past end":    func() { p.Read(60, 8) },
-		"write past end":   func() { p.Write(64, []byte{1}) },
-		"unaligned line":   func() { p.ReadLine(3) },
-		"short line write": func() { p.WriteLine(0, []byte{1, 2}) },
+		"read past end":     func() { p.Read(60, 8) },
+		"write past end":    func() { p.Write(64, []byte{1}) },
+		"unaligned line":    func() { p.ReadLine(3) },
+		"short line write":  func() { p.WriteLine(0, []byte{1, 2}) },
+		"read wraps":        func() { p.Read(^Addr(0)-7, 16) },
+		"read into wraps":   func() { p.ReadInto(^Addr(0)-7, make([]byte, 16)) },
+		"write wraps":       func() { p.Write(^Addr(0), []byte{1, 2}) },
+		"zero wraps":        func() { p.Zero(8, ^uint64(0)) },
+		"copy src wraps":    func() { p.Copy(0, ^Addr(0)-3, 8) },
+		"copy dst wraps":    func() { p.Copy(^Addr(0)-3, 0, 8) },
+		"longer than store": func() { p.Read(0, 65) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "memdata: ") {
+					t.Errorf("%s: panic %q, want a memdata panic", name, msg)
 				}
 			}()
 			fn()

@@ -2,47 +2,81 @@ package memdata
 
 import "fmt"
 
-// Physical is the machine's flat byte-addressable backing store. All DRAM
+// Physical is the machine's byte-addressable backing store. All DRAM
 // reads and writes ultimately land here, so data read back through the full
 // cache + controller + CTT stack can be compared against what software
 // wrote — the basis of the observational-equivalence tests.
+//
+// The store is sparse: a flat table maps each 4 KB page number to its bytes,
+// and a page is allocated on its first write. A page never written reads as
+// zeros, and zeroing it allocates nothing, so host memory follows the pages
+// a workload touches rather than the modelled capacity.
 type Physical struct {
-	data []byte
+	size  uint64
+	pages []*[PageSize]byte // indexed by addr >> PageShift; nil reads as zeros
 }
 
-// NewPhysical allocates a backing store of the given size in bytes.
+// NewPhysical returns a zeroed store of the given capacity in bytes.
 func NewPhysical(size uint64) *Physical {
-	return &Physical{data: make([]byte, size)}
+	return &Physical{size: size, pages: make([]*[PageSize]byte, (size+PageSize-1)>>PageShift)}
 }
 
 // Size returns the store's capacity in bytes.
-func (p *Physical) Size() uint64 { return uint64(len(p.data)) }
+func (p *Physical) Size() uint64 { return p.size }
 
 func (p *Physical) check(a Addr, n uint64) {
-	if uint64(a)+n > uint64(len(p.data)) {
-		panic(fmt.Sprintf("memdata: access [%#x,%#x) outside physical memory of %d bytes",
-			a, uint64(a)+n, len(p.data)))
+	if n > p.size || uint64(a) > p.size-n {
+		panic(fmt.Sprintf("memdata: access of %d bytes at %#x outside physical memory of %d bytes",
+			n, a, p.size))
 	}
+}
+
+// page returns the page holding a, allocating it on first use.
+func (p *Physical) page(a Addr) *[PageSize]byte {
+	i := a >> PageShift
+	if p.pages[i] == nil {
+		p.pages[i] = new([PageSize]byte)
+	}
+	return p.pages[i]
 }
 
 // Read copies n bytes starting at a into a fresh slice.
 func (p *Physical) Read(a Addr, n uint64) []byte {
 	p.check(a, n)
 	out := make([]byte, n)
-	copy(out, p.data[a:uint64(a)+n])
+	p.readInto(a, out)
 	return out
 }
 
 // ReadInto copies len(dst) bytes starting at a into dst.
 func (p *Physical) ReadInto(a Addr, dst []byte) {
 	p.check(a, uint64(len(dst)))
-	copy(dst, p.data[a:])
+	p.readInto(a, dst)
+}
+
+func (p *Physical) readInto(a Addr, dst []byte) {
+	for len(dst) > 0 {
+		off := PageOffset(a)
+		var k int
+		if pg := p.pages[a>>PageShift]; pg != nil {
+			k = copy(dst, pg[off:])
+		} else {
+			k = int(min(uint64(len(dst)), PageSize-off))
+			clear(dst[:k])
+		}
+		dst = dst[k:]
+		a += Addr(k)
+	}
 }
 
 // Write copies src into the store starting at a.
 func (p *Physical) Write(a Addr, src []byte) {
 	p.check(a, uint64(len(src)))
-	copy(p.data[a:], src)
+	for len(src) > 0 {
+		k := copy(p.page(a)[PageOffset(a):], src)
+		src = src[k:]
+		a += Addr(k)
+	}
 }
 
 // ReadLine copies the 64-byte cacheline containing a into a fresh slice.
@@ -66,17 +100,56 @@ func (p *Physical) WriteLine(a Addr, line []byte) {
 	p.Write(a, line)
 }
 
-// Zero clears n bytes starting at a.
+// Zero clears n bytes starting at a. Pages never written stay unallocated.
 func (p *Physical) Zero(a Addr, n uint64) {
 	p.check(a, n)
-	clear(p.data[a : uint64(a)+n])
+	p.zero(a, n)
+}
+
+func (p *Physical) zero(a Addr, n uint64) {
+	for n > 0 {
+		off := PageOffset(a)
+		k := min(n, PageSize-off)
+		if pg := p.pages[a>>PageShift]; pg != nil {
+			clear(pg[off : off+k])
+		}
+		a += Addr(k)
+		n -= k
+	}
 }
 
 // Copy performs an immediate (non-simulated) copy of n bytes from src to
-// dst within the store. Used by test oracles and OS bootstrap, never by the
-// timed simulation path.
+// dst within the store, with memmove semantics for overlapping ranges. Used
+// by test oracles and OS bootstrap, never by the timed simulation path.
 func (p *Physical) Copy(dst, src Addr, n uint64) {
 	p.check(src, n)
 	p.check(dst, n)
-	copy(p.data[dst:uint64(dst)+n], p.data[src:uint64(src)+n])
+	if dst <= src || dst >= src+Addr(n) {
+		// Front to back: each chunk overwrites only source bytes already
+		// copied or inside the chunk itself.
+		for n > 0 {
+			k := min(n, PageSize-PageOffset(src), PageSize-PageOffset(dst))
+			p.copyChunk(dst, src, k)
+			dst, src, n = dst+Addr(k), src+Addr(k), n-k
+		}
+		return
+	}
+	// dst overlaps the tail of src: back to front, for the same reason.
+	for n > 0 {
+		k := min(n, PageOffset(src+Addr(n)-1)+1, PageOffset(dst+Addr(n)-1)+1)
+		n -= k
+		p.copyChunk(dst+Addr(n), src+Addr(n), k)
+	}
+}
+
+// copyChunk copies k bytes that lie within one source page to a range
+// within one destination page.
+func (p *Physical) copyChunk(dst, src Addr, k uint64) {
+	s := p.pages[src>>PageShift]
+	if s == nil {
+		p.zero(dst, k)
+		return
+	}
+	off := PageOffset(src)
+	copy(p.page(dst)[PageOffset(dst):], s[off:off+k])
 }
