@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"strconv"
@@ -42,7 +41,8 @@ type Result struct {
 	// Served counts completions per machine (stable machine index).
 	Served []uint64
 
-	// DurationCycles spans the first arrival to the last completion.
+	// DurationCycles spans the first arrival to the last completion; 0
+	// when nothing completed.
 	DurationCycles float64
 
 	// Timeline is the run's windowed telemetry (goodput, queue depth, p99,
@@ -113,7 +113,11 @@ type reqState struct {
 	retryPending bool
 	resolved     bool
 	lastCause    outcomeCause
-	live         []*attempt
+	// first is the primary attempt, embedded so the common single-attempt
+	// request needs no second object. Retry and hedge attempts chain off
+	// it through attempt.next in issue order; last is the chain's tail.
+	first attempt
+	last  *attempt
 }
 
 // attempt is one placement of a request onto a machine. done marks it
@@ -121,10 +125,43 @@ type reqState struct {
 // a cancelled attempt's scheduled completion still frees its server.
 type attempt struct {
 	rs    *reqState
+	next  *attempt // the request's next attempt in issue order
 	m     int
 	epoch uint64 // the machine epoch the attempt started in
 	hedge bool
 	done  bool
+}
+
+// release unlinks a resolved request from its retry and hedge attempts.
+// Every attempt is done by then, and handlers read a done attempt's rs
+// no more. The links would otherwise chain slab chunks together: each
+// attempt chunk points into the request chunks of its attempts, and
+// those point into older attempt chunks, so one live chunk would keep
+// every earlier one reachable.
+func (rs *reqState) release() {
+	for a := rs.first.next; a != nil; {
+		next := a.next
+		a.rs, a.next = nil, nil
+		a = next
+	}
+	rs.first.next, rs.last = nil, nil
+}
+
+// slab hands out pointers into chunked backing arrays, so per-request
+// state costs one allocation per slabChunk objects instead of one each.
+// Only the current chunk is referenced from here: a spent chunk is freed
+// once no event or request points into it any more.
+type slab[T any] struct{ free []T }
+
+const slabChunk = 1024
+
+func (s *slab[T]) alloc() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, slabChunk)
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	return p
 }
 
 // evKind orders the event loop's work. Only evComplete exists on the
@@ -143,40 +180,123 @@ const (
 	evProbe
 )
 
-// event is one scheduled occurrence on the fleet timebase.
+// event is one scheduled occurrence on the fleet timebase. Request-scoped
+// events (evHedge, evRetry) carry the request's primary attempt, so one
+// pointer serves every kind and the event stays four words.
 type event struct {
 	at   float64
-	seq  uint64 // tie-break: scheduling order
+	seq  uint64   // tie-break: scheduling order
+	a    *attempt // evComplete / evTimeout; &rs.first for evHedge / evRetry
+	m    int32    // machine, for machine-scoped events
 	kind evKind
-	m    int       // machine, for machine-scoped events
-	a    *attempt  // evComplete / evTimeout
-	rs   *reqState // evHedge / evRetry
 }
 
+// before orders events by time, then by scheduling order.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events in (at, seq) order. Events move
+// by value through a hole on both sift-up and sift-down, so scheduling
+// boxes nothing; seq is unique, so the pop order is fully determined.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push inserts ev (sift-up with a hole).
+func (h *eventHeap) push(ev event) {
+	q := append(*h, event{})
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if q[p].before(&ev) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// pop removes and returns the minimum (sift-down with a hole), zeroing
+// the vacated slot so it pins no request state.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if last.before(&q[c]) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
+// attemptFIFO is a machine's wait queue. Dequeue advances a head index and
+// enqueue compacts the live tail to the front once at least half the
+// buffer is spent, so the backing array is reused instead of regrown.
+type attemptFIFO struct {
+	buf  []*attempt
+	head int
+}
+
+func (q *attemptFIFO) len() int { return len(q.buf) - q.head }
+
+func (q *attemptFIFO) push(a *attempt) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, a)
+}
+
+func (q *attemptFIFO) pop() *attempt {
+	a := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return a
+}
+
+// waiting returns the queued attempts in FIFO order.
+func (q *attemptFIFO) waiting() []*attempt { return q.buf[q.head:] }
+
+// reset empties the queue, keeping its buffer.
+func (q *attemptFIFO) reset() {
+	clear(q.buf)
+	q.buf = q.buf[:0]
+	q.head = 0
 }
 
 // machineState is one machine's runtime queueing and health state.
 type machineState struct {
 	free  int // idle servers
 	busy  int
-	queue []*attempt // FIFO; cancelled attempts are skipped at dequeue
+	queue attemptFIFO // cancelled attempts are skipped at dequeue
 
 	// Resilience-plane state; untouched (zero) on the legacy path.
 	up       bool
@@ -196,7 +316,7 @@ type machineState struct {
 	brHalfOpen  int // trial requests admitted while half-open
 }
 
-func (m *machineState) outstanding() int { return m.busy + len(m.queue) }
+func (m *machineState) outstanding() int { return m.busy + m.queue.len() }
 
 // fleetSim is the event loop's working state, bundled so the handlers can
 // live as methods instead of a wall of closures.
@@ -213,6 +333,11 @@ type fleetSim struct {
 	lastDone     float64
 	unresolved   int // requests arrived but not yet resolved
 	arrivalsLeft int
+
+	reqs     slab[reqState]
+	attempts slab[attempt]      // retry and hedge attempts
+	members  []int              // route's candidate buffer, reused per dispatch
+	perWL    []*stats.Histogram // res.PerWorkload resolved by mix entry
 }
 
 // Simulate drives the calibrated fleet with an open-loop arrival stream at
@@ -235,14 +360,19 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 		Served:             make([]uint64, len(f.Specs)),
 		DowntimeCycles:     make([]float64, len(f.Specs)),
 	}
-	for _, mx := range f.Block.Mix {
-		res.PerWorkload[mx.Workload] = &stats.Histogram{}
+	s := &fleetSim{f: f, cal: cal, res: res, perWL: make([]*stats.Histogram, len(f.Block.Mix))}
+	for i, mx := range f.Block.Mix {
+		h := res.PerWorkload[mx.Workload]
+		if h == nil {
+			h = &stats.Histogram{}
+			res.PerWorkload[mx.Workload] = h
+		}
+		s.perWL[i] = h
 	}
 	n := f.Block.Requests
 	if f.Quick {
 		n = (n + 3) / 4
 	}
-	s := &fleetSim{f: f, cal: cal, res: res}
 	s.rp = f.newResPlane(cal)
 	res.ResilienceOn = s.rp != nil
 	res.Timeline = f.newTimeline() // nil unless the spec enables it
@@ -301,11 +431,11 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 		// so balancer state reflects them — and the order is still
 		// deterministic because the heap breaks time ties by schedule order.
 		for len(s.pending) > 0 && s.pending[0].at <= r.arrive {
-			s.handle(heap.Pop(&s.pending).(event))
+			s.handle(s.pending.pop())
 		}
 		depth := 0
 		for i := range s.machines {
-			depth += len(s.machines[i].queue)
+			depth += s.machines[i].queue.len()
 		}
 		depthSum += float64(depth)
 		if depth > res.MaxQueueDepth {
@@ -316,14 +446,18 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 		res.Timeline.arrival(r.arrive, depth, dropped)
 	}
 	for len(s.pending) > 0 {
-		s.handle(heap.Pop(&s.pending).(event))
+		s.handle(s.pending.pop())
 	}
 	// Defensive: the loop above drains every live attempt, so nothing
 	// should remain unresolved; if it ever does, account it as failed so
 	// the conservation invariant (which tests assert) still closes.
 	s.sweepUnresolved()
 	res.MeanQueueDepth = depthSum / float64(len(arrivals))
-	res.DurationCycles = s.lastDone - arrivals[0].arrive
+	if res.Completed > 0 {
+		// With nothing completed lastDone never moved off 0; the span
+		// stays 0 instead of going negative.
+		res.DurationCycles = s.lastDone - arrivals[0].arrive
+	}
 	res.Timeline.finalize()
 	res.publishMetrics()
 	return res
@@ -333,7 +467,8 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 // reports a legacy at-the-door queue drop (for the timeline's
 // arrival-instant accounting); with the plane on, drops resolve later.
 func (s *fleetSim) arrive(r request) bool {
-	rs := &reqState{req: r}
+	rs := s.reqs.alloc()
+	rs.req = r
 	s.unresolved++
 	if s.rp != nil && s.shouldShed(r.wl) {
 		rs.resolved = true
@@ -343,12 +478,9 @@ func (s *fleetSim) arrive(r request) bool {
 		return false
 	}
 	rs.attempts = 1
-	a := &attempt{rs: rs}
-	rs.live = append(rs.live, a)
-	rs.inflight++
-	dropped := s.dispatch(a, r.arrive)
+	dropped := s.dispatch(s.newAttempt(rs, false), r.arrive)
 	if s.rp != nil && s.rp.hedgeDelay > 0 && !rs.resolved {
-		s.push(event{at: r.arrive + s.rp.hedgeDelay, kind: evHedge, rs: rs})
+		s.push(event{at: r.arrive + s.rp.hedgeDelay, kind: evHedge, a: &rs.first})
 	}
 	return dropped
 }
@@ -381,7 +513,21 @@ func (s *fleetSim) handle(e event) {
 func (s *fleetSim) push(e event) {
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.pending, e)
+	s.pending.push(e)
+}
+
+// newAttempt issues one more live attempt for rs: the embedded primary
+// first, then slab-allocated retries and hedges chained in issue order.
+func (s *fleetSim) newAttempt(rs *reqState, hedge bool) *attempt {
+	a := &rs.first
+	if rs.last != nil {
+		a = s.attempts.alloc()
+		rs.last.next = a
+	}
+	rs.last = a
+	a.rs, a.hedge = rs, hedge
+	rs.inflight++
+	return a
 }
 
 // moreWork reports whether anything can still need servicing; recurring
@@ -411,12 +557,12 @@ func (s *fleetSim) scheduleStorm() {
 	}
 	if s.rp.storm.CrashMeanUpCycles > 0 {
 		for m := range s.machines {
-			s.push(event{at: s.expo(m, s.rp.crashRng, s.rp.storm.CrashMeanUpCycles), kind: evCrash, m: m})
+			s.push(event{at: s.expo(m, s.rp.crashRng, s.rp.storm.CrashMeanUpCycles), kind: evCrash, m: int32(m)})
 		}
 	}
 	if s.rp.storm.BrownoutMeanUpCycles > 0 {
 		for m := range s.machines {
-			s.push(event{at: s.expo(m, s.rp.brownRng, s.rp.storm.BrownoutMeanUpCycles), kind: evBrownStart, m: m})
+			s.push(event{at: s.expo(m, s.rp.brownRng, s.rp.storm.BrownoutMeanUpCycles), kind: evBrownStart, m: int32(m)})
 		}
 	}
 	if s.rp.healthEnabled() {
@@ -448,14 +594,14 @@ func (s *fleetSim) dispatch(a *attempt, now float64) bool {
 			return false
 		}
 		if s.rp.timeoutCyc > 0 {
-			s.push(event{at: now + s.rp.timeoutCyc, kind: evTimeout, m: m, a: a})
+			s.push(event{at: now + s.rp.timeoutCyc, kind: evTimeout, m: int32(m), a: a})
 		}
 	}
 	switch {
 	case st.free > 0:
 		s.start(now, m, a)
-	case len(st.queue) < s.f.Block.QueueCap:
-		st.queue = append(st.queue, a)
+	case st.queue.len() < s.f.Block.QueueCap:
+		st.queue.push(a)
 	default:
 		if s.rp == nil {
 			s.res.Dropped++
@@ -493,12 +639,13 @@ func (s *fleetSim) route(a *attempt, now float64) (int, bool) {
 			return best, true
 		}
 	}
-	var members []int
+	members := s.members[:0]
 	for i := range s.machines {
 		if s.machines[i].member && s.breakerAllows(i, now) {
 			members = append(members, i)
 		}
 	}
+	s.members = members
 	if len(members) == 0 {
 		return 0, false
 	}
@@ -543,14 +690,15 @@ func (s *fleetSim) start(at float64, m int, a *attempt) {
 	if s.rp != nil {
 		st.inflight = append(st.inflight, a)
 	}
-	s.push(event{at: at + svc, kind: evComplete, m: m, a: a})
+	s.push(event{at: at + svc, kind: evComplete, m: int32(m), a: a})
 }
 
 // complete handles a service completion: resolve the request (first
 // attempt wins), free the server, and pull the next queued attempt.
 func (s *fleetSim) complete(e event) {
+	m := int(e.m)
 	a := e.a
-	st := &s.machines[e.m]
+	st := &s.machines[m]
 	if s.rp != nil && a.epoch != st.epoch {
 		return // the machine crashed since; its server pool was reset
 	}
@@ -563,16 +711,16 @@ func (s *fleetSim) complete(e event) {
 		a.done = true
 		rs := a.rs
 		rs.inflight--
-		s.recordSuccess(e.m)
+		s.recordSuccess(m)
 		if !rs.resolved {
 			rs.resolved = true
 			s.unresolved--
 			s.res.Completed++
-			s.res.Served[e.m]++
+			s.res.Served[m]++
 			lat := e.at - rs.req.arrive
 			s.res.Latencies.Add(lat)
 			s.res.Timeline.completion(e.at, lat)
-			s.res.PerWorkload[s.f.Block.Mix[rs.req.wl].Workload].Add(lat)
+			s.perWL[rs.req.wl].Add(lat)
 			if e.at > s.lastDone {
 				s.lastDone = e.at
 			}
@@ -583,15 +731,15 @@ func (s *fleetSim) complete(e event) {
 				s.res.Resilience.HedgeWins++
 			}
 			s.cancelSiblings(rs, a)
+			rs.release()
 		}
 	}
-	for len(st.queue) > 0 {
-		next := st.queue[0]
-		st.queue = st.queue[1:]
+	for st.queue.len() > 0 {
+		next := st.queue.pop()
 		if next.done {
 			continue // cancelled while waiting; skip to the next
 		}
-		s.start(e.at, e.m, next)
+		s.start(e.at, m, next)
 		break
 	}
 }
@@ -600,7 +748,10 @@ func (s *fleetSim) complete(e event) {
 func (s *fleetSim) removeInflight(st *machineState, a *attempt) {
 	for i, x := range st.inflight {
 		if x == a {
-			st.inflight = append(st.inflight[:i], st.inflight[i+1:]...)
+			last := len(st.inflight) - 1
+			copy(st.inflight[i:], st.inflight[i+1:])
+			st.inflight[last] = nil
+			st.inflight = st.inflight[:last]
 			return
 		}
 	}
@@ -609,7 +760,7 @@ func (s *fleetSim) removeInflight(st *machineState, a *attempt) {
 // cancelSiblings marks the request's other live attempts cancelled after
 // a first-wins completion; their servers drain on their own schedule.
 func (s *fleetSim) cancelSiblings(rs *reqState, winner *attempt) {
-	for _, l := range rs.live {
+	for l := &rs.first; l != nil; l = l.next {
 		if l != winner && !l.done {
 			l.done = true
 			rs.inflight--
@@ -651,7 +802,7 @@ func (s *fleetSim) retryOrResolve(rs *reqState, now float64, cause outcomeCause)
 		rs.retryPending = true
 		s.res.Resilience.Retries++
 		s.res.Timeline.retry(now)
-		s.push(event{at: now + s.rp.backoff(rs.attempts+1), kind: evRetry, rs: rs})
+		s.push(event{at: now + s.rp.backoff(rs.attempts+1), kind: evRetry, a: &rs.first})
 		return
 	}
 	if rs.inflight > 0 || rs.retryPending {
@@ -663,6 +814,7 @@ func (s *fleetSim) retryOrResolve(rs *reqState, now float64, cause outcomeCause)
 // resolveFailure finalizes a request that will never complete.
 func (s *fleetSim) resolveFailure(rs *reqState, now float64, cause outcomeCause) {
 	rs.resolved = true
+	rs.release()
 	s.unresolved--
 	switch cause {
 	case causeDropped:
@@ -677,21 +829,18 @@ func (s *fleetSim) resolveFailure(rs *reqState, now float64, cause outcomeCause)
 
 // retry re-issues a request through the LB after its backoff.
 func (s *fleetSim) retry(e event) {
-	rs := e.rs
+	rs := e.a.rs
 	rs.retryPending = false
 	if rs.resolved {
 		return
 	}
 	rs.attempts++
-	a := &attempt{rs: rs}
-	rs.live = append(rs.live, a)
-	rs.inflight++
-	s.dispatch(a, e.at)
+	s.dispatch(s.newAttempt(rs, false), e.at)
 }
 
 // hedge issues a duplicate attempt for a still-unresolved request.
 func (s *fleetSim) hedge(e event) {
-	rs := e.rs
+	rs := e.a.rs
 	if rs.resolved || rs.inflight == 0 {
 		return // already decided, or nothing outstanding to duplicate
 	}
@@ -702,12 +851,9 @@ func (s *fleetSim) hedge(e event) {
 	rs.hedges++
 	s.res.Resilience.Hedges++
 	s.res.Timeline.hedge(e.at)
-	a := &attempt{rs: rs, hedge: true}
-	rs.live = append(rs.live, a)
-	rs.inflight++
-	s.dispatch(a, e.at)
+	s.dispatch(s.newAttempt(rs, true), e.at)
 	if !rs.resolved && rs.hedges < h.MaxHedges {
-		s.push(event{at: e.at + s.rp.hedgeDelay, kind: evHedge, rs: rs})
+		s.push(event{at: e.at + s.rp.hedgeDelay, kind: evHedge, a: &rs.first})
 	}
 }
 
@@ -715,7 +861,8 @@ func (s *fleetSim) hedge(e event) {
 // over (or out), the server pool resets, and the epoch bump invalidates
 // the stale completions still in the heap.
 func (s *fleetSim) crash(e event) {
-	st := &s.machines[e.m]
+	m := int(e.m)
+	st := &s.machines[m]
 	if !st.up {
 		return
 	}
@@ -723,57 +870,62 @@ func (s *fleetSim) crash(e event) {
 	st.epoch++
 	st.downAt = e.at
 	s.res.Resilience.Crashes++
-	inflight := st.inflight
-	st.inflight = nil
-	for _, a := range inflight {
+	// Flushing only schedules retries or resolves requests; nothing here
+	// places an attempt, so both lists can be walked in place and then
+	// emptied with their buffers kept.
+	for _, a := range st.inflight {
 		if !a.done {
 			a.done = true
 			a.rs.inflight--
-			s.recordFailure(e.m, e.at)
+			s.recordFailure(m, e.at)
 			s.retryOrResolve(a.rs, e.at, causeFailed)
 		}
 	}
-	queue := st.queue
-	st.queue = nil
-	for _, a := range queue {
+	clear(st.inflight)
+	st.inflight = st.inflight[:0]
+	for _, a := range st.queue.waiting() {
 		if !a.done {
 			a.done = true
 			a.rs.inflight--
 			s.retryOrResolve(a.rs, e.at, causeFailed)
 		}
 	}
+	st.queue.reset()
 	st.busy = 0
-	st.free = s.cal.machines[e.m].servers
+	st.free = s.cal.machines[m].servers
 	if s.moreWork() {
-		s.push(event{at: e.at + s.expo(e.m, s.rp.crashRng, s.rp.storm.CrashMeanDownCycles), kind: evRecover, m: e.m})
+		s.push(event{at: e.at + s.expo(m, s.rp.crashRng, s.rp.storm.CrashMeanDownCycles), kind: evRecover, m: e.m})
 	}
 }
 
 // recover brings a crashed machine back up (health checks readmit it on
 // their own schedule; without them it serves again immediately).
 func (s *fleetSim) recover(e event) {
-	st := &s.machines[e.m]
+	m := int(e.m)
+	st := &s.machines[m]
 	st.up = true
-	s.res.DowntimeCycles[e.m] += e.at - st.downAt
+	s.res.DowntimeCycles[m] += e.at - st.downAt
 	if s.moreWork() {
-		s.push(event{at: e.at + s.expo(e.m, s.rp.crashRng, s.rp.storm.CrashMeanUpCycles), kind: evCrash, m: e.m})
+		s.push(event{at: e.at + s.expo(m, s.rp.crashRng, s.rp.storm.CrashMeanUpCycles), kind: evCrash, m: e.m})
 	}
 }
 
 // brownStart begins a brownout window: new service starts on the machine
 // run brownFactor times slower until it ends.
 func (s *fleetSim) brownStart(e event) {
-	st := &s.machines[e.m]
+	m := int(e.m)
+	st := &s.machines[m]
 	st.browned = true
 	s.res.Resilience.Brownouts++
-	s.push(event{at: e.at + s.expo(e.m, s.rp.brownRng, s.rp.storm.BrownoutMeanCycles), kind: evBrownEnd, m: e.m})
+	s.push(event{at: e.at + s.expo(m, s.rp.brownRng, s.rp.storm.BrownoutMeanCycles), kind: evBrownEnd, m: e.m})
 }
 
 // brownEnd closes the window and schedules the next one.
 func (s *fleetSim) brownEnd(e event) {
-	s.machines[e.m].browned = false
+	m := int(e.m)
+	s.machines[m].browned = false
 	if s.moreWork() {
-		s.push(event{at: e.at + s.expo(e.m, s.rp.brownRng, s.rp.storm.BrownoutMeanUpCycles), kind: evBrownStart, m: e.m})
+		s.push(event{at: e.at + s.expo(m, s.rp.brownRng, s.rp.storm.BrownoutMeanUpCycles), kind: evBrownStart, m: e.m})
 	}
 }
 
