@@ -68,9 +68,7 @@ import (
 	"mcsquare/internal/cliutil"
 	"mcsquare/internal/config"
 	"mcsquare/internal/copykit"
-	"mcsquare/internal/faultinject"
 	"mcsquare/internal/fleet"
-	"mcsquare/internal/invariant"
 	"mcsquare/internal/machine"
 	"mcsquare/internal/metrics"
 	"mcsquare/internal/stats"
@@ -91,6 +89,7 @@ type options struct {
 	frac    float64
 	size    uint64
 	quick   bool
+	env     *machine.Env // every machine of the run is built in it
 
 	// timelineFile/timelinePath/timelineCfg carry the -timeline destination
 	// to runFleet, which records its own event-loop timeline (fleetMode
@@ -200,30 +199,26 @@ func main() {
 	}
 	icfg := cliutil.Invariants(*invar)
 
-	// Collect the registry of every machine the workload builds (some
-	// build theirs internally), so -stats sees the whole run.
-	col := metrics.NewCollector()
-	release := col.Bind()
-	tcol := txtrace.NewCollector(txtrace.Config{Enabled: *traceOut != "", SampleEvery: *traceN})
-	releaseTrace := tcol.Bind()
-	fcol := faultinject.NewCollector(fsched)
-	releaseFaults := fcol.Bind()
-	icol := invariant.NewCollector(icfg)
-	releaseInv := icol.Bind()
-
-	// The timeline plane: per-machine recorders for single-workload runs;
-	// fleet mode records its own event-loop timeline instead (the spec's
-	// Timeline block, which -timeline/-timeline-window force on/override).
+	// The run environment records every machine the workload builds (some
+	// build theirs internally), so -stats, -trace and the oracles see the
+	// whole run. The timeline plane gives per-machine recorders to
+	// single-workload runs; fleet mode records its own event-loop timeline
+	// instead (the spec's Timeline block, which -timeline/-timeline-window
+	// force on/override).
 	tlcfg := cliutil.TimelineConfig(spec, *tlOut, *tlWin, *serve != "")
-	var tlcol *timeline.Collector
-	if !*fleetRun {
-		tlcol = timeline.NewCollector(tlcfg)
+	envCfg := machine.Env{
+		Trace:      txtrace.Config{Enabled: *traceOut != "", SampleEvery: *traceN},
+		Faults:     fsched,
+		Invariants: icfg,
 	}
-	releaseTl := tlcol.Bind()
+	if !*fleetRun {
+		envCfg.Timeline = tlcfg
+	}
+	env := machine.NewEnv(envCfg)
 
 	var stopServe func()
 	if *serve != "" {
-		addr, stop, err := cliutil.Serve(*serve, &cliutil.ServeState{Metrics: col, Timeline: tlcol})
+		addr, stop, err := cliutil.Serve(*serve, &cliutil.ServeState{Env: env})
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -233,28 +228,30 @@ func main() {
 
 	run(options{
 		spec: spec, mech: mk,
-		threads: *threads, frac: *frac, size: *size, quick: *quick,
+		threads: *threads, frac: *frac, size: *size, quick: *quick, env: env,
 		timelineFile: tlFile, timelinePath: *tlOut, timelineCfg: tlcfg, fleetMode: *fleetRun,
 	})
-	release()
-	releaseTrace()
-	releaseFaults()
-	releaseInv()
-	releaseTl()
-	tlcol.Finalize()
-
-	if fcol != nil {
-		fmt.Printf("faultinject: %d fault(s) fired (schedule seed %#x)\n",
-			fcol.FiredTotal(), fcol.Schedule().Seed)
+	recs := env.Recorders()
+	for _, r := range recs {
+		r.Finalize()
 	}
-	if icol != nil {
+
+	if sched := env.FaultSchedule(); sched.Active() {
+		var fired uint64
+		for _, m := range env.Machines() {
+			fired += m.Faults.FiredTotal()
+		}
+		fmt.Printf("faultinject: %d fault(s) fired (schedule seed %#x)\n", fired, sched.Seed)
+	}
+	if icfg.Enabled() {
+		oracles := env.Oracles()
 		var checks, skips uint64
-		for _, o := range icol.Oracles() {
+		for _, o := range oracles {
 			c, s, _ := o.Checks()
 			checks, skips = checks+c, skips+s
 		}
-		if n := icol.TotalViolations(); n > 0 {
-			icol.Report(os.Stderr)
+		if oracles.TotalViolations() > 0 {
+			oracles.Report(os.Stderr)
 			os.Exit(1)
 		}
 		fmt.Printf("invariant: 0 violations (%d checks, %d skipped)\n", checks, skips)
@@ -264,10 +261,10 @@ func main() {
 		// With the timeline on, merge its counter tracks into the span
 		// document so both render on one timebase.
 		var exportErr error
-		if tlcol != nil {
-			exportErr = timeline.ExportPerfetto(traceFile, tcol.Tracers(), tlcol.Recorders())
+		if env.Timeline.Enabled {
+			exportErr = timeline.ExportPerfetto(traceFile, env.Tracers(), recs)
 		} else {
-			exportErr = tcol.Export(traceFile)
+			exportErr = txtrace.Export(traceFile, env.Tracers())
 		}
 		if exportErr != nil {
 			fatal("-trace: %v", exportErr)
@@ -277,7 +274,7 @@ func main() {
 		}
 	}
 	if tlFile != nil && !*fleetRun {
-		if err := timeline.Write(tlFile, *tlOut, tlcol.Recorders()); err != nil {
+		if err := timeline.Write(tlFile, *tlOut, recs); err != nil {
 			fatal("-timeline: %v", err)
 		}
 		if err := cliutil.CloseOutput(tlFile); err != nil {
@@ -285,7 +282,7 @@ func main() {
 		}
 	}
 	if *statsOut != "" {
-		if err := cliutil.WriteStats(*statsOut, col.Snapshot()); err != nil {
+		if err := cliutil.WriteStats(*statsOut, env.Metrics().Snapshot()); err != nil {
 			fatal("%v", err)
 		}
 	}
@@ -314,8 +311,15 @@ func (o options) copier(m *machine.Machine) copykit.Copier {
 // kernelParams lowers the spec for the OS workloads, which always carry
 // the lazy hardware: the kernel flag, not the machine, decides usage.
 func (o options) kernelParams() machine.Params {
-	p := o.spec.MustParams()
+	p := o.params()
 	p.LazyEnabled = true
+	return p
+}
+
+// params lowers the spec into the run's environment.
+func (o options) params() machine.Params {
+	p := o.spec.MustParams()
+	p.Env = o.env
 	return p
 }
 
@@ -324,7 +328,7 @@ func runProtobuf(o options) {
 	if o.quick {
 		cfg.Ops, cfg.Burst = 192, 64
 	}
-	m := protobuf.NewMachineFrom(o.spec.MustParams())
+	m := protobuf.NewMachineFrom(o.params())
 	cfg.Copier = o.copier(m)
 	res := protobuf.Run(m, cfg)
 	fmt.Printf("protobuf/%s: runtime %.3f ms, %d copies (%.1f%% of cycles in memcpy)\n",
@@ -340,7 +344,7 @@ func runMongo(o options) {
 	if o.quick {
 		cfg.Inserts, cfg.Fields, cfg.FieldSize = 8, 4, 32<<10
 	}
-	m := mongo.NewMachineFrom(o.spec.MustParams())
+	m := mongo.NewMachineFrom(o.params())
 	cfg.Copier = o.copier(m)
 	res := mongo.Run(m, cfg)
 	fmt.Printf("mongo/%s: average insert latency %.4f ms (p99 %.4f ms)\n",
@@ -352,7 +356,7 @@ func runMVCC(o options) {
 	if o.quick {
 		cfg.Rows, cfg.OpsPerThread = 128, 60
 	}
-	m := mvcc.NewMachineFrom(o.spec.MustParams())
+	m := mvcc.NewMachineFrom(o.params())
 	res := mvcc.Run(m, cfg)
 	fmt.Printf("mvcc/%s: %d txns in %.3f ms = %.0f kOps/s (%d threads, %.1f%% updated)\n",
 		o.mech.Name, res.Ops, o.clock().CyclesToMs(uint64(res.Cycles)), res.ThroughputKOpsAt(o.clock()),
@@ -417,7 +421,7 @@ func runFleet(o options) {
 		}
 		spec.Timeline = &ts
 	}
-	res, err := fleet.Run(spec, fleet.Options{Quick: o.quick})
+	res, err := fleet.Run(spec, fleet.Options{Quick: o.quick, Env: o.env})
 	if err != nil {
 		fatal("-fleet: %v", err)
 	}
@@ -430,7 +434,7 @@ func runFleet(o options) {
 		res.MeanQueueDepth)
 	if res.ResilienceOn {
 		// The fault-tolerance plane ran (a Fleet.Resilience mitigation or
-		// an ambient fleet storm); default runs print nothing extra.
+		// a -faults fleet storm); default runs print nothing extra.
 		fmt.Println(res.ResilienceSummary())
 	}
 	if tl := res.Timeline; tl != nil {

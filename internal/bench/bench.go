@@ -260,8 +260,7 @@ func benchInvariantsOff(b *testing.B) {
 // a chaos/-invariants sweep.
 func benchInvariantsOn(b *testing.B) {
 	b.ReportAllocs()
-	col := invariant.NewCollector(invariant.All())
-	o := col.NewOracles(sim.NewEngine(), nil)
+	o := invariant.New(invariant.All(), sim.NewEngine(), nil)
 	buf := make([]byte, memdata.LineSize)
 	for i := 0; i < 1024; i++ { // pre-populate the shadow: steady-state cost
 		invariantOp(o, buf, i)
@@ -323,7 +322,7 @@ func timelineChain(b *testing.B, e *sim.Engine, cells []uint64) {
 
 // benchTimelineOff measures the timeline plane's disabled path: the same
 // metric-bumping event chain with no recorder installed, so every time
-// advance pays only the engine's nil-hook check (plus the nil-collector
+// advance pays only the engine's nil-hook check (plus the disabled
 // constructor surface). This is the overhead every unsampled simulation
 // pays, and it must stay at 0 allocs/op.
 func benchTimelineOff(b *testing.B) {
@@ -331,8 +330,7 @@ func benchTimelineOff(b *testing.B) {
 	e := sim.NewEngine()
 	reg := metrics.NewRegistry()
 	cells := timelineRegistry(reg, e)
-	col := timeline.NewCollector(timeline.Config{}) // disabled → nil
-	rec := col.NewRecorder(reg, e)                  // nil recorder, inert
+	rec := timeline.NewRecorder(timeline.Config{}, reg, e) // disabled → nil recorder, inert
 	defer rec.Finalize()
 	timelineChain(b, e, cells)
 }
@@ -346,8 +344,7 @@ func benchTimelineOn(b *testing.B) {
 	e := sim.NewEngine()
 	reg := metrics.NewRegistry()
 	cells := timelineRegistry(reg, e)
-	col := timeline.NewCollector(timeline.Config{Enabled: true, WindowCycles: 32})
-	rec := col.NewRecorder(reg, e)
+	rec := timeline.NewRecorder(timeline.Config{Enabled: true, WindowCycles: 32}, reg, e)
 	defer rec.Finalize()
 	timelineChain(b, e, cells)
 }

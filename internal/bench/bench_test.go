@@ -86,8 +86,8 @@ func TestInvariantsOffAllocatesNothing(t *testing.T) {
 // unsampled simulation pays only a nil check for the instrumentation.
 func TestTimelineOffAllocatesNothing(t *testing.T) {
 	e := sim.NewEngine()
-	rec := timeline.NewCollector(timeline.Config{}).NewRecorder(nil, e) // nil: disabled
-	for i := 0; i < 64; i++ {                                           // warm the event pool
+	rec := timeline.NewRecorder(timeline.Config{}, nil, e) // nil: disabled
+	for i := 0; i < 64; i++ {                              // warm the event pool
 		e.After(1, func() {})
 		e.Step()
 	}

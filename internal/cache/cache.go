@@ -250,13 +250,10 @@ func checkLine(a memdata.Addr) {
 
 // Read fetches the full line at a for the given core. done receives a copy
 // of the line's current data.
-func (h *Hierarchy) Read(core int, a memdata.Addr, done func(data []byte)) {
-	h.ReadTx(core, a, 0, done)
-}
-
-// ReadTx is Read carrying a transaction-trace id: traced reads record an
+//
+// tx is the transaction-trace id (0 when untraced): traced reads record an
 // l1.hit span, or an l1.miss span under which the L2/memory legs nest.
-func (h *Hierarchy) ReadTx(core int, a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
+func (h *Hierarchy) Read(core int, a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
 	checkLine(a)
 	l1 := h.l1s[core]
 	if cl := l1.lookup(a); cl != nil {
@@ -382,9 +379,9 @@ func (h *Hierarchy) l2Access(core int, a memdata.Addr, tx txtrace.Tx, m *mshr, d
 	h.Stats.L2Misses++
 	sp := h.tr.Begin(tx, txtrace.StageL2Miss, uint64(a), uint64(h.eng.Now()))
 	mc := h.route(a)
-	h.bus.SendTx(memdata.LineSize, sp, func() {
-		mc.ReadLineTx(a, sp, func(data []byte) {
-			h.bus.SendTx(memdata.LineSize, sp, func() {
+	h.bus.Send(memdata.LineSize, sp, func() {
+		mc.ReadLine(a, sp, func(data []byte) {
+			h.bus.Send(memdata.LineSize, sp, func() {
 				if !m.cancelled {
 					h.fillL2(a, data, false)
 				}
@@ -503,7 +500,7 @@ func (h *Hierarchy) evictL2(cl *cacheLine) {
 func (h *Hierarchy) writebackToMemory(a memdata.Addr, data []byte) {
 	cp := append([]byte(nil), data...)
 	mc := h.route(a)
-	h.bus.Send(memdata.LineSize, func() { mc.WriteLineOwned(a, cp, func() {}) })
+	h.bus.Send(memdata.LineSize, 0, func() { mc.WriteLineOwned(a, cp, 0, func() {}) })
 }
 
 // ---------------------------------------------------------------------------
@@ -513,12 +510,9 @@ func (h *Hierarchy) writebackToMemory(a memdata.Addr, data []byte) {
 // Write stores data at byte offset off within the line at a for the given
 // core, acquiring the line exclusively first (RFO on a miss). done fires
 // when the store retires into the L1.
-func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, done func()) {
-	h.WriteTx(core, a, off, data, 0, done)
-}
-
-// WriteTx is Write carrying a transaction-trace id.
-func (h *Hierarchy) WriteTx(core int, a memdata.Addr, off uint64, data []byte, tx txtrace.Tx, done func()) {
+//
+// tx is the transaction-trace id (0 when untraced).
+func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx txtrace.Tx, done func()) {
 	checkLine(a)
 	if off+uint64(len(data)) > memdata.LineSize {
 		panic("cache: write crosses a line boundary")
@@ -587,12 +581,9 @@ func (h *Hierarchy) invalidateOtherSharers(core int, a memdata.Addr) {
 // WriteLineNT performs a non-temporal full-line store: caches are bypassed
 // (any cached copies are discarded — the line is fully overwritten) and the
 // write goes straight to the controller, avoiding the RFO memory read.
-func (h *Hierarchy) WriteLineNT(core int, a memdata.Addr, data []byte, done func()) {
-	h.WriteLineNTTx(core, a, data, 0, done)
-}
-
-// WriteLineNTTx is WriteLineNT carrying a transaction-trace id.
-func (h *Hierarchy) WriteLineNTTx(core int, a memdata.Addr, data []byte, tx txtrace.Tx, done func()) {
+//
+// tx is the transaction-trace id (0 when untraced).
+func (h *Hierarchy) WriteLineNT(core int, a memdata.Addr, data []byte, tx txtrace.Tx, done func()) {
 	checkLine(a)
 	if len(data) != memdata.LineSize {
 		panic("cache: non-temporal store must write a full line")
@@ -602,7 +593,7 @@ func (h *Hierarchy) WriteLineNTTx(core int, a memdata.Addr, data []byte, tx txtr
 	cp := append([]byte(nil), data...)
 	mc := h.route(a)
 	h.eng.After(h.cfg.L1Latency, func() {
-		h.bus.SendTx(memdata.LineSize, tx, func() { mc.WriteLineOwnedTx(a, cp, tx, done) })
+		h.bus.Send(memdata.LineSize, tx, func() { mc.WriteLineOwned(a, cp, tx, done) })
 	})
 }
 
@@ -652,12 +643,9 @@ func (h *Hierarchy) dropLine(a memdata.Addr) {
 // hierarchy, keeping a clean copy cached (Intel CLWB semantics). done fires
 // when the write has been accepted by the controller (or immediately for
 // clean/absent lines).
-func (h *Hierarchy) CLWB(core int, a memdata.Addr, done func()) {
-	h.CLWBTx(core, a, 0, done)
-}
-
-// CLWBTx is CLWB carrying a transaction-trace id.
-func (h *Hierarchy) CLWBTx(core int, a memdata.Addr, tx txtrace.Tx, done func()) {
+//
+// tx is the transaction-trace id (0 when untraced).
+func (h *Hierarchy) CLWB(core int, a memdata.Addr, tx txtrace.Tx, done func()) {
 	checkLine(a)
 	h.Stats.CLWBs++
 	var data []byte
@@ -686,7 +674,7 @@ func (h *Hierarchy) CLWBTx(core int, a memdata.Addr, tx txtrace.Tx, done func())
 	}
 	mc := h.route(a)
 	h.eng.After(h.cfg.L1Latency+h.cfg.L2Latency, func() {
-		h.bus.SendTx(memdata.LineSize, tx, func() { mc.WriteLineOwnedTx(a, data, tx, done) })
+		h.bus.Send(memdata.LineSize, tx, func() { mc.WriteLineOwned(a, data, tx, done) })
 	})
 }
 
@@ -721,12 +709,9 @@ func (h *Hierarchy) InvalidateRange(r memdata.Range) int {
 // copies), calling done when all writebacks are accepted. It reports how
 // many lines were dirty. This is the "ranged writeback" the paper suggests
 // as future work (§V-A1); the simulated kernel uses it for huge pages.
-func (h *Hierarchy) FlushRange(r memdata.Range, done func()) int {
-	return h.FlushRangeTx(r, 0, done)
-}
-
-// FlushRangeTx is FlushRange carrying a transaction-trace id.
-func (h *Hierarchy) FlushRangeTx(r memdata.Range, tx txtrace.Tx, done func()) int {
+//
+// tx is the transaction-trace id (0 when untraced).
+func (h *Hierarchy) FlushRange(r memdata.Range, tx txtrace.Tx, done func()) int {
 	dirty := 0
 	remaining := 1
 	complete := func() {
@@ -761,7 +746,7 @@ func (h *Hierarchy) FlushRangeTx(r memdata.Range, tx txtrace.Tx, done func()) in
 		remaining++
 		mc := h.route(l)
 		lcopy := l
-		h.bus.SendTx(memdata.LineSize, tx, func() { mc.WriteLineOwnedTx(lcopy, data, tx, complete) })
+		h.bus.Send(memdata.LineSize, tx, func() { mc.WriteLineOwned(lcopy, data, tx, complete) })
 	}
 	h.eng.After(h.cfg.L2Latency, complete)
 	return dirty
@@ -817,9 +802,9 @@ func (h *Hierarchy) issuePrefetch(a memdata.Addr) {
 	h.pfPending[a] = f
 	h.pfInflight++
 	mc := h.route(a)
-	h.bus.Send(memdata.LineSize, func() {
-		mc.ReadLine(a, func(data []byte) {
-			h.bus.Send(memdata.LineSize, func() {
+	h.bus.Send(memdata.LineSize, 0, func() {
+		mc.ReadLine(a, 0, func(data []byte) {
+			h.bus.Send(memdata.LineSize, 0, func() {
 				delete(h.pfPending, a)
 				h.pfInflight--
 				if !f.cancelled {

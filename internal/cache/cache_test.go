@@ -36,13 +36,13 @@ func (r *rig) fill(seed int64) {
 // read synchronously reads a line in a fresh engine run.
 func (r *rig) read(core int, a memdata.Addr) []byte {
 	var out []byte
-	r.eng.After(0, func() { r.h.Read(core, a, func(d []byte) { out = d }) })
+	r.eng.After(0, func() { r.h.Read(core, a, 0, func(d []byte) { out = d }) })
 	r.eng.Drain()
 	return out
 }
 
 func (r *rig) write(core int, a memdata.Addr, off uint64, data []byte) {
-	r.eng.After(0, func() { r.h.Write(core, a, off, data, func() {}) })
+	r.eng.After(0, func() { r.h.Write(core, a, off, data, 0, func() {}) })
 	r.eng.Drain()
 }
 
@@ -132,7 +132,7 @@ func TestCLWB(t *testing.T) {
 	r.fill(5)
 	a := memdata.Addr(4096)
 	r.write(0, a, 0, []byte{0xDD})
-	r.eng.After(0, func() { r.h.CLWB(0, a, func() {}) })
+	r.eng.After(0, func() { r.h.CLWB(0, a, 0, func() {}) })
 	r.eng.Drain()
 	if r.phys.ReadLine(a)[0] != 0xDD {
 		t.Fatal("CLWB did not write back")
@@ -145,7 +145,7 @@ func TestCLWB(t *testing.T) {
 	}
 	// CLWB of a clean line writes nothing.
 	w0 := r.h.Stats.CLWBDirty
-	r.eng.After(0, func() { r.h.CLWB(0, a, func() {}) })
+	r.eng.After(0, func() { r.h.CLWB(0, a, 0, func() {}) })
 	r.eng.Drain()
 	if r.h.Stats.CLWBDirty != w0 {
 		t.Fatal("clean CLWB wrote back")
@@ -158,7 +158,7 @@ func TestNTStoreBypassesCache(t *testing.T) {
 	a := memdata.Addr(4096)
 	r.read(0, a) // cache it
 	data := bytes.Repeat([]byte{0x77}, memdata.LineSize)
-	r.eng.After(0, func() { r.h.WriteLineNT(0, a, data, func() {}) })
+	r.eng.After(0, func() { r.h.WriteLineNT(0, a, data, 0, func() {}) })
 	r.eng.Drain()
 	if r.phys.ReadLine(a)[0] != 0x77 {
 		t.Fatal("NT store did not reach memory")
@@ -204,7 +204,7 @@ func TestFlushRange(t *testing.T) {
 	done := false
 	var dirty int
 	r.eng.After(0, func() {
-		dirty = r.h.FlushRange(memdata.Range{Start: base, Size: 4 * memdata.LineSize}, func() { done = true })
+		dirty = r.h.FlushRange(memdata.Range{Start: base, Size: 4 * memdata.LineSize}, 0, func() { done = true })
 	})
 	r.eng.Drain()
 	if !done {
@@ -226,11 +226,11 @@ func TestMSHRMergesAndBounds(t *testing.T) {
 	hits := 0
 	r.eng.After(0, func() {
 		// Two concurrent reads of the same line: one miss, merged waiter.
-		r.h.Read(0, 0, func([]byte) { hits++ })
-		r.h.Read(0, 0, func([]byte) { hits++ })
+		r.h.Read(0, 0, 0, func([]byte) { hits++ })
+		r.h.Read(0, 0, 0, func([]byte) { hits++ })
 		// Plus more misses than MSHRs.
 		for i := 1; i <= r.h.cfg.MSHRsPerCore+5; i++ {
-			r.h.Read(0, memdata.Addr(i*4096), func([]byte) { hits++ })
+			r.h.Read(0, memdata.Addr(i*4096), 0, func([]byte) { hits++ })
 		}
 	})
 	r.eng.Drain()
@@ -280,7 +280,7 @@ func TestPrefetchLatencyBenefit(t *testing.T) {
 		r.eng.Go("stream", func(p *sim.Proc) {
 			for i := 0; i < 256; i++ {
 				ok := false
-				r.h.Read(0, memdata.Addr(i*memdata.LineSize), func([]byte) {
+				r.h.Read(0, memdata.Addr(i*memdata.LineSize), 0, func([]byte) {
 					ok = true
 					if !p.Finished() {
 						p.Resume()

@@ -7,19 +7,18 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"mcsquare/internal/metrics"
+	"mcsquare/internal/machine"
 	"mcsquare/internal/timeline"
 )
 
-// ServeState is the live data the -serve inspection endpoint exposes. The
-// CLI fills it before the run starts (collectors exist up front) and the
-// HTTP handlers read whatever is current. Reads race benignly with the
-// simulation: the endpoint is a best-effort debugging view of a running
-// process, not a determinism surface — deterministic output goes through
-// -stats / -timeline files.
+// ServeState is the live data the -serve inspection endpoint exposes: the
+// run environment, which the CLI creates before the run starts, and whose
+// metrics and timeline recorders the HTTP handlers read as they are. Reads
+// race benignly with the simulation: the endpoint is a best-effort
+// debugging view of a running process, not a determinism surface —
+// deterministic output goes through -stats / -timeline files.
 type ServeState struct {
-	Metrics  *metrics.Collector
-	Timeline *timeline.Collector
+	Env *machine.Env
 }
 
 // timelineView is the /timeline response: per-machine closed-window
@@ -48,21 +47,21 @@ func NewServeMux(st *ServeState) *http.ServeMux {
 		enc.Encode(v)
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if st.Metrics == nil {
-			http.Error(w, `{"error":"metrics collector not bound"}`, http.StatusServiceUnavailable)
+		if st.Env == nil {
+			http.Error(w, `{"error":"no run environment"}`, http.StatusServiceUnavailable)
 			return
 		}
-		writeJSON(w, st.Metrics.Snapshot())
+		writeJSON(w, st.Env.Metrics().Snapshot())
 	})
 	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
 		var view timelineView
-		if st.Timeline != nil {
+		if st.Env != nil && st.Env.Timeline.Enabled {
 			view.Enabled = true
-			view.WindowCycles = st.Timeline.Config().WindowCycles
+			view.WindowCycles = st.Env.Timeline.WindowCycles
 			if view.WindowCycles == 0 {
 				view.WindowCycles = timeline.DefaultWindowCycles
 			}
-			for i, rec := range st.Timeline.Recorders() {
+			for i, rec := range st.Env.Recorders() {
 				cur := rec.Current()
 				view.Machines = append(view.Machines, struct {
 					Machine int              `json:"machine"`

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"mcsquare/internal/faultinject"
+	"mcsquare/internal/metrics"
+	"mcsquare/internal/sim"
 	"mcsquare/internal/timeline"
 )
 
@@ -38,8 +40,8 @@ func TestTimelineSpecConfigLowering(t *testing.T) {
 	if !c.Enabled || c.WindowCycles != 0 || len(c.Tracks) != 1 {
 		t.Fatalf("lowered config = %+v", c)
 	}
-	if timeline.NewCollector(c) == nil {
-		t.Fatal("enabled lowered config must yield a collector")
+	if timeline.NewRecorder(c, metrics.NewRegistry(), sim.NewEngine()) == nil {
+		t.Fatal("enabled lowered config must yield a recorder")
 	}
 }
 

@@ -35,11 +35,9 @@ func FuzzLazyEagerEquivalence(f *testing.F) {
 		if len(program) > 64 {
 			program = program[:64] // bound simulated work per case
 		}
-		col := invariant.NewCollector(invariant.All())
-		release := col.Bind()
-		defer release()
-
-		m := machine.New(fuzzParams())
+		p := fuzzParams()
+		p.Env = machine.NewEnv(machine.Env{Invariants: invariant.All()})
+		m := machine.New(p)
 		const size = 1 << 14
 		src := m.AllocPage(size)
 		dst := m.AllocPage(size)
@@ -68,7 +66,7 @@ func FuzzLazyEagerEquivalence(f *testing.F) {
 			c.ReadBytes(dst, size) // full sweep, every line shadow-checked
 		})
 
-		if n := col.TotalViolations(); n != 0 {
+		if n := m.Inv.TotalViolations(); n != 0 {
 			t.Fatalf("%d shadow violations for program %x", n, program)
 		}
 		if err := m.Lazy.CheckConservation(); err != nil {

@@ -38,7 +38,7 @@ func newMCRig() *mcRig {
 func (r *mcRig) readDoneAt(at sim.Cycle, a memdata.Addr) *sim.Cycle {
 	done := new(sim.Cycle)
 	r.eng.At(at, func() {
-		r.mc.RawReadLine(a, func([]byte) { *done = r.eng.Now() })
+		r.mc.RawReadLine(a, 0, func([]byte) { *done = r.eng.Now() })
 	})
 	return done
 }
@@ -66,9 +66,9 @@ func TestControllerOracles(t *testing.T) {
 		r := newMCRig()
 		done := new(sim.Cycle)
 		r.eng.At(0, func() {
-			r.mc.RawReadLine(0, func([]byte) {
+			r.mc.RawReadLine(0, 0, func([]byte) {
 				first := r.eng.Now()
-				r.mc.RawReadLine(line, func([]byte) { *done = r.eng.Now() - first })
+				r.mc.RawReadLine(line, 0, func([]byte) { *done = r.eng.Now() - first })
 			})
 		})
 		r.eng.Drain()
@@ -81,7 +81,7 @@ func TestControllerOracles(t *testing.T) {
 	{
 		r := newMCRig()
 		buf := make([]byte, memdata.LineSize)
-		r.eng.At(0, func() { r.mc.RawWriteLine(0, buf, func() {}) })
+		r.eng.At(0, func() { r.mc.RawWriteLine(0, buf, 0, func() {}) })
 		issue := sim.Cycle(2) // before the posted write lands
 		done := r.readDoneAt(issue, 0)
 		r.eng.Drain()
@@ -96,7 +96,7 @@ func TestControllerOracles(t *testing.T) {
 	{
 		r := newMCRig()
 		buf := make([]byte, memdata.LineSize)
-		r.eng.At(0, func() { r.mc.RawWriteLine(0, buf, func() {}) })
+		r.eng.At(0, func() { r.mc.RawWriteLine(0, buf, 0, func() {}) })
 		doneW := r.cfg.TRCD + r.cfg.TCAS + r.cfg.TBL
 		done := r.readDoneAt(doneW+8, 0) // 8 > 0 cycles past landing: not forwarded
 		r.eng.Drain()
@@ -114,7 +114,7 @@ func TestControllerOracles(t *testing.T) {
 		var last sim.Cycle
 		r.eng.At(0, func() {
 			for _, rid := range rows {
-				r.mc.RawReadLine(rowAddr(r.cfg, rid), func([]byte) { last = r.eng.Now() })
+				r.mc.RawReadLine(rowAddr(r.cfg, rid), 0, func([]byte) { last = r.eng.Now() })
 			}
 		})
 		r.eng.Drain()
@@ -131,7 +131,7 @@ func TestControllerOracles(t *testing.T) {
 		var last sim.Cycle
 		r.eng.At(0, func() {
 			for i := 0; i < n; i++ {
-				r.mc.RawReadLine(memdata.Addr(i)*line, func([]byte) { last = r.eng.Now() })
+				r.mc.RawReadLine(memdata.Addr(i)*line, 0, func([]byte) { last = r.eng.Now() })
 			}
 		})
 		r.eng.Drain()
@@ -159,12 +159,12 @@ func TestControllerDrainKeepsForwarding(t *testing.T) {
 	for i := range buf {
 		buf[i] = 0xA5
 	}
-	r.eng.At(0, func() { r.mc.RawWriteLine(0, buf, func() {}) })
+	r.eng.At(0, func() { r.mc.RawWriteLine(0, buf, 0, func() {}) })
 
 	forwarded := r.readDoneAt(1, 0) // in flight: forwarded
 	var late []byte
 	r.eng.At(500, func() { // long after landing: from the array
-		r.mc.RawReadLine(0, func(d []byte) { late = d })
+		r.mc.RawReadLine(0, 0, func(d []byte) { late = d })
 	})
 	r.eng.Drain()
 

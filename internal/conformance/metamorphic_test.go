@@ -193,11 +193,11 @@ func copyProgram(m *machine.Machine, lazy bool, seed int64) []byte {
 // read) and on an eager-copy machine, and requires byte-identical
 // observations — the paper's correctness claim, checked end to end.
 func TestLazyEagerEquivalence(t *testing.T) {
-	col := invariant.NewCollector(invariant.All())
-	release := col.Bind()
-	lazyM := machine.New(machine.DefaultParams())
+	lazyP := machine.DefaultParams()
+	lazyP.Env = machine.NewEnv(machine.Env{Invariants: invariant.All()})
+	lazyM := machine.New(lazyP)
 	lazyBytes := copyProgram(lazyM, true, 42)
-	release()
+	col := lazyP.Env.Oracles()
 
 	eagerP := machine.DefaultParams()
 	eagerP.LazyEnabled = false

@@ -219,12 +219,13 @@ func parseProgram(name string, data []byte) (*corpusProgram, error) {
 	return p, nil
 }
 
-// runProgram replays a program against a fresh rig and reports the first
-// divergence from the oracle (empty string = equivalent). It never calls
-// t.Fatal itself so callers can persist the failing program first.
-func runProgram(t *testing.T, prog *corpusProgram) (*rig, string) {
+// runProgram replays a program against a fresh rig built with pl and
+// reports the first divergence from the oracle (empty string =
+// equivalent). It never calls t.Fatal itself so callers can persist the
+// failing program first.
+func runProgram(t *testing.T, prog *corpusProgram, pl planes) (*rig, string) {
 	t.Helper()
-	r := newRig(t, prog.params)
+	r := newRigWith(t, prog.params, pl)
 	r.fill(prog.seed)
 	undef := make(map[memdata.Addr]bool) // lines exempt from oracle comparison
 	lineOf := func(a memdata.Addr) memdata.Addr { return a &^ (line - 1) }
@@ -330,7 +331,7 @@ func TestCorpusReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, failure := runProgram(t, prog); failure != "" {
+			if _, failure := runProgram(t, prog, planes{}); failure != "" {
 				t.Fatalf("corpus replay diverged: %s", failure)
 			}
 		})
@@ -350,7 +351,7 @@ func TestCorpusCoversWPQWritebackReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, failure := runProgram(t, prog)
+	r, failure := runProgram(t, prog, planes{})
 	if failure != "" {
 		t.Fatalf("replay diverged: %s", failure)
 	}

@@ -420,7 +420,7 @@ func (e *Engine) composeDestLine(a memdata.Addr, tx txtrace.Tx, cb func([]byte))
 		l := l
 		e.Stats.BounceSrcReads++
 		ssp := e.tr.Begin(tx, txtrace.StageBounceSrcRead, uint64(l), uint64(e.eng.Now()))
-		e.mcs[e.route(l)].RawReadLineSnapshotTx(l, ssp, func(d []byte) {
+		e.mcs[e.route(l)].RawReadLineSnapshot(l, ssp, func(d []byte) {
 			e.tr.End(ssp, uint64(e.eng.Now()))
 			needs[l] = d
 			remaining--
@@ -495,7 +495,7 @@ func (e *Engine) hookedWrite(a memdata.Addr, data []byte, tx txtrace.Tx, release
 		}
 		e.Stats.MaterializedBytes += e.ctt.RemoveDestRange(lineRange(a))
 		e.wakePending()
-		e.mcs[mc].RawWriteLineOwnedTx(a, data, tx, release)
+		e.mcs[mc].RawWriteLineOwned(a, data, tx, release)
 		return
 	}
 	if useBPQ {
@@ -567,7 +567,7 @@ func (e *Engine) processSrcWrite(mc int, a memdata.Addr, data []byte, tx txtrace
 			e.inv.BeginInternalWrite(a)
 			wdone = func() { e.inv.EndInternalWrite(a) }
 		}
-		e.mcs[mc].RawWriteLineOwnedTx(a, hw.data, hsp, wdone)
+		e.mcs[mc].RawWriteLineOwned(a, hw.data, hsp, wdone)
 		if slotHeld {
 			e.releaseBPQ(mc)
 		}

@@ -25,9 +25,9 @@ type rig struct {
 	shadow *memdata.Physical
 	mcs    []*memctrl.Controller
 	lazy   *Engine
-	tr     *txtrace.Tracer    // nil unless a collector was bound at newRig
-	flt    *faultinject.Plane // nil unless a fault collector was bound
-	inv    *invariant.Oracles // nil unless an invariant collector was bound
+	tr     *txtrace.Tracer    // nil unless the rig's planes enable tracing
+	flt    *faultinject.Plane // nil unless the rig's planes carry a schedule
+	inv    *invariant.Oracles // nil unless the rig's planes enable oracles
 	proc   *sim.Proc
 	failed string // first failure; reported after the engine drains
 }
@@ -37,7 +37,17 @@ func routeLine(a memdata.Addr) int { return int(uint64(a)>>memdata.LineShift) & 
 
 const rigMem = 1 << 20
 
-func newRig(t *testing.T, p Params) *rig {
+// planes selects the observation planes a rig is built with, as a
+// machine.Env does for a machine (core cannot import machine).
+type planes struct {
+	trace  txtrace.Config
+	faults *faultinject.Schedule
+	inv    invariant.Config
+}
+
+func newRig(t *testing.T, p Params) *rig { return newRigWith(t, p, planes{}) }
+
+func newRigWith(t *testing.T, p Params, pl planes) *rig {
 	eng := sim.NewEngine()
 	phys := memdata.NewPhysical(rigMem)
 	shadow := memdata.NewPhysical(rigMem)
@@ -46,25 +56,24 @@ func newRig(t *testing.T, p Params) *rig {
 		memctrl.New(1, eng, memctrl.DefaultConfig(), dram.NewChannel(dram.DDR4Config()), phys),
 	}
 	lazy := NewEngine(eng, p, mcs, routeLine)
-	// Same wiring as machine.New: collectors bound to the constructing
-	// goroutine hand the rig its tracer, fault plane, and invariant oracles;
-	// with none bound these are all nil.
-	tr := txtrace.AmbientCollector().NewTracer()
+	// Same wiring as machine.New: the planes give the rig its tracer,
+	// fault plane, and invariant oracles; with none enabled these are all
+	// nil.
+	tr := txtrace.New(pl.trace)
 	for _, mc := range mcs {
 		mc.SetTracer(tr)
 	}
 	lazy.SetTracer(tr)
 	r := &rig{t: t, eng: eng, phys: phys, shadow: shadow, mcs: mcs, lazy: lazy, tr: tr}
-	if fc := faultinject.AmbientCollector(); fc != nil {
-		r.flt = fc.NewPlane()
+	if pl.faults != nil && pl.faults.Active() {
+		r.flt = faultinject.NewPlane(*pl.faults, 0)
 		r.flt.SetTracer(tr)
 		for _, mc := range mcs {
 			mc.SetFaults(r.flt)
 		}
 		lazy.SetFaults(r.flt)
 	}
-	if ic := invariant.AmbientCollector(); ic != nil {
-		r.inv = ic.NewOracles(eng, tr)
+	if r.inv = invariant.New(pl.inv, eng, tr); r.inv != nil {
 		for _, mc := range mcs {
 			mc.SetInvariants(r.inv)
 		}
@@ -103,7 +112,7 @@ func (r *rig) read(a memdata.Addr) []byte {
 	var out []byte
 	done := false
 	sp := r.tr.BeginRoot(txtrace.StageCPULoad, 0, uint64(a), uint64(r.eng.Now()))
-	r.mc(a).ReadLineTx(a, sp, func(d []byte) {
+	r.mc(a).ReadLine(a, sp, func(d []byte) {
 		r.tr.End(sp, uint64(r.eng.Now()))
 		out = d
 		done = true
@@ -122,7 +131,7 @@ func (r *rig) read(a memdata.Addr) []byte {
 func (r *rig) write(a memdata.Addr, data []byte) {
 	done := false
 	sp := r.tr.BeginRoot(txtrace.StageCPUStore, 0, uint64(a), uint64(r.eng.Now()))
-	r.mc(a).WriteLineTx(a, data, sp, func() {
+	r.mc(a).WriteLine(a, data, sp, func() {
 		r.tr.EndFlags(sp, uint64(r.eng.Now()), txtrace.FlagWrite)
 		done = true
 		if !r.proc.Finished() {
@@ -426,7 +435,7 @@ func TestBPQBackpressure(t *testing.T) {
 			a := memdata.Addr(0x40000 + i*line)
 			d := bytes.Repeat([]byte{byte(i)}, line)
 			r.shadow.WriteLine(a, d)
-			r.mc(a).WriteLine(a, d, func() { released++ })
+			r.mc(a).WriteLine(a, d, 0, func() { released++ })
 		}
 		// Wait for all releases.
 		for released < 16 {
@@ -452,7 +461,7 @@ func TestMCLazyStallsOnHeldLines(t *testing.T) {
 		// prospective copy whose source is the same line.
 		d := bytes.Repeat([]byte{9}, line)
 		r.shadow.WriteLine(0x40000, d)
-		r.mc(0x40000).WriteLine(0x40000, d, func() {})
+		r.mc(0x40000).WriteLine(0x40000, d, 0, func() {})
 		dst2 := rng(0x20000, line)
 		r.lazyCopy(dst2, 0x40000) // must wait for the BPQ to drain
 		r.shadow.Copy(dst2.Start, 0x40000, line)
@@ -513,7 +522,7 @@ func TestRandomizedObservationalEquivalence(t *testing.T) {
 		p := DefaultParams()
 		p.CTTCapacity = 64 // small: exercise freeing under load
 		prog := genEquivalenceProgram(fmt.Sprintf("rand-seed%d", seed), p, seed, 1<<17, 400)
-		if _, failure := runProgram(t, prog); failure != "" {
+		if _, failure := runProgram(t, prog, planes{}); failure != "" {
 			persistFailure(t, prog)
 			t.Fatalf("seed %d diverged: %s", seed, failure)
 		}
@@ -565,7 +574,7 @@ func TestEquivalenceAcrossConfigurations(t *testing.T) {
 		p := DefaultParams()
 		cfg.mutate(&p)
 		prog := genEquivalenceProgram("cfg-"+cfg.name, p, int64(500+ci), 1<<16, 150)
-		if _, failure := runProgram(t, prog); failure != "" {
+		if _, failure := runProgram(t, prog, planes{}); failure != "" {
 			persistFailure(t, prog)
 			t.Fatalf("config %s diverged: %s", cfg.name, failure)
 		}

@@ -15,8 +15,8 @@ import (
 
 // Failure-injection regression tests (DESIGN.md §12): every fault is
 // injected through an internal/faultinject schedule — the single injection
-// mechanism — bound around rig construction exactly as the runner binds one
-// around a job. Each test drives one fault kind hard (forced CTT evictions,
+// mechanism — given to the rig at construction, as a run environment gives
+// one to each machine. Each test drives one fault kind hard (forced CTT evictions,
 // BPQ stall windows, WPQ rejection bursts, DRAM read corruption) and
 // asserts both the fault accounting and observational equivalence against
 // the shadow eager-copy oracle. The point is that injected adversity
@@ -25,16 +25,10 @@ import (
 
 // newFaultRig builds a rig with sched's fault plane installed and, when
 // icfg enables anything, the invariant oracles too (readable as r.flt and
-// r.inv). The collectors are bound only around construction, mirroring how
-// the runner scopes them to one job.
+// r.inv).
 func newFaultRig(t *testing.T, p Params, sched faultinject.Schedule, icfg invariant.Config) *rig {
 	t.Helper()
-	frel := faultinject.NewCollector(&sched).Bind()
-	irel := invariant.NewCollector(icfg).Bind()
-	r := newRig(t, p)
-	frel()
-	irel()
-	return r
+	return newRigWith(t, p, planes{faults: &sched, inv: icfg})
 }
 
 // sweepRegion checks every line of [start, end) against the shadow.
@@ -98,7 +92,7 @@ func TestFaultBPQStallWindows(t *testing.T) {
 			a := memdata.Addr(0x80000 + i*line)
 			d := bytes.Repeat([]byte{0xC0 | byte(i)}, line)
 			r.shadow.WriteLine(a, d)
-			r.mc(a).WriteLine(a, d, func() { released++ })
+			r.mc(a).WriteLine(a, d, 0, func() { released++ })
 		}
 		for released < lines {
 			r.proc.Wait(1000)
@@ -260,18 +254,12 @@ func TestFaultEagerFallbackHighWater(t *testing.T) {
 func chaosFired(t *testing.T, prog *corpusProgram, seed uint64) ([faultinject.NumKinds]uint64, EngineStats) {
 	t.Helper()
 	sched := faultinject.FromSeed(seed)
-	fcol := faultinject.NewCollector(&sched)
-	frel := fcol.Bind()
-	icol := invariant.NewCollector(invariant.All())
-	irel := icol.Bind()
-	r, failure := runProgram(t, prog)
-	frel()
-	irel()
+	r, failure := runProgram(t, prog, planes{faults: &sched, inv: invariant.All()})
 	if failure != "" {
 		t.Fatalf("%s diverged under chaos: %s", prog.name, failure)
 	}
-	if n := icol.TotalViolations(); n > 0 {
-		icol.Report(os.Stderr)
+	if n := r.inv.TotalViolations(); n > 0 {
+		invariant.Set{r.inv}.Report(os.Stderr)
 		t.Fatalf("%s: %d invariant violation(s) under chaos", prog.name, n)
 	}
 	var fired [faultinject.NumKinds]uint64
@@ -330,19 +318,14 @@ func TestChaosEquivalenceFuzz(t *testing.T) {
 		p.CTTCapacity = 64
 		prog := genEquivalenceProgram(fmt.Sprintf("chaos-seed%d", seed), p, seed, 1<<16, 250)
 		sched := faultinject.FromSeed(uint64(seed))
-		frel := faultinject.NewCollector(&sched).Bind()
-		icol := invariant.NewCollector(invariant.All())
-		irel := icol.Bind()
-		_, failure := runProgram(t, prog)
-		frel()
-		irel()
+		r, failure := runProgram(t, prog, planes{faults: &sched, inv: invariant.All()})
 		if failure != "" {
 			persistFailure(t, prog)
 			t.Fatalf("seed %d diverged under chaos: %s", seed, failure)
 		}
-		if n := icol.TotalViolations(); n > 0 {
+		if n := r.inv.TotalViolations(); n > 0 {
 			persistFailure(t, prog)
-			icol.Report(os.Stderr)
+			invariant.Set{r.inv}.Report(os.Stderr)
 			t.Fatalf("seed %d: %d invariant violation(s) under chaos", seed, n)
 		}
 	}

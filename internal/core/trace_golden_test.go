@@ -14,15 +14,12 @@ import (
 // returns the exported trace document.
 func traceCorpusProgram(t *testing.T, prog *corpusProgram) string {
 	t.Helper()
-	col := txtrace.NewCollector(txtrace.Config{Enabled: true, SampleEvery: 1})
-	release := col.Bind()
-	_, failure := runProgram(t, prog)
-	release()
+	r, failure := runProgram(t, prog, planes{trace: txtrace.Config{Enabled: true, SampleEvery: 1}})
 	if failure != "" {
 		t.Fatalf("corpus program diverged under tracing: %s", failure)
 	}
 	var buf bytes.Buffer
-	if err := col.Export(&buf); err != nil {
+	if err := txtrace.Export(&buf, []*txtrace.Tracer{r.tr}); err != nil {
 		t.Fatalf("export: %v", err)
 	}
 	return buf.String()

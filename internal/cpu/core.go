@@ -197,7 +197,7 @@ func (c *Core) Load(a memdata.Addr, n uint64) []byte {
 		start := c.p.Now()
 		var data []byte
 		done := false
-		c.hier.ReadTx(c.ID, s.line, sp, func(d []byte) {
+		c.hier.Read(c.ID, s.line, sp, func(d []byte) {
 			c.tr.End(sp, uint64(c.p.Now()))
 			data = d
 			done = true
@@ -228,7 +228,7 @@ func (c *Core) LoadAsync(a memdata.Addr, n uint64) {
 		c.Stats.Loads++
 		line := s.line
 		sp := c.tr.BeginRoot(txtrace.StageCPULoad, int32(c.ID), uint64(line), uint64(c.p.Now()))
-		c.hier.ReadTx(c.ID, line, sp, func([]byte) {
+		c.hier.Read(c.ID, line, sp, func([]byte) {
 			c.tr.End(sp, uint64(c.p.Now()))
 			c.complete()
 		})
@@ -246,7 +246,7 @@ func (c *Core) Store(a memdata.Addr, data []byte) {
 		line := s.line
 		c.pendingStores[line]++
 		sp := c.tr.BeginRoot(txtrace.StageCPUStore, int32(c.ID), uint64(line), uint64(c.p.Now()))
-		c.hier.WriteTx(c.ID, line, s.off, chunk, sp, func() {
+		c.hier.Write(c.ID, line, s.off, chunk, sp, func() {
 			c.tr.EndFlags(sp, uint64(c.p.Now()), txtrace.FlagWrite)
 			c.storeRetired(line)
 			c.complete()
@@ -281,7 +281,7 @@ func (c *Core) StoreNT(a memdata.Addr, data []byte) {
 		line := a + memdata.Addr(i)
 		chunk := append([]byte(nil), data[i:i+memdata.LineSize]...)
 		sp := c.tr.BeginRoot(txtrace.StageCPUNTStore, int32(c.ID), uint64(line), uint64(c.p.Now()))
-		c.hier.WriteLineNTTx(c.ID, line, chunk, sp, func() {
+		c.hier.WriteLineNT(c.ID, line, chunk, sp, func() {
 			c.tr.EndFlags(sp, uint64(c.p.Now()), txtrace.FlagWrite)
 			c.complete()
 		})
@@ -299,7 +299,7 @@ func (c *Core) CLWB(a memdata.Addr) {
 	line := memdata.LineAlign(a)
 	sp := c.tr.BeginRoot(txtrace.StageCPUCLWB, int32(c.ID), uint64(line), uint64(c.p.Now()))
 	fire := func() {
-		c.hier.CLWBTx(c.ID, line, sp, func() {
+		c.hier.CLWB(c.ID, line, sp, func() {
 			c.tr.End(sp, uint64(c.p.Now()))
 			delete(c.wbInFlight, id)
 			c.retireWB(id)
@@ -422,7 +422,7 @@ func (c *Core) Memcpy(dst, src memdata.Addr, n uint64) {
 			for _, pt := range parts {
 				buf = append(buf, pt.data[pt.span.off:pt.span.off+pt.span.n]...)
 			}
-			c.hier.WriteTx(c.ID, dstLine, dstOff, buf, ssp, func() {
+			c.hier.Write(c.ID, dstLine, dstOff, buf, ssp, func() {
 				c.tr.EndFlags(ssp, uint64(c.p.Now()), txtrace.FlagWrite)
 				c.complete()
 			})
@@ -432,7 +432,7 @@ func (c *Core) Memcpy(dst, src memdata.Addr, n uint64) {
 			c.Stats.Loads++
 			idx := i
 			lsp := c.tr.BeginRoot(txtrace.StageCPULoad, int32(c.ID), uint64(s.line), uint64(c.p.Now()))
-			c.hier.ReadTx(c.ID, s.line, lsp, func(data []byte) {
+			c.hier.Read(c.ID, s.line, lsp, func(data []byte) {
 				c.tr.End(lsp, uint64(c.p.Now()))
 				parts[idx].data = data
 				c.complete()

@@ -9,9 +9,9 @@
 // the same faults fire at the same simulated cycles.
 //
 // A Schedule is reproducible from a single uint64 seed (FromSeed) and
-// serializable to JSON; one Plane is built per machine (the runner and the
-// cmd binaries bind a Collector around machine construction, mirroring
-// txtrace). A nil *Plane is a valid no-op: every query costs one nil
+// serializable to JSON; one Plane is built per machine (machine.New builds
+// it when the machine's run environment carries an active schedule). A nil
+// *Plane is a valid no-op: every query costs one nil
 // check, so the plane can be threaded through hot paths unconditionally.
 package faultinject
 
@@ -217,8 +217,8 @@ func (s Schedule) window(k Kind) uint64 {
 }
 
 // Active reports whether any fault — micro kind or fleet storm — can
-// fire. A fleet-only schedule is active so a Collector carries it to the
-// fleet event loop even though no per-machine plane would ever fire.
+// fire. A fleet-only schedule is active so a run environment carries it to
+// the fleet event loop even though no per-machine plane would ever fire.
 func (s Schedule) Active() bool {
 	for k := Kind(0); k < NumKinds; k++ {
 		if s.every(k) != 0 {
@@ -275,10 +275,13 @@ type Plane struct {
 	fired   [NumKinds]uint64
 }
 
-// newPlane builds the plane for the idx-th machine of a run. The phase of
+// NewPlane builds the plane for the idx-th machine of a run. The phase of
 // each kind is derived from (seed, idx, kind) so parallel machines under
-// one schedule do not fire in lockstep yet replay identically.
-func newPlane(s Schedule, idx int) *Plane {
+// one schedule do not fire in lockstep yet replay identically. idx is the
+// machine's build order unless its run environment pins an identity (the
+// fleet layer pins each machine's stable index), so unpinned callers must
+// build machines in a deterministic order.
+func NewPlane(s Schedule, idx int) *Plane {
 	p := &Plane{sched: s, rng: splitmix64(s.Seed ^ uint64(idx)*0x9e37)}
 	for k := Kind(0); k < NumKinds; k++ {
 		p.every[k] = s.every(k)

@@ -69,7 +69,7 @@ func TestPlaneCounterFiring(t *testing.T) {
 	s := Schedule{Seed: 7, WPQRejectEvery: 4}
 	const offers = 100
 	record := func() ([]bool, uint64) {
-		p := newPlane(s, 0)
+		p := NewPlane(s, 0)
 		seq := make([]bool, offers)
 		for i := range seq {
 			seq[i] = p.Fire(KindWPQReject, uint64(i), uint64(i))
@@ -91,7 +91,7 @@ func TestPlaneCounterFiring(t *testing.T) {
 	}
 	// Distinct machine indices derive distinct phases from the same seed
 	// (not a hard requirement per-kind, but the rate is identical).
-	p1 := newPlane(s, 1)
+	p1 := NewPlane(s, 1)
 	for i := 0; i < offers; i++ {
 		p1.Fire(KindWPQReject, uint64(i), uint64(i))
 	}
@@ -104,7 +104,7 @@ func TestPlaneCounterFiring(t *testing.T) {
 // fire and 0 otherwise; kinds with Every=0 never fire.
 func TestFireWindow(t *testing.T) {
 	s := Schedule{Seed: 9, BPQStallEvery: 1, BPQStallCycles: 321}
-	p := newPlane(s, 0)
+	p := NewPlane(s, 0)
 	if w := p.FireWindow(KindBPQStall, 0, 0); w != 321 {
 		t.Fatalf("FireWindow = %d, want 321", w)
 	}
@@ -135,95 +135,10 @@ func TestNilPlane(t *testing.T) {
 // replays identically for the same (schedule, index).
 func TestPlaneRandDeterministic(t *testing.T) {
 	s := Schedule{Seed: 11, DRAMCorruptEvery: 1}
-	p1, p2 := newPlane(s, 3), newPlane(s, 3)
+	p1, p2 := NewPlane(s, 3), NewPlane(s, 3)
 	for i := 0; i < 64; i++ {
 		if a, b := p1.Rand(512), p2.Rand(512); a != b {
 			t.Fatalf("Rand diverged at draw %d: %d vs %d", i, a, b)
-		}
-	}
-}
-
-// TestCollector: inactive schedules collapse to a nil collector; an active
-// one hands out planes with distinct indices and sums their fired counts.
-func TestCollector(t *testing.T) {
-	if NewCollector(nil) != nil {
-		t.Fatal("nil schedule built a collector")
-	}
-	if NewCollector(&Schedule{Seed: 5}) != nil {
-		t.Fatal("inactive schedule built a collector")
-	}
-	s := Schedule{Seed: 5, CTTEvictEvery: 1}
-	c := NewCollector(&s)
-	if c == nil {
-		t.Fatal("active schedule built no collector")
-	}
-	if c.Schedule() != s {
-		t.Fatal("collector lost the schedule")
-	}
-	release := c.Bind()
-	if AmbientCollector() != c {
-		t.Fatal("bound collector not ambient")
-	}
-	p1, p2 := AmbientCollector().NewPlane(), AmbientCollector().NewPlane()
-	release()
-	if AmbientCollector() != nil {
-		t.Fatal("collector still ambient after release")
-	}
-	p1.Fire(KindCTTEvict, 0, 0)
-	p2.Fire(KindCTTEvict, 0, 0)
-	p2.Fire(KindCTTEvict, 0, 0)
-	if got := c.FiredTotal(); got != 3 {
-		t.Fatalf("FiredTotal = %d, want 3", got)
-	}
-	if len(c.Planes()) != 2 {
-		t.Fatalf("Planes = %d, want 2", len(c.Planes()))
-	}
-}
-
-// TestPinPlaneID: a pinned plane id reproduces the firing sequence of the
-// same creation index, regardless of the order planes are actually built in
-// (the fleet layer pins each machine's stable index so chaos replays are
-// byte-identical across instantiation orders).
-func TestPinPlaneID(t *testing.T) {
-	s := Schedule{Seed: 7, WPQRejectEvery: 4, DRAMCorruptEvery: 3}
-	const offers = 200
-	record := func(p *Plane) []bool {
-		seq := make([]bool, offers)
-		for i := range seq {
-			seq[i] = p.Fire(KindWPQReject, uint64(i), uint64(i))
-			p.Fire(KindDRAMCorrupt, uint64(i), uint64(i))
-		}
-		return seq
-	}
-	// Reference: planes built in natural order, no pins.
-	ref := NewCollector(&s)
-	want := [][]bool{record(ref.NewPlane()), record(ref.NewPlane()), record(ref.NewPlane())}
-
-	// Planes built in reverse order, each pinned to its stable id.
-	c := NewCollector(&s)
-	got := make([][]bool, 3)
-	for id := 2; id >= 0; id-- {
-		release := PinPlaneID(id)
-		got[id] = record(c.NewPlane())
-		release()
-	}
-	for id := range want {
-		for i := range want[id] {
-			if got[id][i] != want[id][i] {
-				t.Fatalf("plane %d: firing position %d diverged under pinned out-of-order construction", id, i)
-			}
-		}
-	}
-
-	// Pins are scoped: after release, NewPlane falls back to creation index.
-	release := PinPlaneID(9)
-	release()
-	c2 := NewCollector(&s)
-	p := c2.NewPlane()
-	q := newPlane(s, 0)
-	for i := 0; i < offers; i++ {
-		if p.Fire(KindWPQReject, uint64(i), uint64(i)) != q.Fire(KindWPQReject, uint64(i), uint64(i)) {
-			t.Fatalf("released pin still affected plane identity at offer %d", i)
 		}
 	}
 }

@@ -117,18 +117,18 @@ func Ablations(o Options) []*stats.Table { return runJobSet(o, ablationsJobs(o))
 
 func ablationsJobs(o Options) JobSet {
 	jobs := []runner.Job{
-		job("ablations/merge_on", func() []*stats.Table { return tables(ablMergeVariant(o, false)) }),
-		job("ablations/merge_off", func() []*stats.Table { return tables(ablMergeVariant(o, true)) }),
+		job(o, "ablations/merge_on", func(o Options) []*stats.Table { return tables(ablMergeVariant(o, false)) }),
+		job(o, "ablations/merge_off", func(o Options) []*stats.Table { return tables(ablMergeVariant(o, true)) }),
 	}
 	for _, th := range ablThresholds() {
 		th := th
-		jobs = append(jobs, job(fmt.Sprintf("ablations/thr%d", th), func() []*stats.Table {
+		jobs = append(jobs, job(o, fmt.Sprintf("ablations/thr%d", th), func(o Options) []*stats.Table {
 			return tables(ablThresholdPoint(o, th))
 		}))
 	}
 	jobs = append(jobs,
-		job("ablations/flush_sweep", func() []*stats.Table { return tables(ablFlushVariant(o, false)) }),
-		job("ablations/flush_clwb", func() []*stats.Table { return tables(ablFlushVariant(o, true)) }),
+		job(o, "ablations/flush_sweep", func(o Options) []*stats.Table { return tables(ablFlushVariant(o, false)) }),
+		job(o, "ablations/flush_clwb", func(o Options) []*stats.Table { return tables(ablFlushVariant(o, true)) }),
 	)
 	nThr := len(ablThresholds())
 	return JobSet{

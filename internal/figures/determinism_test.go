@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"mcsquare/internal/machine"
 	"mcsquare/internal/runner"
 	"mcsquare/internal/stats"
 	"mcsquare/internal/timeline"
@@ -222,4 +224,27 @@ func TestUndecomposedGeneratorsSingleJob(t *testing.T) {
 	if len(out) == 0 || !strings.Contains(out[0].String(), "\t") {
 		t.Fatalf("table1 via runner produced no tabular output")
 	}
+}
+
+// TestJobDropsEnv: once a figure job returns, nothing the job wrapper
+// keeps may still reach the run environment it was given — the Env holds
+// every machine the job built, so a retained one would keep each finished
+// job's machines alive for the whole run.
+func TestJobDropsEnv(t *testing.T) {
+	freed := make(chan struct{})
+	j := job(Options{}, "env", func(o Options) []*stats.Table {
+		runtime.SetFinalizer(o.Env, func(*machine.Env) { close(freed) })
+		return nil
+	})
+	runner.Run(runner.Config{Workers: 1}, []runner.Job{j})
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(j)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the job's run environment stayed reachable after the job returned")
 }

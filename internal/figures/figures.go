@@ -42,6 +42,9 @@ type Options struct {
 	// config.Default() (the paper's Table I machine). Figures that compare
 	// mechanisms lower the same spec once per mechanism.
 	Spec *config.MachineSpec
+	// Env is the run environment every machine is built in (nil: bare
+	// machines). Decomposed jobs take it from the runner when they run.
+	Env *machine.Env
 }
 
 // spec returns a copy of the base machine spec.
@@ -53,7 +56,7 @@ func (o Options) spec() config.MachineSpec {
 }
 
 // params lowers the base spec under the named mechanism.
-func (o Options) params(mech string) machine.Params { return specParams(o.spec(), mech) }
+func (o Options) params(mech string) machine.Params { return o.specParams(o.spec(), mech) }
 
 // clock is the base spec's core clock, for cycle→wall-time conversions.
 // The Table I default (4 GHz) reproduces the legacy hardcoded conversion
@@ -72,6 +75,7 @@ func (o Options) copier(mech string, m *machine.Machine) copykit.Copier {
 func (o Options) hwParams() machine.Params {
 	p := o.spec().MustParams()
 	p.LazyEnabled = true
+	p.Env = o.Env
 	return p
 }
 
@@ -80,10 +84,12 @@ func (o Options) microOpt() micro.Options {
 	if o.Quick {
 		mopt = micro.Quick()
 	}
+	p := machine.DefaultParams()
 	if o.Spec != nil {
-		p := o.hwParams()
-		mopt.Base = &p
+		p = o.hwParams()
 	}
+	p.Env = o.Env
+	mopt.Base = &p
 	return mopt
 }
 
@@ -187,12 +193,12 @@ func figure2Jobs(o Options) JobSet {
 	}
 	return JobSet{
 		Jobs: []runner.Job{
-			job("2/protobuf", func() []*stats.Table {
+			job(o, "2/protobuf", func(o Options) []*stats.Table {
 				pm := protobuf.NewMachineFrom(o.params("baseline"))
 				pres := protobuf.Run(pm, o.protoCfg(o.copier("baseline", pm)))
 				return row("protobuf", float64(pres.CopyCycles)/float64(pres.Cycles))
 			}),
-			job("2/mongodb", func() []*stats.Table {
+			job(o, "2/mongodb", func(o Options) []*stats.Table {
 				mm := mongo.NewMachineFrom(o.params("baseline"))
 				mcfg := o.mongoCfg(nil)
 				mcfg.Copier = &timedCopier{inner: o.copier("baseline", mm)}
@@ -200,7 +206,7 @@ func figure2Jobs(o Options) JobSet {
 				tc := mcfg.Copier.(*timedCopier)
 				return row("mongodb_inserts", float64(tc.copyCycles)/float64(mres.Cycles))
 			}),
-			job("2/cicada", func() []*stats.Table {
+			job(o, "2/cicada", func(o Options) []*stats.Table {
 				// MVCC writes: compare update-heavy run against the same run
 				// with the version copies removed; the difference is copy
 				// overhead.
@@ -217,7 +223,7 @@ func figure2Jobs(o Options) JobSet {
 				}
 				return row("cicada_writes", frac)
 			}),
-			job("2/fork_cow", func() []*stats.Table {
+			job(o, "2/fork_cow", func(o Options) []*stats.Table {
 				// Fork + COW fault: share of the fault handler spent copying
 				// the page.
 				p := o.hwParams()
@@ -314,12 +320,11 @@ func Figure4(o Options) []*stats.Table {
 func Figure10(o Options) []*stats.Table { return runJobSet(o, figure10Jobs(o)) }
 
 func figure10Jobs(o Options) JobSet {
-	mopt := o.microOpt()
 	var jobs []runner.Job
-	for _, size := range micro.SweepSizes(mopt) {
+	for _, size := range micro.SweepSizes(o.microOpt()) {
 		size := size
-		jobs = append(jobs, job(fmt.Sprintf("10/%d", size), func() []*stats.Table {
-			return tables(micro.CopyLatencyRow(mopt, size))
+		jobs = append(jobs, job(o, fmt.Sprintf("10/%d", size), func(o Options) []*stats.Table {
+			return tables(micro.CopyLatencyRow(o.microOpt(), size))
 		}))
 	}
 	return JobSet{Jobs: jobs, Merge: concatParts}
@@ -384,11 +389,11 @@ func mvccTable(mode mvcc.Mode, threads int, withNT bool) *stats.Table {
 // variant, each on its own machine lowered from the cell's spec.
 func mvccRow(o Options, spec config.MachineSpec, mode mvcc.Mode, threads int, f float64, withNT bool) *stats.Table {
 	tb := mvccTable(mode, threads, withNT)
-	base := mvcc.Run(mvcc.NewMachineFrom(specParams(spec, "baseline")), o.mvccCfg(false, f, mode, threads))
-	lazy := mvcc.Run(mvcc.NewMachineFrom(specParams(spec, "mc2")), o.mvccCfg(true, f, mode, threads))
+	base := mvcc.Run(mvcc.NewMachineFrom(o.specParams(spec, "baseline")), o.mvccCfg(false, f, mode, threads))
+	lazy := mvcc.Run(mvcc.NewMachineFrom(o.specParams(spec, "mc2")), o.mvccCfg(true, f, mode, threads))
 	row := []interface{}{f, base.ThroughputKOpsAt(o.clock()), lazy.ThroughputKOpsAt(o.clock())}
 	if withNT {
-		nt := mvcc.Run(mvcc.NewMachineFrom(specParams(spec, "mc2")), o.mvccCfg(true, f, mvcc.WriteOnlyNT, threads))
+		nt := mvcc.Run(mvcc.NewMachineFrom(o.specParams(spec, "mc2")), o.mvccCfg(true, f, mvcc.WriteOnlyNT, threads))
 		row = append(row, nt.ThroughputKOpsAt(o.clock()))
 	}
 	tb.AddRow(row...)
@@ -409,7 +414,7 @@ func mvccSweep(o Options, fig string, mode mvcc.Mode, withNT bool) SweepSpec {
 			{Name: "threads", Points: threadPts},
 			{Name: "update_fraction", Points: fracPts},
 		},
-		Cell: func(spec config.MachineSpec, pt []Point) []*stats.Table {
+		Cell: func(o Options, spec config.MachineSpec, pt []Point) []*stats.Table {
 			return tables(mvccRow(o, spec, mode, pt[0].Value.(int), pt[1].Value.(float64), withNT))
 		},
 		Merge: groupByLeadingAxis,
@@ -419,13 +424,13 @@ func mvccSweep(o Options, fig string, mode mvcc.Mode, withNT bool) SweepSpec {
 // Figure16 is the MVCC read-modify-write sweep (a: 1 thread, b: 8 threads).
 func Figure16(o Options) []*stats.Table { return runJobSet(o, figure16Jobs(o)) }
 
-func figure16Jobs(o Options) JobSet { return mvccSweep(o, "16", mvcc.RMW, false).Compile(o.spec()) }
+func figure16Jobs(o Options) JobSet { return mvccSweep(o, "16", mvcc.RMW, false).Compile(o) }
 
 // Figure17 is the MVCC write-only sweep with the non-temporal variant.
 func Figure17(o Options) []*stats.Table { return runJobSet(o, figure17Jobs(o)) }
 
 func figure17Jobs(o Options) JobSet {
-	return mvccSweep(o, "17", mvcc.WriteOnly, true).Compile(o.spec())
+	return mvccSweep(o, "17", mvcc.WriteOnly, true).Compile(o)
 }
 
 // ---------------------------------------------------------------------------
@@ -443,7 +448,7 @@ func figure18Sweep(o Options) SweepSpec {
 			{Label: "native", Value: false},
 			{Label: "mc2", Value: true},
 		}}},
-		Cell: func(spec config.MachineSpec, pt []Point) []*stats.Table {
+		Cell: func(o Options, spec config.MachineSpec, pt []Point) []*stats.Table {
 			cfg := oswl.HugeCOWConfig{Seed: 42, Lazy: pt[0].Value.(bool)}
 			if o.Quick {
 				cfg.RegionBytes, cfg.Accesses = 16<<20, 40
@@ -452,6 +457,7 @@ func figure18Sweep(o Options) SweepSpec {
 			// whether the kernel uses it.
 			p := spec.MustParams()
 			p.LazyEnabled = true
+			p.Env = o.Env
 			cfg.Machine = &p
 			lat := oswl.HugeCOW(cfg)
 			tb := stats.NewTable(figure18Title, "access", pt[0].Label)
@@ -478,7 +484,7 @@ func figure18Merge(sw SweepSpec, parts [][]*stats.Table) []*stats.Table {
 // Figure18 records huge-page COW write latencies, native vs (MC)² kernel.
 func Figure18(o Options) []*stats.Table { return runJobSet(o, figure18Jobs(o)) }
 
-func figure18Jobs(o Options) JobSet { return figure18Sweep(o).Compile(o.spec()) }
+func figure18Jobs(o Options) JobSet { return figure18Sweep(o).Compile(o) }
 
 // Figure19 measures pipe transfer throughput across transfer sizes.
 func Figure19(o Options) []*stats.Table {
@@ -539,8 +545,8 @@ func figure20Sweep(o Options) SweepSpec {
 			{Name: "ctt_entries", Points: epts},
 			{Name: "free_threshold", Points: tpts},
 		},
-		Cell: func(spec config.MachineSpec, pt []Point) []*stats.Table {
-			m := protobuf.NewMachineFrom(specParams(spec, "mc2"))
+		Cell: func(o Options, spec config.MachineSpec, pt []Point) []*stats.Table {
+			m := protobuf.NewMachineFrom(o.specParams(spec, "mc2"))
 			res := protobuf.Run(m, o.protoCfg(specCopier(spec, "mc2", m)))
 			tb := stats.NewTable("Figure 20 cell", "entries", "threshold", "runtime_ms", "stall_cycles")
 			tb.AddRow(pt[0].Value.(int), pt[1].Value.(float64),
@@ -602,7 +608,7 @@ func figure20Merge(sw SweepSpec, parts [][]*stats.Table) []*stats.Table {
 // Figure20 sweeps CTT capacity and async-free threshold under Protobuf.
 func Figure20(o Options) []*stats.Table { return runJobSet(o, figure20Jobs(o)) }
 
-func figure20Jobs(o Options) JobSet { return figure20Sweep(o).Compile(o.spec()) }
+func figure20Jobs(o Options) JobSet { return figure20Sweep(o).Compile(o) }
 
 func percentCols(ths []float64) []string {
 	out := make([]string, len(ths))
@@ -667,7 +673,7 @@ func figure22Jobs(o Options) JobSet {
 	var jobs []runner.Job
 	for _, th := range threads {
 		th := th
-		jobs = append(jobs, job(fmt.Sprintf("22/t%d", th), func() []*stats.Table {
+		jobs = append(jobs, job(o, fmt.Sprintf("22/t%d", th), func(o Options) []*stats.Table {
 			return tables(figure22Row(o, th, frees, ctt))
 		}))
 	}

@@ -37,7 +37,7 @@ func fleetSweep() SweepSpec {
 			Value: frac,
 		})
 	}
-	// Cell is bound per-run by fleetJobs (it needs the Options).
+	// Cell is set by fleetJobs.
 	return SweepSpec{Fig: "fleet", Axes: []Axis{ax}}
 }
 
@@ -45,7 +45,7 @@ func fleetSweep() SweepSpec {
 // same (baseline-derived) load to each, and emit one row. o supplies quick
 // mode; spec carries the load-point override.
 func fleetRow(o Options, spec config.MachineSpec, frac float64) []*stats.Table {
-	f, err := fleet.New(spec, fleet.Options{Quick: o.Quick})
+	f, err := fleet.New(spec, fleet.Options{Quick: o.Quick, Env: o.Env})
 	if err != nil {
 		panic(fmt.Sprintf("figures: fleet: %v", err))
 	}
@@ -74,10 +74,10 @@ func fleetRow(o Options, spec config.MachineSpec, frac float64) []*stats.Table {
 // fleetJobs lowers the sweep with the options bound into each cell.
 func fleetJobs(o Options) JobSet {
 	sw := fleetSweep()
-	sw.Cell = func(spec config.MachineSpec, pt []Point) []*stats.Table {
+	sw.Cell = func(o Options, spec config.MachineSpec, pt []Point) []*stats.Table {
 		return fleetRow(o, spec, pt[0].Value.(float64))
 	}
-	return sw.Compile(o.spec())
+	return sw.Compile(o)
 }
 
 // FigureFleet is the serial form (identical to the decomposed jobs run).

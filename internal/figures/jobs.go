@@ -28,9 +28,8 @@ func (g Generator) Jobs(o Options) JobSet {
 	if g.jobs != nil {
 		return g.jobs(o)
 	}
-	run := g.Run
 	return JobSet{
-		Jobs:  []runner.Job{job(g.ID, func() []*stats.Table { return run(o) })},
+		Jobs:  []runner.Job{job(o, g.ID, g.Run)},
 		Merge: func(parts [][]*stats.Table) []*stats.Table { return parts[0] },
 	}
 }
@@ -41,16 +40,21 @@ func (g Generator) Jobs(o Options) JobSet {
 func runJobSet(o Options, js JobSet) []*stats.Table {
 	parts := make([][]*stats.Table, len(js.Jobs))
 	for i, j := range js.Jobs {
-		parts[i] = j.Run(runner.Options{Quick: o.Quick})
+		parts[i] = j.Run(runner.Options{Quick: o.Quick, Env: o.Env})
 	}
 	return js.Merge(parts)
 }
 
-// job wraps a bound closure as a runner.Job. Figure jobs are specialized at
-// decomposition time, so the runner-supplied options are intentionally
-// ignored.
-func job(id string, fn func() []*stats.Table) runner.Job {
-	return runner.Job{ID: id, Run: func(runner.Options) []*stats.Table { return fn() }}
+// job wraps a figure closure as a runner.Job. Figure jobs are specialized
+// at decomposition time, so of the runner-supplied options only the run
+// environment, which exists only once the job runs, reaches fn: it gets o
+// with the runner's Env.
+func job(o Options, id string, fn func(o Options) []*stats.Table) runner.Job {
+	return runner.Job{ID: id, Run: func(ro runner.Options) []*stats.Table {
+		jo := o
+		jo.Env = ro.Env
+		return fn(jo)
+	}}
 }
 
 // tables is sugar for single-table jobs.

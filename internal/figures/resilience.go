@@ -72,18 +72,18 @@ func resilienceFleetSpec(spec config.MachineSpec) config.MachineSpec {
 	return spec
 }
 
-// resilienceRow runs one intensity point: bind the scaled storm, calibrate
-// both mechanisms, offer the same (baseline-derived) load to each, and
-// emit one row.
+// resilienceRow runs one intensity point: derive the scaled storm,
+// calibrate both mechanisms, offer the same (baseline-derived) load to
+// each, and emit one row.
 func resilienceRow(o Options, spec config.MachineSpec, intensity float64) []*stats.Table {
 	spec = resilienceFleetSpec(spec)
 
-	// The storm: the ambient -faults schedule when one carries fleet
+	// The storm: the run's -faults schedule when one carries fleet
 	// fields, else the figure's own seed; scaled by the intensity axis.
-	// Binding a cell-local collector shadows the runner's for the whole
-	// cell, so calibration (micro kinds) and simulation (fleet fields)
-	// both see the scaled schedule, at any -jobs.
-	sched := faultinject.AmbientCollector().Schedule()
+	// The cell's fleet runs in an Env derived with that schedule, so
+	// calibration (micro kinds) and simulation (fleet fields) both see the
+	// scaled schedule, at any -jobs.
+	sched := o.Env.FaultSchedule()
 	if !sched.FleetActive() {
 		if !sched.Active() {
 			// No -faults at all: the figure's own storm.
@@ -101,11 +101,8 @@ func resilienceRow(o Options, spec config.MachineSpec, intensity float64) []*sta
 		}
 	}
 	sched = sched.ScaleFleet(intensity)
-	fcol := faultinject.NewCollector(&sched)
-	release := fcol.Bind()
-	defer release()
 
-	f, err := fleet.New(spec, fleet.Options{Quick: o.Quick})
+	f, err := fleet.New(spec, fleet.Options{Quick: o.Quick, Env: o.Env.WithFaults(&sched)})
 	if err != nil {
 		panic(fmt.Sprintf("figures: resilience: %v", err))
 	}
@@ -134,10 +131,10 @@ func resilienceRow(o Options, spec config.MachineSpec, intensity float64) []*sta
 // resilienceJobs lowers the sweep with the options bound into each cell.
 func resilienceJobs(o Options) JobSet {
 	sw := resilienceSweep()
-	sw.Cell = func(spec config.MachineSpec, pt []Point) []*stats.Table {
+	sw.Cell = func(o Options, spec config.MachineSpec, pt []Point) []*stats.Table {
 		return resilienceRow(o, spec, pt[0].Value.(float64))
 	}
-	return sw.Compile(o.spec())
+	return sw.Compile(o)
 }
 
 // FigureResilience is the serial form (identical to the decomposed run).

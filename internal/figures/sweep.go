@@ -27,10 +27,10 @@ type SweepSpec struct {
 	Fig string
 	// Axes are swept row-major: the last axis varies fastest.
 	Axes []Axis
-	// Cell runs one point. spec is the base spec with every point's
-	// overrides applied; pt holds one point per axis for workload-level
-	// values.
-	Cell func(spec config.MachineSpec, pt []Point) []*stats.Table
+	// Cell runs one point under o (which carries the job's run
+	// environment). spec is the base spec with every point's overrides
+	// applied; pt holds one point per axis for workload-level values.
+	Cell func(o Options, spec config.MachineSpec, pt []Point) []*stats.Table
 	// Merge assembles the cells, which arrive in row-major sweep order.
 	// nil concatenates single-table cells under the first cell's header.
 	Merge func(sw SweepSpec, parts [][]*stats.Table) []*stats.Table
@@ -63,10 +63,12 @@ func (sw SweepSpec) Size() int {
 	return n
 }
 
-// Compile lowers the sweep onto the JobSet machinery under the given base
-// spec. Override application errors panic: axes are authored in code, so a
-// bad path is a programming error, caught by the figure tests.
-func (sw SweepSpec) Compile(base config.MachineSpec) JobSet {
+// Compile lowers the sweep onto the JobSet machinery, starting every cell
+// from o's base spec. Override application errors panic: axes are authored
+// in code, so a bad path is a programming error, caught by the figure
+// tests.
+func (sw SweepSpec) Compile(o Options) JobSet {
+	base := o.spec()
 	cells := cartesian(sw.Axes)
 	jobs := make([]runner.Job, len(cells))
 	for i, cell := range cells {
@@ -79,8 +81,8 @@ func (sw SweepSpec) Compile(base config.MachineSpec) JobSet {
 				panic(fmt.Sprintf("figures: sweep %s point %s: %v", sw.Fig, pt.Label, err))
 			}
 		}
-		jobs[i] = job(sw.Fig+"/"+strings.Join(labels, "/"), func() []*stats.Table {
-			return sw.Cell(spec, cell)
+		jobs[i] = job(o, sw.Fig+"/"+strings.Join(labels, "/"), func(o Options) []*stats.Table {
+			return sw.Cell(o, spec, cell)
 		})
 	}
 	merge := func(parts [][]*stats.Table) []*stats.Table {
@@ -122,12 +124,14 @@ func groupByLeadingAxis(sw SweepSpec, parts [][]*stats.Table) []*stats.Table {
 	return concatGroups(parts, sizes...)
 }
 
-// specParams lowers a spec under the named mechanism. Sweep cells compare
-// mechanisms within one machine shape, so the mechanism axis is applied
-// here rather than in the spec document.
-func specParams(spec config.MachineSpec, mech string) machine.Params {
+// specParams lowers a spec under the named mechanism, in o's run
+// environment. Sweep cells compare mechanisms within one machine shape, so
+// the mechanism axis is applied here rather than in the spec document.
+func (o Options) specParams(spec config.MachineSpec, mech string) machine.Params {
 	spec.Mechanism.Name = mech
-	return spec.MustParams()
+	p := spec.MustParams()
+	p.Env = o.Env
+	return p
 }
 
 // specCopier builds the named mechanism for a machine lowered from the

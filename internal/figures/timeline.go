@@ -17,9 +17,10 @@ import (
 // graceful-degradation high-water mark and emits the cycle-windowed
 // telemetry — CTT occupancy, bounce rate, eager-fallback bytes, lazy ops,
 // and memory-controller reads per window — for baseline vs (MC)², with and
-// without a seeded chaos schedule. Each cell binds its own timeline (and
-// fault) collector, so the figure is self-contained: it needs no -timeline
-// flag and never leaks into a global -timeline/-faults run's planes.
+// without a seeded chaos schedule. Each cell derives its own timeline (and
+// fault) environment, so the figure is self-contained: it needs no
+// -timeline flag and never leaks into a global -timeline/-faults run's
+// planes.
 
 const timelineFigTitle = "Timeline: cycle-windowed (MC)2 telemetry during a copy storm (small CTT, eager fallback at 75%)"
 
@@ -45,7 +46,7 @@ func timelineStorm(o Options, spec config.MachineSpec, mech string) *machine.Mac
 	if o.Quick {
 		bufs, bufSize, rounds = 24, uint64(8<<10), 2
 	}
-	m := machine.New(specParams(spec, mech))
+	m := machine.New(o.specParams(spec, mech))
 	cp := specCopier(spec, mech, m)
 	srcs := make([]memdata.Addr, bufs)
 	for i := range srcs {
@@ -81,8 +82,9 @@ func timelineStorm(o Options, spec config.MachineSpec, mech string) *machine.Mac
 	return m
 }
 
-// timelineCell runs one (mechanism, chaos) cell with a locally bound
-// timeline collector and renders its windows as rows.
+// timelineCell runs one (mechanism, chaos) cell in an Env derived with its
+// own timeline config (and, for chaos, fault schedule) and renders its
+// windows as rows.
 func timelineCell(o Options, spec config.MachineSpec, mech string, chaos bool) *stats.Table {
 	win := uint64(100_000)
 	// Pressure the graceful-degradation path: a CTT smaller than one
@@ -94,14 +96,10 @@ func timelineCell(o Options, spec config.MachineSpec, mech string, chaos bool) *
 		spec.Lazy.CTTCapacity = 24
 	}
 
-	tlcol := timeline.NewCollector(timeline.Config{Enabled: true, WindowCycles: win})
-	release := tlcol.Bind()
-	defer release()
+	o.Env = o.Env.WithTimeline(timeline.Config{Enabled: true, WindowCycles: win})
 	if chaos {
 		sched := faultinject.FromSeed(timelineChaosSeed)
-		fcol := faultinject.NewCollector(&sched)
-		frel := fcol.Bind()
-		defer frel()
+		o.Env = o.Env.WithFaults(&sched)
 	}
 
 	m := timelineStorm(o, spec, mech)
@@ -143,7 +141,7 @@ func timelineSweep(o Options) SweepSpec {
 				{Label: "chaos", Value: true},
 			}},
 		},
-		Cell: func(spec config.MachineSpec, pt []Point) []*stats.Table {
+		Cell: func(o Options, spec config.MachineSpec, pt []Point) []*stats.Table {
 			return tables(timelineCell(o, spec, pt[0].Value.(string), pt[1].Value.(bool)))
 		},
 	}
@@ -154,7 +152,7 @@ func FigureTimeline(o Options) []*stats.Table {
 	return runJobSet(o, timelineJobs(o))
 }
 
-func timelineJobs(o Options) JobSet { return timelineSweep(o).Compile(o.spec()) }
+func timelineJobs(o Options) JobSet { return timelineSweep(o).Compile(o) }
 
 func init() {
 	extra = append(extra, Generator{

@@ -22,7 +22,6 @@ import (
 
 	"mcsquare/internal/config"
 	"mcsquare/internal/copykit"
-	"mcsquare/internal/faultinject"
 	"mcsquare/internal/machine"
 	"mcsquare/internal/stats"
 	"mcsquare/internal/workloads/kvsnap"
@@ -36,6 +35,10 @@ type Options struct {
 	// Quick shrinks calibration runs and the arrival stream so tests and
 	// smoke runs finish fast; the curve shapes survive.
 	Quick bool
+	// Env is the run environment calibration machines are built in and
+	// results publish their metrics to; its fault schedule's fleet fields
+	// storm the fleet. nil runs fault-free and unobserved.
+	Env *machine.Env
 }
 
 // Fleet is a spec expanded into per-machine specs plus the normalized
@@ -46,6 +49,7 @@ type Fleet struct {
 	Specs []config.MachineSpec // one lowered-ready spec per machine
 	Clock stats.Clock
 	Quick bool
+	Env   *machine.Env
 }
 
 // New expands spec into a fleet. A spec without a fleet block gets
@@ -59,7 +63,7 @@ func New(spec config.MachineSpec, o Options) (*Fleet, error) {
 	}
 	block = block.Normalized()
 
-	f := &Fleet{Spec: spec, Block: block, Clock: stats.Clock(spec.ClockGHz), Quick: o.Quick}
+	f := &Fleet{Spec: spec, Block: block, Clock: stats.Clock(spec.ClockGHz), Quick: o.Quick, Env: o.Env}
 	base := spec
 	base.Fleet = nil // member machines are ordinary single machines
 	if len(block.Groups) == 0 {
@@ -156,16 +160,15 @@ func (f *Fleet) Calibrate(mech string) (*Calibration, error) {
 	return cal, nil
 }
 
-// calibrateMachine runs each mix workload once on machine i's spec.
+// calibrateMachine runs each mix workload once on machine i's spec, in
+// f.Env with fault-plane identity i pinned.
 func (f *Fleet) calibrateMachine(i int, spec config.MachineSpec, mech string) (machineCalib, error) {
-	release := faultinject.PinPlaneID(i)
-	defer release()
-
 	spec.Mechanism.Name = mech
 	params, err := spec.Params()
 	if err != nil {
 		return machineCalib{}, err
 	}
+	params.Env = f.Env.WithPlaneID(i)
 	seed := f.Block.Seed + int64(i)
 	lazy := mech != "baseline"
 

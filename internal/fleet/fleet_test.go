@@ -6,6 +6,7 @@ import (
 
 	"mcsquare/internal/config"
 	"mcsquare/internal/faultinject"
+	"mcsquare/internal/machine"
 )
 
 // testSpec is a small fleet over the two cheapest workload families.
@@ -49,17 +50,15 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestCalibrationOrderIndependence pins the chaos-replay guarantee: with a
-// fault schedule bound, calibrating machines in reverse order yields the
-// same per-machine service model as calibrating in natural order, because
-// plane identity is pinned to the stable machine index.
+// TestCalibrationOrderIndependence pins the chaos-replay guarantee: in a
+// run environment with a fault schedule, calibrating machines in reverse
+// order yields the same per-machine service model as calibrating in natural
+// order, because plane identity is pinned to the stable machine index.
 func TestCalibrationOrderIndependence(t *testing.T) {
 	sched := faultinject.FromSeed(7)
 	calibrate := func(order []int) [][]float64 {
-		fcol := faultinject.NewCollector(&sched)
-		release := fcol.Bind()
-		defer release()
-		f, err := New(testSpec(), Options{Quick: true})
+		env := machine.NewEnv(machine.Env{Faults: &sched})
+		f, err := New(testSpec(), Options{Quick: true, Env: env})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,6 +71,11 @@ func TestCalibrationOrderIndependence(t *testing.T) {
 			// Flatten the machine's sample vectors for comparison.
 			for _, v := range mc.samples {
 				out[i] = append(out[i], v...)
+			}
+		}
+		for _, m := range env.Machines() {
+			if m.Faults == nil {
+				t.Fatal("calibration machine built without the environment's fault plane")
 			}
 		}
 		return out

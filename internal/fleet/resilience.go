@@ -92,7 +92,7 @@ type resPlane struct {
 }
 
 // newResPlane derives the run's resilience runtime from the fleet block
-// and the ambient fault collector's schedule. Returns nil when no
+// and the fault schedule of the fleet's run environment. Returns nil when no
 // mitigation is enabled and the storm is inert, so a default spec keeps
 // Simulate on the byte-identical legacy path.
 func (f *Fleet) newResPlane(cal *Calibration) *resPlane {
@@ -100,7 +100,7 @@ func (f *Fleet) newResPlane(cal *Calibration) *resPlane {
 	if f.Block.Resilience != nil {
 		spec = *f.Block.Resilience
 	}
-	storm := faultinject.AmbientCollector().Schedule()
+	storm := f.Env.FaultSchedule()
 	if !spec.EnabledAny() && !storm.FleetActive() {
 		return nil
 	}

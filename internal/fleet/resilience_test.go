@@ -8,6 +8,7 @@ import (
 
 	"mcsquare/internal/config"
 	"mcsquare/internal/faultinject"
+	"mcsquare/internal/machine"
 )
 
 // withResilience installs a normalized resilience block on a constructed
@@ -17,15 +18,14 @@ func withResilience(f *Fleet, r config.ResilienceSpec) {
 	f.Block.Resilience = &rn
 }
 
-// bindStorm binds a cell-local fault collector carrying sched for the
-// duration of the test, the way the runner and figure cells do.
-func bindStorm(t *testing.T, sched faultinject.Schedule) {
+// withStorm runs f in a run environment carrying sched, the way the
+// runner and figure cells do.
+func withStorm(t *testing.T, f *Fleet, sched faultinject.Schedule) {
 	t.Helper()
-	col := faultinject.NewCollector(&sched)
-	if col == nil {
-		t.Fatal("bindStorm: schedule is inactive")
+	if !sched.Active() {
+		t.Fatal("withStorm: schedule is inactive")
 	}
-	t.Cleanup(col.Bind())
+	f.Env = machine.NewEnv(machine.Env{Faults: &sched})
 }
 
 // testStorm is a busy fleet storm: crashes roughly every 50k cycles per
@@ -64,7 +64,7 @@ func TestResilienceConservationUnderStorm(t *testing.T) {
 		Breaker: &config.BreakerSpec{Enabled: true},
 		Shed:    &config.ShedSpec{Enabled: true},
 	})
-	bindStorm(t, testStorm(11))
+	withStorm(t, f, testStorm(11))
 	res := f.Simulate(cal, cal.CapacityReqPerCycle()*0.8)
 	if !res.ResilienceOn {
 		t.Fatal("resilience plane did not engage")
@@ -96,8 +96,7 @@ func TestResilienceDeterministicReplay(t *testing.T) {
 			Health: &config.HealthSpec{Enabled: true, ProbeIntervalCycles: 5_000},
 			Retry:  &config.RetrySpec{Enabled: true},
 		})
-		col := faultinject.NewCollector(&sched)
-		defer col.Bind()()
+		f.Env = machine.NewEnv(machine.Env{Faults: &sched})
 		return f.Simulate(cal, cal.CapacityReqPerCycle()*0.7)
 	}
 	sched := testStorm(23)
@@ -130,7 +129,7 @@ func TestCrashFailoverWithRetries(t *testing.T) {
 		Health: &config.HealthSpec{Enabled: true, ProbeIntervalCycles: 2_000, FailThreshold: 1, RestoreThreshold: 1},
 		Retry:  &config.RetrySpec{Enabled: true, MaxAttempts: 4},
 	})
-	bindStorm(t, faultinject.Schedule{
+	withStorm(t, f, faultinject.Schedule{
 		Seed:                31,
 		CrashMeanUpCycles:   20_000,
 		CrashMeanDownCycles: 20_000,
@@ -225,7 +224,7 @@ func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
 		Retry:   &config.RetrySpec{Enabled: true},
 		Breaker: &config.BreakerSpec{Enabled: true, FailThreshold: 3, OpenCycles: 30_000},
 	})
-	bindStorm(t, faultinject.Schedule{
+	withStorm(t, f, faultinject.Schedule{
 		Seed:                47,
 		CrashMeanUpCycles:   15_000,
 		CrashMeanDownCycles: 40_000,
@@ -448,7 +447,7 @@ func TestTimelineResilienceColumns(t *testing.T) {
 	withResilience(f, config.ResilienceSpec{
 		Retry: &config.RetrySpec{Enabled: true, MaxAttempts: 2, TimeoutCycles: 150},
 	})
-	bindStorm(t, testStorm(59))
+	withStorm(t, f, testStorm(59))
 	res := f.Simulate(cal, cal.CapacityReqPerCycle()*0.8)
 	conservation(t, res)
 	tl := res.Timeline

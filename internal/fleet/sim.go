@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"mcsquare/internal/machine"
 	"mcsquare/internal/metrics"
 	"mcsquare/internal/stats"
 )
@@ -344,10 +345,10 @@ type fleetSim struct {
 // the given offered rate (requests per cycle) and returns the operating
 // point. The whole pass is a single-threaded seeded event loop:
 // byte-identical output for identical inputs. When the fleet block's
-// Resilience spec enables a mitigation, or the ambient fault collector's
-// schedule carries a fleet storm, the loop additionally runs the
-// fault-tolerance plane; otherwise it executes the exact legacy sequence
-// of operations.
+// Resilience spec enables a mitigation, or the fault schedule of the
+// fleet's run environment carries a fleet storm, the loop additionally
+// runs the fault-tolerance plane; otherwise it executes the exact legacy
+// sequence of operations.
 func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 	res := &Result{
 		Mechanism:          cal.Mechanism,
@@ -459,7 +460,7 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 		res.DurationCycles = s.lastDone - arrivals[0].arrive
 	}
 	res.Timeline.finalize()
-	res.publishMetrics()
+	res.publishMetrics(f.Env)
 	return res
 }
 
@@ -1062,10 +1063,10 @@ func (s *fleetSim) sweepUnresolved() {
 }
 
 // publishMetrics registers the run's counters and SLO histogram with the
-// ambient metrics collector (the runner binds one per job), under the
-// fleet scope. A run outside any collector skips this.
-func (r *Result) publishMetrics() {
-	col := metrics.AmbientCollector()
+// run environment's metrics collector, under the fleet scope. A run
+// without an environment skips this.
+func (r *Result) publishMetrics(env *machine.Env) {
+	col := env.Metrics()
 	if col == nil {
 		return
 	}

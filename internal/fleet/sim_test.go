@@ -88,7 +88,7 @@ func stormFleet(t *testing.T) (*Fleet, *Calibration) {
 		Breaker: &config.BreakerSpec{Enabled: true},
 		Shed:    &config.ShedSpec{Enabled: true},
 	})
-	bindStorm(t, testStorm(11))
+	withStorm(t, f, testStorm(11))
 	return f, cal
 }
 

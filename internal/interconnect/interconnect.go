@@ -66,11 +66,10 @@ func (b *Bus) SetFaults(p *faultinject.Plane) { b.flt = p }
 
 // Send delivers a message of the given size: fn runs after the hop latency
 // plus any bandwidth-induced queueing.
-func (b *Bus) Send(bytes uint64, fn func()) { b.SendTx(bytes, 0, fn) }
-
-// SendTx is Send carrying a transaction id: traced messages record one
-// xcon.hop span covering latency plus queueing.
-func (b *Bus) SendTx(bytes uint64, tx txtrace.Tx, fn func()) {
+//
+// tx is the transaction-trace id (0 when untraced): traced messages record
+// one xcon.hop span covering latency plus queueing.
+func (b *Bus) Send(bytes uint64, tx txtrace.Tx, fn func()) {
 	b.Stats.Messages++
 	b.Stats.Bytes += bytes
 	delay := b.transferDelay(bytes)

@@ -11,8 +11,8 @@ func TestLatencyOnlyDelivery(t *testing.T) {
 	b := New(eng, Config{HopLatency: 24})
 	var at []sim.Cycle
 	eng.After(0, func() {
-		b.Send(64, func() { at = append(at, eng.Now()) })
-		b.Send(64, func() { at = append(at, eng.Now()) })
+		b.Send(64, 0, func() { at = append(at, eng.Now()) })
+		b.Send(64, 0, func() { at = append(at, eng.Now()) })
 	})
 	eng.Drain()
 	if len(at) != 2 || at[0] != 24 || at[1] != 24 {
@@ -29,7 +29,7 @@ func TestBandwidthSerializes(t *testing.T) {
 	var at []sim.Cycle
 	eng.After(0, func() {
 		for i := 0; i < 3; i++ {
-			b.Send(64, func() { at = append(at, eng.Now()) })
+			b.Send(64, 0, func() { at = append(at, eng.Now()) })
 		}
 	})
 	eng.Drain()
@@ -48,8 +48,8 @@ func TestBandwidthIdleGapsReset(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, Config{HopLatency: 0, BytesPerCycle: 1})
 	var second sim.Cycle
-	eng.After(0, func() { b.Send(10, func() {}) })
-	eng.After(100, func() { b.Send(10, func() { second = eng.Now() }) })
+	eng.After(0, func() { b.Send(10, 0, func() {}) })
+	eng.After(100, func() { b.Send(10, 0, func() { second = eng.Now() }) })
 	eng.Drain()
 	if second != 110 {
 		t.Fatalf("post-idle send arrived at %d, want 110 (no stale busy)", second)
@@ -81,7 +81,7 @@ func TestZeroByteTransferStillProgresses(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, Config{HopLatency: 5, BytesPerCycle: 64})
 	fired := false
-	eng.After(0, func() { b.Send(0, func() { fired = true }) })
+	eng.After(0, func() { b.Send(0, 0, func() { fired = true }) })
 	eng.Drain()
 	if !fired {
 		t.Fatal("zero-byte send never delivered")

@@ -11,9 +11,9 @@
 //   - queue-occupancy invariants — RPQ/WPQ/BPQ/MSHR occupancy never leaves
 //     [0, capacity] and refcounts never go negative.
 //
-// One Oracles instance is built per machine (ambient Collector, mirroring
-// txtrace) and threaded to the memory controllers, the (MC)² engine, and
-// the cache hierarchy. Every method is nil-safe so the disabled path costs
+// One Oracles instance is built per machine (by machine.New, when the
+// machine's run environment enables oracles) and threaded to the memory
+// controllers, the (MC)² engine, and the cache hierarchy. Every method is nil-safe so the disabled path costs
 // one nil check and zero allocations.
 //
 // Comparison semantics. The simulator is concurrent in simulated time: a
@@ -153,7 +153,12 @@ type Oracles struct {
 	tripped  bool
 }
 
-func newOracles(cfg Config, eng *sim.Engine, tr *txtrace.Tracer) *Oracles {
+// New builds one machine's oracles, or returns nil (every check a no-op)
+// when cfg enables none.
+func New(cfg Config, eng *sim.Engine, tr *txtrace.Tracer) *Oracles {
+	if !cfg.Enabled() {
+		return nil
+	}
 	o := &Oracles{cfg: cfg, eng: eng, tr: tr}
 	if cfg.Shadow {
 		o.shadow = make(map[memdata.Addr]*shadowLine)

@@ -11,14 +11,14 @@ import (
 
 const line = memdata.LineSize
 
-func newTestOracles(t *testing.T, cfg Config) (*Collector, *Oracles, *sim.Engine) {
+func newTestOracles(t *testing.T, cfg Config) (Set, *Oracles, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
-	c := NewCollector(cfg)
-	if c == nil {
-		t.Fatalf("config %+v built no collector", cfg)
+	o := New(cfg, eng, nil)
+	if o == nil {
+		t.Fatalf("config %+v built no oracles", cfg)
 	}
-	return c, c.NewOracles(eng, nil), eng
+	return Set{o}, o, eng
 }
 
 func lineOf(fill byte) []byte { return bytes.Repeat([]byte{fill}, line) }
@@ -271,16 +271,16 @@ func TestNilOracles(t *testing.T) {
 	}
 }
 
-// TestCollectorReport: violations aggregate across machines in
-// deterministic order and render through Report.
+// TestCollectorReport: violations collected across machines aggregate in
+// deterministic order and render through Set.Report.
 func TestCollectorReport(t *testing.T) {
-	if NewCollector(Config{}) != nil {
-		t.Fatal("empty config built a collector")
-	}
-	c := NewCollector(All())
 	eng := sim.NewEngine()
-	o1 := c.NewOracles(eng, nil)
-	o2 := c.NewOracles(eng, nil)
+	if New(Config{}, eng, nil) != nil {
+		t.Fatal("empty config built oracles")
+	}
+	o1 := New(All(), eng, nil)
+	o2 := New(All(), eng, nil)
+	c := Set{o1, nil, o2}
 	o2.CheckQueue("b", 9, 4)
 	o1.CheckQueue("a", 9, 4)
 	if c.TotalViolations() != 2 {

@@ -74,7 +74,7 @@ func (u *Unit) MCLazy(coreID int, dst memdata.Range, src memdata.Addr, tx txtrac
 
 	u.Stats.DestInvalidated += uint64(u.hier.InvalidateRange(dst))
 	srcRange := memdata.Range{Start: src, Size: dst.Size}
-	dirty := u.hier.FlushRangeTx(srcRange, psp, func() {
+	dirty := u.hier.FlushRange(srcRange, psp, func() {
 		// The packet is broadcast so every controller inserts the entry
 		// (Fig 6 step 3); the shared-table model makes that one logical
 		// insert, fired on the first endpoint delivery.
@@ -86,7 +86,7 @@ func (u *Unit) MCLazy(coreID int, dst memdata.Range, src memdata.Addr, tx txtrac
 			fired = true
 			u.lazy.MCLazy(dst, src, psp, func() {
 				// The acceptance acknowledgment crosses back to the core.
-				u.bus().SendTx(16, psp, func() {
+				u.bus().Send(16, psp, func() {
 					u.Stats.PacketCycles += uint64(u.eng.Now() - start)
 					u.tr.End(psp, uint64(u.eng.Now()))
 					done()

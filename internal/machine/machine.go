@@ -43,6 +43,11 @@ type Params struct {
 	// LazyEnabled installs the (MC)² engine; disable for pure-baseline
 	// machines (MCLAZY then panics if used).
 	LazyEnabled bool
+
+	// Env is the run environment the machine is built in: its observation
+	// planes, cycle budget, and the sink that records it for the run. nil
+	// builds a bare machine.
+	Env *Env
 }
 
 // DefaultParams is the paper's simulated configuration (Table I): 8 cores
@@ -83,22 +88,13 @@ type Machine struct {
 	// register themselves in their own constructors.
 	Metrics *metrics.Registry
 
-	// Trace is the machine's transaction tracer, handed out by the ambient
-	// txtrace.Collector bound when the machine was built; nil (tracing
-	// disabled) otherwise. Every component holds the same tracer.
-	Trace *txtrace.Tracer
-
-	// Faults is the machine's fault-injection plane, handed out by the
-	// ambient faultinject.Collector; nil (no faults) otherwise.
-	Faults *faultinject.Plane
-
-	// Inv is the machine's invariant-oracle state, handed out by the
-	// ambient invariant.Collector; nil (oracles off) otherwise.
-	Inv *invariant.Oracles
-
-	// Timeline is the machine's time-series recorder, handed out by the
-	// ambient timeline.Collector; nil (timeline disabled) otherwise.
-	Timeline *timeline.Recorder
+	// The machine's observation planes, built from Params.Env; each is
+	// nil when the Env leaves it off (or there is no Env). Every
+	// component holds the same tracer, fault plane and oracles.
+	Trace    *txtrace.Tracer    // transaction tracer
+	Faults   *faultinject.Plane // fault-injection plane
+	Inv      *invariant.Oracles // invariant oracles
+	Timeline *timeline.Recorder // time-series recorder
 
 	brk memdata.Addr // bump allocator watermark
 }
@@ -124,6 +120,13 @@ func New(p Params) *Machine {
 		Eng:    sim.NewEngine(),
 		Phys:   memdata.NewPhysical(p.MemSize),
 		brk:    memdata.PageSize, // keep page 0 unused
+	}
+	var env Env
+	if p.Env != nil {
+		env = *p.Env
+	}
+	if env.CycleBudget > 0 {
+		m.Eng.SetCycleLimit(sim.Cycle(env.CycleBudget))
 	}
 
 	route := func(a memdata.Addr) int {
@@ -152,11 +155,9 @@ func New(p Params) *Machine {
 		m.Cores = append(m.Cores, cpu.New(i, p.CPU, m.Hier, issuer))
 	}
 
-	// Transaction tracing: an ambient collector (bound by the runner or a
-	// cmd binary) hands each machine one tracer; with none bound, Trace is
-	// nil and every SetTracer call below installs the zero-cost disabled
-	// tracer.
-	m.Trace = txtrace.AmbientCollector().NewTracer()
+	// Transaction tracing: with tracing off Trace is nil and every
+	// SetTracer call below installs the zero-cost disabled tracer.
+	m.Trace = txtrace.New(env.Trace)
 	for _, mc := range m.MCs {
 		mc.SetTracer(m.Trace)
 	}
@@ -170,11 +171,11 @@ func New(p Params) *Machine {
 		c.SetTracer(m.Trace)
 	}
 
-	// Fault injection and invariant oracles follow the same ambient
-	// pattern: nothing bound → nil plane/oracles → every consultation below
-	// is a nil check and the metric name set is unchanged.
-	if fc := faultinject.AmbientCollector(); fc != nil {
-		m.Faults = fc.NewPlane()
+	// Fault injection and invariant oracles likewise: off → nil
+	// plane/oracles → every consultation below is a nil check and the
+	// metric name set is unchanged.
+	if s := env.Faults; s != nil && s.Active() {
+		m.Faults = faultinject.NewPlane(*s, p.Env.nextPlane())
 		m.Faults.SetTracer(m.Trace)
 		for _, mc := range m.MCs {
 			mc.SetFaults(m.Faults)
@@ -184,8 +185,7 @@ func New(p Params) *Machine {
 			m.Lazy.SetFaults(m.Faults)
 		}
 	}
-	if ic := invariant.AmbientCollector(); ic != nil {
-		m.Inv = ic.NewOracles(m.Eng, m.Trace)
+	if m.Inv = invariant.New(env.Invariants, m.Eng, m.Trace); m.Inv != nil {
 		for _, mc := range m.MCs {
 			mc.SetInvariants(m.Inv)
 		}
@@ -223,18 +223,13 @@ func New(p Params) *Machine {
 	m.Faults.PublishMetrics(root.Scope("faultinject"))
 	m.Inv.PublishMetrics(root.Scope("invariant"))
 
-	// A runner job (or mcsim -stats) binds a metrics.Collector to its
-	// goroutine; every machine built inside hands over its registry so the
-	// caller can snapshot all of them without plumbing.
-	if c := metrics.AmbientCollector(); c != nil {
-		c.Add(m.Metrics)
-	}
 	// The timeline plane samples this machine's registry at window
-	// boundaries of its engine. Bound last so the recorder's baseline sees
+	// boundaries of its engine. Built last so the recorder's baseline sees
 	// the fully populated registry (components registering later — oskern,
 	// zio — simply delta from zero).
-	if tc := timeline.AmbientCollector(); tc != nil {
-		m.Timeline = tc.NewRecorder(m.Metrics, m.Eng)
+	m.Timeline = timeline.NewRecorder(env.Timeline, m.Metrics, m.Eng)
+	if p.Env != nil {
+		p.Env.add(m)
 	}
 	return m
 }

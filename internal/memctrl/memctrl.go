@@ -154,12 +154,9 @@ func (c *Controller) WPQOccupancy() float64 {
 // ReadLine requests the 64-byte line at a (line-aligned). The hook is
 // consulted first; otherwise the read is queued and done is called with the
 // line data when DRAM returns it.
-func (c *Controller) ReadLine(a memdata.Addr, done func(data []byte)) {
-	c.ReadLineTx(a, 0, done)
-}
-
-// ReadLineTx is ReadLine carrying a transaction-trace id.
-func (c *Controller) ReadLineTx(a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
+//
+// tx is the transaction-trace id (0 when untraced).
+func (c *Controller) ReadLine(a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
 	if o := c.inv; o.WatchdogOn() {
 		id := o.TxBegin(uint64(a))
 		inner := done
@@ -173,15 +170,12 @@ func (c *Controller) ReadLineTx(a memdata.Addr, tx txtrace.Tx, done func(data []
 }
 
 // RawReadLine is ReadLine without hook interception.
-func (c *Controller) RawReadLine(a memdata.Addr, done func(data []byte)) {
-	c.RawReadLineTx(a, 0, done)
-}
-
-// RawReadLineTx is RawReadLine carrying a transaction-trace id: traced
-// reads record an mc.rpq_wait span (zero-length when a slot was free), a
-// dram.read span with the row hit/miss outcome, or an mc.wpq_forward span
-// when serviced from the write queue.
-func (c *Controller) RawReadLineTx(a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
+//
+// tx is the transaction-trace id (0 when untraced): traced reads record an
+// mc.rpq_wait span (zero-length when a slot was free), a dram.read span
+// with the row hit/miss outcome, or an mc.wpq_forward span when serviced
+// from the write queue.
+func (c *Controller) RawReadLine(a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
 	c.rawReadLine(a, tx, done, false)
 }
 
@@ -274,13 +268,10 @@ func (c *Controller) finishRead(a memdata.Addr, tx txtrace.Tx, data []byte, deli
 // lazy-copy source reads, which the controller orders ahead of any write
 // that arrives later — guaranteeing as-of-copy data even under queue
 // back-pressure.
-func (c *Controller) RawReadLineSnapshot(a memdata.Addr, done func(data []byte)) {
-	c.RawReadLineSnapshotTx(a, 0, done)
-}
-
-// RawReadLineSnapshotTx is RawReadLineSnapshot carrying a transaction-trace
-// id (same spans as RawReadLineTx).
-func (c *Controller) RawReadLineSnapshotTx(a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
+//
+// tx is the transaction-trace id (0 when untraced) (same spans as
+// RawReadLine).
+func (c *Controller) RawReadLineSnapshot(a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
 	c.Stats.Reads++
 	var data []byte
 	if d := c.forward(a); d != nil {
@@ -322,12 +313,9 @@ func (c *Controller) RawReadLineSnapshotTx(a memdata.Addr, tx txtrace.Tx, done f
 // WriteLine posts a full-line write. The hook is consulted first; otherwise
 // the write is buffered in the WPQ and release is called once a slot is
 // held (posted-write semantics; DRAM completion happens later).
-func (c *Controller) WriteLine(a memdata.Addr, data []byte, release func()) {
-	c.WriteLineTx(a, data, 0, release)
-}
-
-// WriteLineTx is WriteLine carrying a transaction-trace id.
-func (c *Controller) WriteLineTx(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
+//
+// tx is the transaction-trace id (0 when untraced).
+func (c *Controller) WriteLine(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
 	if o := c.inv; o.WatchdogOn() {
 		id := o.TxBegin(uint64(a))
 		inner := release
@@ -351,12 +339,9 @@ func (c *Controller) WriteLineTx(a memdata.Addr, data []byte, tx txtrace.Tx, rel
 // controller's defensive copy — one 64-byte allocation per write on the
 // hottest store path. Hook implementations observe the data during the
 // FilterWrite call and must copy anything they keep (they do).
-func (c *Controller) WriteLineOwned(a memdata.Addr, data []byte, release func()) {
-	c.WriteLineOwnedTx(a, data, 0, release)
-}
-
-// WriteLineOwnedTx is WriteLineOwned carrying a transaction-trace id.
-func (c *Controller) WriteLineOwnedTx(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
+//
+// tx is the transaction-trace id (0 when untraced).
+func (c *Controller) WriteLineOwned(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
 	if o := c.inv; o.WatchdogOn() {
 		id := o.TxBegin(uint64(a))
 		inner := release
@@ -369,32 +354,26 @@ func (c *Controller) WriteLineOwnedTx(a memdata.Addr, data []byte, tx txtrace.Tx
 }
 
 // RawWriteLine is WriteLine without hook interception.
-func (c *Controller) RawWriteLine(a memdata.Addr, data []byte, release func()) {
-	c.RawWriteLineTx(a, data, 0, release)
-}
-
-// RawWriteLineTx is RawWriteLine carrying a transaction-trace id.
-func (c *Controller) RawWriteLineTx(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
+//
+// tx is the transaction-trace id (0 when untraced).
+func (c *Controller) RawWriteLine(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
 	if len(data) != memdata.LineSize {
 		panic("memctrl: WriteLine with partial line")
 	}
 	cp := make([]byte, memdata.LineSize)
 	copy(cp, data)
-	c.RawWriteLineOwnedTx(a, cp, tx, release)
+	c.RawWriteLineOwned(a, cp, tx, release)
 }
 
 // RawWriteLineOwned is RawWriteLine with ownership transfer (see
 // WriteLineOwned). The buffer may still be read through write-forwarding
 // until the write lands, which is safe precisely because nobody mutates
 // it after the handoff.
-func (c *Controller) RawWriteLineOwned(a memdata.Addr, data []byte, release func()) {
-	c.RawWriteLineOwnedTx(a, data, 0, release)
-}
-
-// RawWriteLineOwnedTx is RawWriteLineOwned carrying a transaction-trace
-// id: traced writes record an mc.wpq_wait span covering the slot wait plus
-// accept latency, and a dram.write span when the drain issues the line.
-func (c *Controller) RawWriteLineOwnedTx(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
+//
+// tx is the transaction-trace id (0 when untraced): traced writes record an
+// mc.wpq_wait span covering the slot wait plus accept latency, and a
+// dram.write span when the drain issues the line.
+func (c *Controller) RawWriteLineOwned(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
 	c.rawWriteLineOwned(a, data, tx, release, false)
 }
 
@@ -427,7 +406,7 @@ func (c *Controller) TryRawWriteLine(a memdata.Addr, data []byte, frac float64) 
 		c.Stats.RejectedWrites++
 		return false
 	}
-	c.RawWriteLine(a, data, func() {})
+	c.RawWriteLine(a, data, 0, func() {})
 	return true
 }
 

@@ -28,7 +28,7 @@ func TestReadReturnsMemoryData(t *testing.T) {
 	var got []byte
 	var doneAt sim.Cycle
 	eng.After(0, func() {
-		mc.ReadLine(256, func(d []byte) { got = d; doneAt = eng.Now() })
+		mc.ReadLine(256, 0, func(d []byte) { got = d; doneAt = eng.Now() })
 	})
 	eng.Drain()
 	if !bytes.Equal(got, want) {
@@ -47,8 +47,8 @@ func TestWriteThenReadForwards(t *testing.T) {
 
 	var got []byte
 	eng.After(0, func() {
-		mc.WriteLine(512, data, func() {})
-		mc.ReadLine(512, func(d []byte) { got = d })
+		mc.WriteLine(512, data, 0, func() {})
+		mc.ReadLine(512, 0, func(d []byte) { got = d })
 	})
 	eng.Drain()
 	if got[0] != 0xAB {
@@ -64,7 +64,7 @@ func TestWriteEventuallyLandsInMemory(t *testing.T) {
 	mc, phys := newTestMC(eng)
 	data := make([]byte, memdata.LineSize)
 	data[7] = 0x77
-	eng.After(0, func() { mc.WriteLine(1024, data, func() {}) })
+	eng.After(0, func() { mc.WriteLine(1024, data, 0, func() {}) })
 	eng.Drain()
 	if phys.ReadLine(1024)[7] != 0x77 {
 		t.Fatal("write never drained to memory")
@@ -85,9 +85,9 @@ func TestLatestWriteWins(t *testing.T) {
 	}
 	var got []byte
 	eng.After(0, func() {
-		mc.WriteLine(a, mk(1), func() {})
-		mc.WriteLine(a, mk(2), func() {})
-		mc.ReadLine(a, func(d []byte) { got = d })
+		mc.WriteLine(a, mk(1), 0, func() {})
+		mc.WriteLine(a, mk(2), 0, func() {})
+		mc.ReadLine(a, 0, func(d []byte) { got = d })
 	})
 	eng.Drain()
 	if got[0] != 2 {
@@ -107,7 +107,7 @@ func TestRPQBackpressure(t *testing.T) {
 		for i := 0; i < n; i++ {
 			// Distinct rows in the same bank to force serialization.
 			a := memdata.Addr(uint64(i) * 8192 * 16)
-			mc.ReadLine(a, func([]byte) { completed++ })
+			mc.ReadLine(a, 0, func([]byte) { completed++ })
 		}
 	})
 	eng.Drain()
@@ -128,7 +128,7 @@ func TestWPQBackpressureAndDrain(t *testing.T) {
 		for i := 0; i < n; i++ {
 			d := make([]byte, memdata.LineSize)
 			d[0] = byte(i)
-			mc.WriteLine(memdata.Addr(i*memdata.LineSize), d, func() { released++ })
+			mc.WriteLine(memdata.Addr(i*memdata.LineSize), d, 0, func() { released++ })
 		}
 	})
 	eng.Drain()
@@ -153,7 +153,7 @@ func TestTryRawWriteLineRejectsUnderPressure(t *testing.T) {
 	eng.After(0, func() {
 		// Fill the WPQ beyond 75%.
 		for i := 0; i < mc.cfg.WPQCapacity; i++ {
-			mc.RawWriteLine(memdata.Addr(i*memdata.LineSize), d, func() {})
+			mc.RawWriteLine(memdata.Addr(i*memdata.LineSize), d, 0, func() {})
 		}
 		rejected = !mc.TryRawWriteLine(0, d, 0.75)
 	})
@@ -187,11 +187,11 @@ func TestHookInterception(t *testing.T) {
 	h := &claimAllHook{}
 	mc.SetHook(h)
 	eng.After(0, func() {
-		mc.ReadLine(0, func([]byte) {})
-		mc.WriteLine(64, make([]byte, memdata.LineSize), func() {})
+		mc.ReadLine(0, 0, func([]byte) {})
+		mc.WriteLine(64, make([]byte, memdata.LineSize), 0, func() {})
 		// Raw variants must bypass the hook.
-		mc.RawReadLine(128, func([]byte) {})
-		mc.RawWriteLine(192, make([]byte, memdata.LineSize), func() {})
+		mc.RawReadLine(128, 0, func([]byte) {})
+		mc.RawWriteLine(192, make([]byte, memdata.LineSize), 0, func() {})
 	})
 	eng.Drain()
 	if h.reads != 1 || h.writes != 1 {
@@ -209,12 +209,12 @@ func TestManyMixedOpsQuiesce(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			a := memdata.Addr((i % 37) * memdata.LineSize)
 			if i%3 == 0 {
-				mc.ReadLine(a, func([]byte) {})
+				mc.ReadLine(a, 0, func([]byte) {})
 			} else {
 				d := make([]byte, memdata.LineSize)
 				d[0] = byte(i)
 				last[a] = byte(i)
-				mc.WriteLine(a, d, func() {})
+				mc.WriteLine(a, d, 0, func() {})
 			}
 		}
 	})
@@ -244,11 +244,11 @@ func TestSnapshotReadCapturesAtIssue(t *testing.T) {
 	newer[0] = 0x02
 	var snap, plain []byte
 	eng.After(0, func() {
-		mc.RawReadLineSnapshot(a, func(d []byte) { snap = d })
+		mc.RawReadLineSnapshot(a, 0, func(d []byte) { snap = d })
 		// A write arrives immediately after the snapshot was taken.
-		mc.RawWriteLine(a, newer, func() {})
+		mc.RawWriteLine(a, newer, 0, func() {})
 		// A regular read issued after the write must see the new data.
-		mc.RawReadLine(a, func(d []byte) { plain = d })
+		mc.RawReadLine(a, 0, func(d []byte) { plain = d })
 	})
 	eng.Drain()
 	if snap[0] != 0x01 {

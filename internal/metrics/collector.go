@@ -7,12 +7,11 @@ import (
 	"sync"
 )
 
-// Collector gathers the registries of every machine built while it is
-// bound, without the builder having to thread anything through ~30
-// workload call sites: the runner binds a collector around a job, and
-// machine.New hands its registry to AmbientCollector(). Summing the
-// collected "sim.cycles" counters afterwards gives exact per-job cycle
-// attribution — the replacement for sampling the process-wide total.
+// Collector gathers the registries of a run: a run environment
+// (machine.Env) holds one, and every machine built in it hands over its
+// registry. Summing the collected "sim.cycles" counters afterwards gives
+// exact per-job cycle attribution — the replacement for sampling the
+// process-wide total.
 type Collector struct {
 	mu   sync.Mutex
 	regs []*Registry
@@ -59,17 +58,20 @@ func (c *Collector) SnapshotInto(dst *Snapshot) {
 	}
 }
 
-// ambient maps goroutine id → bound collector. Bind/lookup happen only at
-// job boundaries and machine construction, never per event, so a plain
-// mutexed map is fine.
+// ambient maps goroutine id → bound collector. It is the one goroutine
+// binding left in the repository, and exists only for an observer outside
+// this module (the benchmark's job wrapper) that reads the running job's
+// registries through AmbientCollector from inside Job.Run: the runner binds
+// each job's collector around the job. Nothing in this module looks it up.
+// Bind/lookup happen only at job boundaries, so a plain mutexed map is
+// fine.
 var (
 	ambientMu sync.Mutex
 	ambient   = map[uint64]*Collector{}
 )
 
 // Bind attaches c to the calling goroutine and returns a release func
-// that restores whatever was bound before. Machines built on this
-// goroutine between Bind and release register themselves with c.
+// that restores whatever was bound before.
 func (c *Collector) Bind() (release func()) {
 	id := goid()
 	ambientMu.Lock()
@@ -98,8 +100,8 @@ func AmbientCollector() *Collector {
 }
 
 // goid parses the calling goroutine's id from its stack header
-// ("goroutine 123 [running]:"). Called only at bind points and machine
-// construction; the few-microsecond cost is irrelevant there.
+// ("goroutine 123 [running]:"). Called only at bind and lookup points;
+// the few-microsecond cost is irrelevant there.
 func goid() uint64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)

@@ -7,9 +7,22 @@ import (
 	"testing"
 	"time"
 
+	"mcsquare/internal/faultinject"
+	"mcsquare/internal/machine"
 	"mcsquare/internal/sim"
 	"mcsquare/internal/stats"
+	"mcsquare/internal/timeline"
 )
+
+// smallMachine builds a one-core machine in env.
+func smallMachine(env *machine.Env) *machine.Machine {
+	p := machine.DefaultParams()
+	p.Cores = 1
+	p.Cache.Cores = 0 // inherit the reduced core count
+	p.MemSize = 16 << 20
+	p.Env = env
+	return machine.New(p)
+}
 
 // waitNoLeak polls until the goroutine count returns to near its baseline.
 func waitNoLeak(t *testing.T, before, slack, jobs int) {
@@ -39,7 +52,7 @@ func TestRunClosesAbandonedEngines(t *testing.T) {
 		jobs = append(jobs, Job{
 			ID: fmt.Sprintf("leak%d", i),
 			Run: func(o Options) []*stats.Table {
-				e := sim.NewEngine()
+				e := smallMachine(o.Env).Eng
 				for j := 0; j < 4; j++ {
 					e.Go("parked", func(p *sim.Proc) { p.Suspend() })
 				}
@@ -67,7 +80,7 @@ func TestRunRecoversPanickingJobs(t *testing.T) {
 	jobs := []Job{
 		{ID: "ok-before", Run: func(o Options) []*stats.Table { return nil }},
 		{ID: "panics", Run: func(o Options) []*stats.Table {
-			e := sim.NewEngine()
+			e := smallMachine(o.Env).Eng
 			e.Go("worker", func(p *sim.Proc) { p.Suspend() }) // parked across the panic
 			e.Go("exploder", func(p *sim.Proc) {
 				p.Wait(10)
@@ -112,7 +125,7 @@ func TestRunTimesOutLivelockedJobs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	jobs := []Job{
 		{ID: "livelock", Run: func(o Options) []*stats.Table {
-			e := sim.NewEngine() // picks up the runner's tracker budget
+			e := smallMachine(o.Env).Eng // carries the job's cycle budget
 			e.Go("spinner", func(p *sim.Proc) {
 				for {
 					p.Wait(100)
@@ -122,7 +135,7 @@ func TestRunTimesOutLivelockedJobs(t *testing.T) {
 			return nil
 		}},
 		{ID: "bounded", Run: func(o Options) []*stats.Table {
-			e := sim.NewEngine()
+			e := smallMachine(o.Env).Eng
 			e.Go("finite", func(p *sim.Proc) { p.Wait(500) })
 			e.Drain()
 			return nil
@@ -177,5 +190,129 @@ func TestRunRetriesInfrastructureFailures(t *testing.T) {
 	}
 	if results[0].Attempts != 2 {
 		t.Fatalf("Attempts = %d, want 2", results[0].Attempts)
+	}
+}
+
+// TestRunEnvFollowsTheJob: a machine counts toward its job because it was
+// built in the job's run environment, not because of the goroutine that
+// built it. One built on a goroutine the job spawns is counted in
+// SimCycles, held to the cycle budget and closed by the runner; one built
+// in an Env derived with a local fault schedule or timeline still shares
+// the job's metrics, but a local timeline's recorders stay out of
+// Result.Timeline.
+func TestRunEnvFollowsTheJob(t *testing.T) {
+	// spawned runs build on a goroutine of the job's own and waits for it,
+	// re-raising its panic on the job's goroutine.
+	spawned := func(build func() *machine.Machine) *machine.Machine {
+		var m *machine.Machine
+		var failure any
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer func() { failure = recover() }()
+			m = build()
+		}()
+		<-done
+		if failure != nil {
+			panic(failure)
+		}
+		return m
+	}
+	finite := func(env *machine.Env) *machine.Machine {
+		m := smallMachine(env)
+		m.Eng.Go("finite", func(p *sim.Proc) { p.Wait(700) })
+		m.Eng.Drain()
+		return m
+	}
+	sched := faultinject.Schedule{Seed: 3, WPQRejectEvery: 5}
+	local := timeline.Config{Enabled: true, WindowCycles: 100}
+	cases := []struct {
+		name string
+		cfg  Config
+		// run builds the job's machines from o; cycles is what the job
+		// must be charged for them.
+		run   func(o Options) (cycles uint64)
+		check func(t *testing.T, r Result)
+	}{
+		{name: "spawned/counted", run: func(o Options) uint64 {
+			m := spawned(func() *machine.Machine { return finite(o.Env) })
+			return uint64(m.Eng.Now())
+		}},
+		{name: "spawned/budget", cfg: Config{CycleBudget: 1_000}, run: func(o Options) uint64 {
+			spawned(func() *machine.Machine {
+				m := smallMachine(o.Env)
+				m.Eng.Go("spinner", func(p *sim.Proc) {
+					for {
+						p.Wait(100)
+					}
+				})
+				m.Eng.Drain()
+				return m
+			})
+			return 0
+		}, check: func(t *testing.T, r Result) {
+			var cle *sim.CycleLimitError
+			if !errors.As(r.Err, &cle) || cle.Limit != 1_000 {
+				t.Fatalf("spawned machine escaped the cycle budget: %v", r.Err)
+			}
+		}},
+		{name: "spawned/closed", run: func(o Options) uint64 {
+			m := spawned(func() *machine.Machine {
+				m := smallMachine(o.Env)
+				for j := 0; j < 4; j++ {
+					m.Eng.Go("parked", func(p *sim.Proc) { p.Suspend() })
+				}
+				m.Eng.RunUntil(100)
+				return m
+			})
+			return uint64(m.Eng.Now())
+		}},
+		{name: "derived/faults", cfg: Config{Timeline: timeline.Config{Enabled: true}},
+			run: func(o Options) uint64 {
+				outer := finite(o.Env)
+				inner := finite(o.Env.WithFaults(&sched))
+				if inner.Faults == nil || outer.Faults != nil {
+					t.Error("local fault schedule not applied to the derived Env alone")
+				}
+				return uint64(outer.Eng.Now() + inner.Eng.Now())
+			}, check: func(t *testing.T, r Result) {
+				if len(r.Timeline) != 2 {
+					t.Fatalf("Result.Timeline has %d recorders, want both machines'", len(r.Timeline))
+				}
+			}},
+		{name: "derived/timeline", cfg: Config{Timeline: timeline.Config{Enabled: true}},
+			run: func(o Options) uint64 {
+				outer := finite(o.Env)
+				inner := finite(o.Env.WithTimeline(local))
+				if inner.Timeline == nil || inner.Timeline.WindowCycles() != 100 {
+					t.Error("local timeline config not applied")
+				}
+				return uint64(outer.Eng.Now() + inner.Eng.Now())
+			}, check: func(t *testing.T, r Result) {
+				if len(r.Timeline) != 1 || r.Timeline[0].WindowCycles() == 100 {
+					t.Fatalf("Result.Timeline = %d recorders, want only the job-level one", len(r.Timeline))
+				}
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			var want uint64
+			cfg := c.cfg
+			cfg.Workers = 1
+			r := Run(cfg, []Job{{ID: c.name, Run: func(o Options) []*stats.Table {
+				want = c.run(o)
+				return nil
+			}}})[0]
+			if c.check != nil {
+				c.check(t, r)
+			} else if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			if want != 0 && r.Metrics.SimCycles != want {
+				t.Fatalf("SimCycles = %d, want %d", r.Metrics.SimCycles, want)
+			}
+			waitNoLeak(t, before, 1, 1)
+		})
 	}
 }

@@ -24,8 +24,9 @@ func TestExactCycleAttribution(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		id := string(rune('a' + i))
-		jobs[i] = Job{ID: id, Run: func(Options) []*stats.Table {
+		jobs[i] = Job{ID: id, Run: func(o Options) []*stats.Table {
 			p := machine.DefaultParams()
+			p.Env = o.Env
 			p.Cores = 2
 			p.Cache.Cores = 0 // inherit the reduced core count
 			p.MemSize = 16 << 20
@@ -68,8 +69,9 @@ func TestExactCycleAttribution(t *testing.T) {
 // the machine itself reports.
 func TestResultSnapshotCarriesComponentMetrics(t *testing.T) {
 	var loads uint64
-	jobs := []Job{{ID: "snap", Run: func(Options) []*stats.Table {
+	jobs := []Job{{ID: "snap", Run: func(o Options) []*stats.Table {
 		p := machine.DefaultParams()
+		p.Env = o.Env
 		p.Cores = 1
 		p.Cache.Cores = 0 // inherit the reduced core count
 		p.MemSize = 16 << 20

@@ -19,6 +19,7 @@ import (
 
 	"mcsquare/internal/faultinject"
 	"mcsquare/internal/invariant"
+	"mcsquare/internal/machine"
 	"mcsquare/internal/metrics"
 	"mcsquare/internal/sim"
 	"mcsquare/internal/stats"
@@ -31,6 +32,12 @@ import (
 // passed here is forwarded for jobs that want it.
 type Options struct {
 	Quick bool
+	// Env is the job's run environment, built fresh by the runner for each
+	// attempt (any value in Config.Options is replaced). A job builds its
+	// machines in it (machine.Params.Env) so the runner can read their
+	// planes and metrics and close their engines, whichever goroutine
+	// built them.
+	Env *machine.Env
 }
 
 // Job is one independently runnable experiment. Run must be deterministic
@@ -232,67 +239,60 @@ func runOne(index int, job Job, cfg Config) Result {
 }
 
 // runAttempt executes one attempt of a job, capturing metrics and
-// recovering panics into structured errors. A collector bound to the
-// worker goroutine gathers the registry of every machine the job builds;
-// snapshotting them afterwards yields the job's metrics and its exact
-// simulated-cycle count, even with concurrent neighbors (which the old
-// global-counter delta could not attribute). An engine tracker bound the
-// same way lets the runner Close every engine the job built once it
-// finishes: a job that abandons an engine mid-run (bounded runs, panics)
-// would otherwise leak one goroutine per process still parked in it,
-// accumulating across jobs. The fault-injection and invariant collectors
-// follow the same ambient pattern, and the tracker applies the per-job
-// cycle budget to every engine at registration.
+// recovering panics into structured errors. The attempt gets a fresh run
+// environment carrying the configured planes and cycle budget; every
+// machine the job builds in it is recorded there, on whatever goroutine it
+// was built. Snapshotting their registries afterwards yields the job's
+// metrics and its exact simulated-cycle count, even with concurrent
+// neighbors, and closing their engines releases the goroutines of
+// processes still parked in an engine the job abandoned (bounded runs,
+// panics), which would otherwise accumulate across jobs.
 func runAttempt(index int, job Job, cfg Config, attempt int) (res Result) {
 	res = Result{ID: job.ID, Index: index, Attempts: attempt}
 	start := time.Now()
-	col := metrics.NewCollector()
-	release := col.Bind()
-	trk := sim.NewTracker()
-	if cfg.CycleBudget > 0 {
-		trk.SetCycleLimit(sim.Cycle(cfg.CycleBudget))
-	}
-	releaseTrk := trk.Bind()
-	tcol := txtrace.NewCollector(cfg.Trace) // nil when tracing is disabled
-	releaseTrace := tcol.Bind()
-	fcol := faultinject.NewCollector(cfg.Faults) // nil without a schedule
-	releaseFaults := fcol.Bind()
-	icol := invariant.NewCollector(cfg.Invariants) // nil with oracles off
-	releaseInv := icol.Bind()
-	tlcol := timeline.NewCollector(cfg.Timeline) // nil with the timeline off
-	releaseTl := tlcol.Bind()
+	env := machine.NewEnv(machine.Env{
+		Trace:       cfg.Trace,
+		Faults:      cfg.Faults,
+		Invariants:  cfg.Invariants,
+		Timeline:    cfg.Timeline,
+		CycleBudget: cfg.CycleBudget,
+	})
+	// The one goroutine binding left: it exists only so an observer outside
+	// this module can read the job's registries through
+	// metrics.AmbientCollector from inside Job.Run. Nothing here reads it.
+	release := env.Metrics().Bind()
 	defer func() {
 		release()
-		releaseTrk()
-		releaseTrace()
-		releaseFaults()
-		releaseInv()
-		releaseTl()
 		if p := recover(); p != nil {
 			res.Err = newJobError(job.ID, p, attempt)
 			res.Tables = nil
 		}
-		if n := icol.TotalViolations(); n > 0 {
-			res.Violations = icol.Violations()
+		oracles := env.Oracles()
+		if n := oracles.TotalViolations(); n > 0 {
+			res.Violations = oracles.Violations()
 			if res.Err == nil {
 				res.Err = fmt.Errorf("job %s: %d invariant violation(s), first: %s",
 					job.ID, n, res.Violations[0])
 			}
 		}
-		if regs := col.Registries(); len(regs) > 0 {
+		if col := env.Metrics(); len(col.Registries()) > 0 {
 			snap := col.Snapshot()
 			res.Metrics.Snapshot = snap
 			res.Metrics.SimCycles = snap.Counter("sim.cycles")
 		}
-		res.Trace = tcol.Tracers()
-		// Close trailing partial windows before the tracker tears the
-		// engines down; recorders are inert afterwards.
-		tlcol.Finalize()
-		res.Timeline = tlcol.Recorders()
-		trk.CloseAll()
+		res.Trace = env.Tracers()
+		// Close trailing partial windows before the engines are torn
+		// down; recorders are inert afterwards.
+		res.Timeline = env.Recorders()
+		for _, r := range res.Timeline {
+			r.Finalize()
+		}
+		env.Close()
 		res.Metrics.Wall = time.Since(start)
 	}()
-	res.Tables = job.Run(cfg.Options)
+	o := cfg.Options
+	o.Env = env
+	res.Tables = job.Run(o)
 	res.Metrics.NumTables = len(res.Tables)
 	for _, tb := range res.Tables {
 		if n := tb.NumRows(); n > res.Metrics.PeakRows {

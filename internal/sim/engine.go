@@ -102,22 +102,14 @@ type Engine struct {
 	advance func(from, to Cycle)
 }
 
-// NewEngine returns an engine with simulated time at cycle 0. If an
-// engine Tracker is bound to the calling goroutine (see Tracker), the
-// engine registers itself for end-of-job cleanup.
-func NewEngine() *Engine {
-	e := &Engine{}
-	if t := ambientTracker(); t != nil {
-		t.add(e)
-	}
-	return e
-}
+// NewEngine returns an engine with simulated time at cycle 0.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
 // CycleLimitError is the panic value raised by Step when simulated time
-// passes the engine's cycle limit (SetCycleLimit, or a Tracker budget). It
+// passes the engine's cycle limit (SetCycleLimit). It
 // converts livelocked or runaway simulations into a structured failure the
 // job runner can report instead of hanging forever.
 type CycleLimitError struct {

@@ -88,25 +88,3 @@ func TestCycleLimitNotTripped(t *testing.T) {
 	}
 	eng.Close()
 }
-
-// TestTrackerCycleLimit: a budget set on the tracker applies to every
-// engine registered afterwards (the runner's per-job timeout path).
-func TestTrackerCycleLimit(t *testing.T) {
-	trk := NewTracker()
-	trk.SetCycleLimit(100)
-	release := trk.Bind()
-	eng := NewEngine()
-	release()
-	eng.Go("spinner", func(p *Proc) {
-		for {
-			p.Wait(60)
-		}
-	})
-	v := mustPanic(t, eng.Drain)
-	if _, ok := v.(*CycleLimitError); !ok {
-		t.Fatalf("recovered %T, want *CycleLimitError", v)
-	}
-	if trk.CloseAll() != 1 {
-		t.Fatal("tracker did not collect the engine")
-	}
-}

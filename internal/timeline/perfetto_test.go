@@ -48,8 +48,7 @@ func buildTraced(t *testing.T) (*txtrace.Tracer, *Recorder) {
 	var ops uint64
 	reg.Counter("test.ops", &ops)
 	tr := txtrace.New(txtrace.Config{Enabled: true})
-	col := NewCollector(Config{Enabled: true, WindowCycles: 50})
-	rec := col.NewRecorder(reg, eng)
+	rec := NewRecorder(Config{Enabled: true, WindowCycles: 50}, reg, eng)
 	for i := 0; i < 4; i++ {
 		start := sim.Cycle(i * 40)
 		eng.At(start, func() {

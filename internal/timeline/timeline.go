@@ -39,7 +39,7 @@ const DefaultWindowCycles = 100_000
 
 // Config configures the timeline plane for a run.
 type Config struct {
-	// Enabled gates the plane; when false NewCollector returns nil and
+	// Enabled gates the plane; when false NewRecorder returns nil and
 	// nothing is recorded.
 	Enabled bool
 	// WindowCycles is the sampling window in simulated cycles. <= 0 uses
@@ -71,7 +71,7 @@ type Window struct {
 }
 
 // Recorder samples one machine's registry at window boundaries of its
-// engine. Create recorders through a Collector; a nil Recorder is inert.
+// engine. Create recorders with NewRecorder; a nil Recorder is inert.
 //
 // Concurrency: the sim goroutine drives sampling; mu guards the window
 // list and scratch snapshots so the live-inspection endpoint (Current,
@@ -92,7 +92,12 @@ type Recorder struct {
 	finalized bool
 }
 
-func newRecorder(cfg Config, reg *metrics.Registry, eng *sim.Engine) *Recorder {
+// NewRecorder builds a recorder sampling reg at eng's window boundaries, or
+// returns nil (the inert recorder) when cfg.Enabled is false.
+func NewRecorder(cfg Config, reg *metrics.Registry, eng *sim.Engine) *Recorder {
+	if !cfg.Enabled {
+		return nil
+	}
 	r := &Recorder{reg: reg, eng: eng, window: cfg.window(), tracks: cfg.Tracks}
 	r.next.Store(uint64(r.window))
 	reg.SnapshotInto(&r.prev) // baseline at cycle 0

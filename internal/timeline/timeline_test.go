@@ -31,8 +31,7 @@ func newRig(t *testing.T) *testRig {
 
 func TestRecorderWindows(t *testing.T) {
 	rig := newRig(t)
-	col := NewCollector(Config{Enabled: true, WindowCycles: 100})
-	rec := col.NewRecorder(rig.reg, rig.eng)
+	rec := NewRecorder(Config{Enabled: true, WindowCycles: 100}, rig.reg, rig.eng)
 
 	// 3 ops in window 0, 1 in window 1, none in window 2, 2 in the partial.
 	for _, c := range []sim.Cycle{10, 50, 99} {
@@ -77,49 +76,26 @@ func TestRecorderWindows(t *testing.T) {
 
 func TestFinalizeIdempotentAndEmptyTail(t *testing.T) {
 	rig := newRig(t)
-	col := NewCollector(Config{Enabled: true, WindowCycles: 50})
-	rec := col.NewRecorder(rig.reg, rig.eng)
+	rec := NewRecorder(Config{Enabled: true, WindowCycles: 50}, rig.reg, rig.eng)
 	rig.eng.At(10, func() { rig.ops++ })
 	rig.eng.RunUntil(50) // exactly one boundary, no partial tail
-	col.Finalize()
-	col.Finalize()
+	rec.Finalize()
+	rec.Finalize()
 	if n := len(rec.Windows()); n != 1 {
 		t.Fatalf("got %d windows, want 1 (no empty tail, no double-finalize)", n)
 	}
 }
 
+// TestDisabledCollectorIsNil: a disabled config yields the nil recorder,
+// and the nil recorder is inert.
 func TestDisabledCollectorIsNil(t *testing.T) {
-	if NewCollector(Config{}) != nil {
-		t.Fatal("disabled config must yield nil collector")
-	}
-	var c *Collector
-	if c.NewRecorder(nil, nil) != nil {
-		t.Fatal("nil collector must hand out nil recorders")
-	}
-	release := c.Bind()
-	release()
-	if c.Recorders() != nil {
-		t.Fatal("nil collector must report no recorders")
+	if NewRecorder(Config{}, nil, nil) != nil {
+		t.Fatal("disabled config must yield a nil recorder")
 	}
 	var r *Recorder
 	r.Finalize()
 	if r.Windows() != nil {
 		t.Fatal("nil recorder must report no windows")
-	}
-}
-
-func TestAmbientBinding(t *testing.T) {
-	col := NewCollector(Config{Enabled: true})
-	if AmbientCollector() != nil {
-		t.Fatal("ambient collector leaked from another test")
-	}
-	release := col.Bind()
-	if AmbientCollector() != col {
-		t.Fatal("ambient collector not visible after Bind")
-	}
-	release()
-	if AmbientCollector() != nil {
-		t.Fatal("ambient collector still bound after release")
 	}
 }
 
@@ -130,8 +106,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		reg := metrics.NewRegistry()
 		var ops uint64
 		reg.Counter("test.ops", &ops)
-		col := NewCollector(Config{Enabled: true, WindowCycles: 64})
-		rec := col.NewRecorder(reg, eng)
+		rec := NewRecorder(Config{Enabled: true, WindowCycles: 64}, reg, eng)
 		var step func()
 		step = func() {
 			ops++
@@ -159,8 +134,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestWriteJSONShape(t *testing.T) {
 	rig := newRig(t)
-	col := NewCollector(Config{Enabled: true, WindowCycles: 100})
-	rec := col.NewRecorder(rig.reg, rig.eng)
+	rec := NewRecorder(Config{Enabled: true, WindowCycles: 100}, rig.reg, rig.eng)
 	rig.eng.At(42, func() { rig.ops++ })
 	rig.eng.RunUntil(250)
 	var buf bytes.Buffer
@@ -193,8 +167,7 @@ func TestWriteJSONShape(t *testing.T) {
 
 func TestCurrentLiveView(t *testing.T) {
 	rig := newRig(t)
-	col := NewCollector(Config{Enabled: true, WindowCycles: 100})
-	rec := col.NewRecorder(rig.reg, rig.eng)
+	rec := NewRecorder(Config{Enabled: true, WindowCycles: 100}, rig.reg, rig.eng)
 	rig.eng.At(130, func() { rig.ops++ })
 	rig.eng.RunUntil(160)
 	cur := rec.Current()

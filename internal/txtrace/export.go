@@ -2,13 +2,10 @@ package txtrace
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // ---------------------------------------------------------------------------
@@ -157,117 +154,4 @@ func Export(w io.Writer, tracers []*Tracer) error {
 // Dump writes this tracer's flight recorder alone — the anomaly-hook path.
 func (t *Tracer) Dump(w io.Writer) error {
 	return Export(w, []*Tracer{t})
-}
-
-// ---------------------------------------------------------------------------
-// Collector: ambient per-goroutine tracer registration
-// ---------------------------------------------------------------------------
-
-// Collector gathers the tracer of every machine built while it is bound to
-// a goroutine, mirroring metrics.Collector: the runner (or a cmd binary)
-// binds one around a run, machine.New asks AmbientCollector() for a
-// tracer, and the caller exports all of them afterwards. A nil Collector
-// (tracing disabled) hands out nil tracers.
-type Collector struct {
-	cfg Config
-	mu  sync.Mutex
-	trs []*Tracer
-}
-
-// NewCollector builds a collector that hands out tracers configured by
-// cfg. Returns nil when cfg.Enabled is false, so callers can bind
-// unconditionally and pay nothing when tracing is off.
-func NewCollector(cfg Config) *Collector {
-	if !cfg.Enabled {
-		return nil
-	}
-	return &Collector{cfg: cfg}
-}
-
-// NewTracer creates, records, and returns one tracer (nil from a nil
-// collector). Safe to call from any goroutine.
-func (c *Collector) NewTracer() *Tracer {
-	if c == nil {
-		return nil
-	}
-	t := New(c.cfg)
-	c.mu.Lock()
-	c.trs = append(c.trs, t)
-	c.mu.Unlock()
-	return t
-}
-
-// Tracers returns the collected tracers in creation order.
-func (c *Collector) Tracers() []*Tracer {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*Tracer(nil), c.trs...)
-}
-
-// Export writes every collected tracer as one trace document.
-func (c *Collector) Export(w io.Writer) error {
-	return Export(w, c.Tracers())
-}
-
-// ambient maps goroutine id → bound collector (same pattern as
-// metrics.Collector: bind/lookup only at job boundaries and machine
-// construction, never per event).
-var (
-	ambientMu sync.Mutex
-	ambient   = map[uint64]*Collector{}
-)
-
-// Bind attaches c to the calling goroutine and returns a release func that
-// restores whatever was bound before. Binding a nil collector is a no-op
-// that still returns a valid release func.
-func (c *Collector) Bind() (release func()) {
-	if c == nil {
-		return func() {}
-	}
-	id := goid()
-	ambientMu.Lock()
-	prev, had := ambient[id]
-	ambient[id] = c
-	ambientMu.Unlock()
-	return func() {
-		ambientMu.Lock()
-		if had {
-			ambient[id] = prev
-		} else {
-			delete(ambient, id)
-		}
-		ambientMu.Unlock()
-	}
-}
-
-// AmbientCollector returns the collector bound to the calling goroutine,
-// or nil (machine.New then runs untraced).
-func AmbientCollector() *Collector {
-	ambientMu.Lock()
-	defer ambientMu.Unlock()
-	if len(ambient) == 0 {
-		return nil // nothing bound anywhere: skip the goid parse
-	}
-	return ambient[goid()]
-}
-
-// goid parses the calling goroutine's id from its stack header (same
-// helper as package metrics keeps privately; called only at bind points
-// and machine construction).
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	s := buf[:n]
-	s = bytes.TrimPrefix(s, []byte("goroutine "))
-	if i := bytes.IndexByte(s, ' '); i > 0 {
-		s = s[:i]
-	}
-	id, err := strconv.ParseUint(string(s), 10, 64)
-	if err != nil {
-		panic("txtrace: cannot parse goroutine id from stack header")
-	}
-	return id
 }

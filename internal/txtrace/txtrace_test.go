@@ -224,36 +224,6 @@ func TestExportValidAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestCollectorAmbientBinding(t *testing.T) {
-	if AmbientCollector() != nil {
-		t.Fatal("ambient collector leaked from another test")
-	}
-	col := NewCollector(Config{Enabled: true, BufferSpans: 64})
-	release := col.Bind()
-	tr := AmbientCollector().NewTracer()
-	if tr == nil {
-		t.Fatal("bound collector handed out nil tracer")
-	}
-	release()
-	if AmbientCollector() != nil {
-		t.Fatal("release did not unbind")
-	}
-	if got := col.Tracers(); len(got) != 1 || got[0] != tr {
-		t.Fatalf("collector holds %v", got)
-	}
-
-	// Disabled config: nil collector, nil tracers, no-op bind.
-	var off *Collector = NewCollector(Config{})
-	if off != nil {
-		t.Fatal("disabled collector not nil")
-	}
-	releaseOff := off.Bind()
-	if off.NewTracer() != nil {
-		t.Fatal("disabled collector handed out a tracer")
-	}
-	releaseOff()
-}
-
 func TestPublishMetrics(t *testing.T) {
 	tr := New(Config{Enabled: true, BufferSpans: 256})
 	for i := uint64(0); i < 10; i++ {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mcsquare/internal/copykit"
+	"mcsquare/internal/machine"
 	"mcsquare/internal/metrics"
 	"mcsquare/internal/workloads/kvsnap"
 	"mcsquare/internal/workloads/micro"
@@ -29,18 +30,17 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files instead of c
 // The scalar header lines double as sanity floors (nonzero ops, nonzero
 // cycles); the snapshot section pins the accounting.
 
-// capture runs fn under a fresh ambient metrics collector and returns the
-// workload's scalar lines followed by the merged snapshot of every machine
-// fn built.
-func capture(fn func(emit func(format string, args ...any))) string {
-	col := metrics.NewCollector()
-	release := col.Bind()
-	defer release()
+// capture runs fn, which builds its machines from the default params it is
+// given, and returns the workload's scalar lines followed by the merged
+// snapshot of every machine fn built in those params' run environment.
+func capture(fn func(p machine.Params, emit func(format string, args ...any))) string {
+	p := machine.DefaultParams()
+	p.Env = machine.NewEnv(machine.Env{})
 
 	var b strings.Builder
-	fn(func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) })
+	fn(p, func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) })
 
-	snap := col.Snapshot()
+	snap := p.Env.Metrics().Snapshot()
 	for _, name := range snap.Names() {
 		v := snap.Values[name]
 		switch v.Kind {
@@ -79,10 +79,10 @@ func checkGolden(t *testing.T, family, got string) {
 }
 
 func TestKVSnapGolden(t *testing.T) {
-	got := capture(func(emit func(string, ...any)) {
+	got := capture(func(p machine.Params, emit func(string, ...any)) {
 		r := kvsnap.Run(kvsnap.Config{
 			StoreBytes: 4 << 20, ValueSize: 512, Ops: 30, SnapshotEach: 10,
-			LazyCOW: true, Seed: 1,
+			LazyCOW: true, Seed: 1, Machine: &p,
 		})
 		if r.Snapshots == 0 || r.Latencies.N() == 0 {
 			t.Fatalf("degenerate run: %+v", r)
@@ -94,8 +94,8 @@ func TestKVSnapGolden(t *testing.T) {
 }
 
 func TestMicroGolden(t *testing.T) {
-	got := capture(func(emit func(string, ...any)) {
-		opt := micro.Options{MaxSize: 32 << 10, BufSize: 32 << 10, L2Size: 16 << 10}
+	got := capture(func(p machine.Params, emit func(string, ...any)) {
+		opt := micro.Options{MaxSize: 32 << 10, BufSize: 32 << 10, L2Size: 16 << 10, Base: &p}
 		tab := micro.CopyLatencyRow(opt, 16<<10)
 		emit("micro copy_latency_16k rows %d", tab.NumRows())
 	})
@@ -103,8 +103,8 @@ func TestMicroGolden(t *testing.T) {
 }
 
 func TestMongoGolden(t *testing.T) {
-	got := capture(func(emit func(string, ...any)) {
-		m := mongo.NewMachine(true)
+	got := capture(func(p machine.Params, emit func(string, ...any)) {
+		m := mongo.NewMachineFrom(p)
 		r := mongo.Run(m, mongo.Config{
 			Inserts: 4, Fields: 4, FieldSize: 16 << 10, Seed: 1,
 			IndexPrefix: 64, JournalAccess: 0.25,
@@ -119,8 +119,8 @@ func TestMongoGolden(t *testing.T) {
 }
 
 func TestMVCCGolden(t *testing.T) {
-	got := capture(func(emit func(string, ...any)) {
-		m := mvcc.NewMachine(true, nil)
+	got := capture(func(p machine.Params, emit func(string, ...any)) {
+		m := mvcc.NewMachineFrom(p)
 		r := mvcc.Run(m, mvcc.Config{
 			Threads: 2, Rows: 32, RowSize: 2 << 10, OpsPerThread: 10,
 			UpdateFraction: 0.5, Mode: mvcc.RMW, Lazy: true, Seed: 1,
@@ -134,16 +134,16 @@ func TestMVCCGolden(t *testing.T) {
 }
 
 func TestOSWLGolden(t *testing.T) {
-	got := capture(func(emit func(string, ...any)) {
+	got := capture(func(p machine.Params, emit func(string, ...any)) {
 		lat := oswl.HugeCOW(oswl.HugeCOWConfig{
-			RegionBytes: 4 << 20, Accesses: 16, Lazy: true, Seed: 1,
+			RegionBytes: 4 << 20, Accesses: 16, Lazy: true, Seed: 1, Machine: &p,
 		})
 		if len(lat) == 0 {
 			t.Fatal("no COW accesses measured")
 		}
 		emit("oswl hugecow accesses %d first %d last %d", len(lat), lat[0], lat[len(lat)-1])
 		bw := oswl.PipeThroughput(oswl.PipeConfig{
-			TransferSize: 16 << 10, Transfers: 8, Lazy: true, Seed: 1,
+			TransferSize: 16 << 10, Transfers: 8, Lazy: true, Seed: 1, Machine: &p,
 		})
 		emit("oswl pipe bytes_per_kcycle %.2f", bw)
 	})
@@ -151,8 +151,8 @@ func TestOSWLGolden(t *testing.T) {
 }
 
 func TestProtobufGolden(t *testing.T) {
-	got := capture(func(emit func(string, ...any)) {
-		m := protobuf.NewMachine(true, nil)
+	got := capture(func(p machine.Params, emit func(string, ...any)) {
+		m := protobuf.NewMachineFrom(p)
 		r := protobuf.Run(m, protobuf.Config{
 			Ops: 32, Burst: 8, Seed: 1,
 			Copier: copykit.Lazy{Threshold: 1024},
