@@ -16,8 +16,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mcsquare/internal/memdata"
 )
@@ -26,8 +27,8 @@ import (
 // paper's 21-bit size field, i.e. one 2 MB huge page.
 const MaxEntrySize = 2 << 20
 
-// segShift buckets addresses into 2 MB segments for indexed lookups. Since
-// no entry exceeds MaxEntrySize, an entry's destination or source range
+// segShift buckets source addresses into 2 MB segments for indexed
+// lookups. Since no entry exceeds MaxEntrySize, an entry's source range
 // spans at most two segments, and a query range of up to MaxEntrySize spans
 // at most two as well.
 const segShift = 21
@@ -91,13 +92,19 @@ type CTT struct {
 	// copies then occupy one entry each instead of coalescing.
 	noMerge bool
 	nextID  uint64
-	entries map[uint64]*Entry
-	order   []uint64 // insertion order of live entry IDs (lazily compacted)
-	dstSeg  map[uint64][]*Entry
-	srcSeg  map[uint64][]*Entry
+	// dst holds every live entry, sorted by destination start. Live
+	// destination ranges are pairwise disjoint, so the order is total, the
+	// ends are sorted too, and the entries overlapping any range form one
+	// contiguous run found by binary search. It is the table's only list of
+	// live entries.
+	dst []*Entry
+	// srcSeg buckets entries by the 2 MB segments their source range
+	// touches. Source ranges may overlap (one source, many destinations), so
+	// they have no order a single sorted slice could keep.
+	srcSeg map[uint64][]*Entry
 	// trackedBytes is the summed destination size of live entries,
 	// maintained incrementally by register/remove/mutate and cross-checked
-	// against the entry map by CheckInvariants.
+	// against the index by CheckInvariants.
 	trackedBytes uint64
 
 	Stats CTTStats
@@ -114,14 +121,12 @@ func newCTT(capacity int, noMerge bool) *CTT {
 	return &CTT{
 		capacity: capacity,
 		noMerge:  noMerge,
-		entries:  make(map[uint64]*Entry),
-		dstSeg:   make(map[uint64][]*Entry),
 		srcSeg:   make(map[uint64][]*Entry),
 	}
 }
 
 // Len returns the number of live entries.
-func (t *CTT) Len() int { return len(t.entries) }
+func (t *CTT) Len() int { return len(t.dst) }
 
 // Capacity returns the entry capacity.
 func (t *CTT) Capacity() int { return t.capacity }
@@ -133,89 +138,118 @@ func segsOf(r memdata.Range) (lo, hi uint64) {
 	return uint64(r.Start) >> segShift, uint64(r.End()-1) >> segShift
 }
 
+// dstSearch returns the index of the first entry whose destination ends
+// after a, or Len() if there is none.
+func (t *CTT) dstSearch(a memdata.Addr) int {
+	lo, hi := 0, len(t.dst)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.dst[m].Dst.End() <= a {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// destRun returns the half-open index interval [i, j) of the entries whose
+// destination overlaps r. The run aliases the index: callers must not
+// mutate the table while they walk it.
+func (t *CTT) destRun(r memdata.Range) (i, j int) {
+	if r.Empty() {
+		return 0, 0
+	}
+	i = t.dstSearch(r.Start)
+	j = i
+	for j < len(t.dst) && t.dst[j].Dst.Start < r.End() {
+		j++
+	}
+	return i, j
+}
+
 func (t *CTT) register(e *Entry) {
-	t.entries[e.ID] = e
-	t.order = append(t.order, e.ID)
 	t.indexAdd(e)
 	t.trackedBytes += e.Dst.Size
-	if len(t.entries) > t.Stats.HighWater {
-		t.Stats.HighWater = len(t.entries)
+	if len(t.dst) > t.Stats.HighWater {
+		t.Stats.HighWater = len(t.dst)
 	}
 }
 
 func (t *CTT) indexAdd(e *Entry) {
-	lo, hi := segsOf(e.Dst)
-	for s := lo; s <= hi; s++ {
-		t.dstSeg[s] = append(t.dstSeg[s], e)
+	// e is disjoint from every live destination, so the first entry ending
+	// after its start begins after its end: that is e's slot.
+	t.dst = slices.Insert(t.dst, t.dstSearch(e.Dst.Start), e)
+	t.srcAdd(e)
+}
+
+func (t *CTT) indexRemove(e *Entry) {
+	i := t.dstSearch(e.Dst.Start)
+	if i == len(t.dst) || t.dst[i] != e {
+		panic(fmt.Sprintf("core: CTT index lost entry %d", e.ID))
 	}
-	lo, hi = segsOf(e.SrcRange())
+	t.dst = slices.Delete(t.dst, i, i+1)
+	t.srcRemove(e)
+}
+
+func (t *CTT) srcAdd(e *Entry) {
+	lo, hi := segsOf(e.SrcRange())
 	for s := lo; s <= hi; s++ {
 		t.srcSeg[s] = append(t.srcSeg[s], e)
 	}
 }
 
-func (t *CTT) indexRemove(e *Entry) {
-	rm := func(m map[uint64][]*Entry, r memdata.Range) {
-		lo, hi := segsOf(r)
-		for s := lo; s <= hi; s++ {
-			list := m[s]
-			for i, x := range list {
-				if x == e {
-					m[s] = append(list[:i], list[i+1:]...)
-					break
-				}
-			}
-			if len(m[s]) == 0 {
-				delete(m, s)
+func (t *CTT) srcRemove(e *Entry) {
+	lo, hi := segsOf(e.SrcRange())
+	for s := lo; s <= hi; s++ {
+		list := t.srcSeg[s]
+		for i, x := range list {
+			if x == e {
+				t.srcSeg[s] = append(list[:i], list[i+1:]...)
+				break
 			}
 		}
+		if len(t.srcSeg[s]) == 0 {
+			delete(t.srcSeg, s)
+		}
 	}
-	rm(t.dstSeg, e.Dst)
-	rm(t.srcSeg, e.SrcRange())
 }
 
 func (t *CTT) remove(e *Entry) {
 	t.indexRemove(e)
-	delete(t.entries, e.ID)
 	t.trackedBytes -= e.Dst.Size
 	t.Stats.Removed++
 }
 
-// mutate applies a destination-range change to an entry: its index entries
-// are refreshed and its new geometry installed.
+// mutate applies a destination-range change to an entry: its source index
+// entries are refreshed and its new geometry installed. Every mutation
+// either shrinks the destination (a trim) or grows it into a free range
+// adjacent to it (a merge), so the entry keeps its slot in the sorted
+// destination index.
 func (t *CTT) mutate(e *Entry, dst memdata.Range, src memdata.Addr) {
-	t.indexRemove(e)
+	t.srcRemove(e)
 	t.trackedBytes += dst.Size - e.Dst.Size // unsigned wrap cancels out
 	e.Dst = dst
 	e.Src = src
-	t.indexAdd(e)
+	t.srcAdd(e)
 }
 
 // DestCover returns the live entries whose destination range overlaps r,
 // sorted by destination start. Destination ranges are disjoint, so the
-// result segments r without overlap.
+// result segments r without overlap. The slice is the caller's own (nil on
+// a miss), so the caller may mutate the table while walking it.
 func (t *CTT) DestCover(r memdata.Range) []*Entry {
-	var out []*Entry
-	lo, hi := segsOf(r)
-	seen := map[uint64]bool{}
-	for s := lo; s <= hi; s++ {
-		for _, e := range t.dstSeg[s] {
-			if !seen[e.ID] && e.Dst.Overlaps(r) {
-				seen[e.ID] = true
-				out = append(out, e)
-			}
-		}
+	i, j := t.destRun(r)
+	if i == j {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dst.Start < out[j].Dst.Start })
-	return out
+	return append([]*Entry(nil), t.dst[i:j]...)
 }
 
 // LookupDest returns the entry whose destination contains a, or nil.
 func (t *CTT) LookupDest(a memdata.Addr) *Entry {
-	for _, e := range t.dstSeg[uint64(a)>>segShift] {
-		if e.Dst.Contains(a) {
-			return e
-		}
+	if i := t.dstSearch(a); i < len(t.dst) && t.dst[i].Dst.Start <= a {
+		return t.dst[i]
 	}
 	return nil
 }
@@ -225,19 +259,21 @@ func (t *CTT) LookupDest(a memdata.Addr) *Entry {
 // many destinations).
 func (t *CTT) SrcOverlapping(r memdata.Range) []*Entry {
 	lo, hi := segsOf(r)
-	seen := map[uint64]bool{}
 	var out []*Entry
 	for s := lo; s <= hi; s++ {
 		for _, e := range t.srcSeg[s] {
-			if !seen[e.ID] && e.SrcRange().Overlaps(r) {
-				seen[e.ID] = true
+			// An entry whose source spans two segments sits in both
+			// buckets: report it from the first bucket it shares with r.
+			if elo, _ := segsOf(e.SrcRange()); max(elo, lo) == s && e.SrcRange().Overlaps(r) {
 				out = append(out, e)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, byID)
 	return out
 }
+
+func byID(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) }
 
 // HasSrcOverlap reports whether any live entry's source overlaps r.
 func (t *CTT) HasSrcOverlap(r memdata.Range) bool {
@@ -303,7 +339,7 @@ type piece struct {
 // right bytes.
 func (t *CTT) collapse(dst memdata.Range, src memdata.Addr, record bool) []piece {
 	srcR := memdata.Range{Start: src, Size: dst.Size}
-	overs := t.DestCover(srcR)
+	i, j := t.destRun(srcR)
 	var out []piece
 	cur := src
 	end := srcR.End()
@@ -329,7 +365,7 @@ func (t *CTT) collapse(dst memdata.Range, src memdata.Addr, record bool) []piece
 		}
 		out = append(out, p)
 	}
-	for _, e := range overs {
+	for _, e := range t.dst[i:j] {
 		o := e.Dst.Intersect(srcR)
 		emit(cur, o.Start, nil)
 		emit(o.Start, o.End(), e)
@@ -387,7 +423,8 @@ func (t *CTT) Insert(dst memdata.Range, src memdata.Addr) bool {
 
 	// Capacity dry run: count how trimming and splitting change the table.
 	delta := 0
-	for _, e := range t.DestCover(dst) {
+	i, j := t.destRun(dst)
+	for _, e := range t.dst[i:j] {
 		switch len(e.Dst.Subtract(dst)) {
 		case 0:
 			delta--
@@ -431,29 +468,28 @@ func (t *CTT) PreviewSources(dst memdata.Range, src memdata.Addr) []memdata.Rang
 	return out
 }
 
-// Entries returns the live entries in insertion order (compacting the
-// order list as a side effect).
+// Entries returns the live entries in insertion order. IDs are assigned
+// in increasing order as entries are created, so that is ID order.
 func (t *CTT) Entries() []*Entry {
-	out := make([]*Entry, 0, len(t.entries))
-	live := t.order[:0]
-	for _, id := range t.order {
-		if e, ok := t.entries[id]; ok {
-			live = append(live, id)
-			out = append(out, e)
-		}
-	}
-	t.order = live
+	out := slices.Clone(t.dst)
+	slices.SortFunc(out, byID)
 	return out
 }
 
 // Smallest returns the live entry with the smallest destination size
 // (lowest ID breaks ties), or nil when the table is empty. The asynchronous
 // freeing policy evicts smallest-first (§III-A1).
-func (t *CTT) Smallest() *Entry {
+func (t *CTT) Smallest() *Entry { return t.smallestUnclaimed(nil) }
+
+// smallestUnclaimed is Smallest over the entries whose ID is not in
+// claimed. It scans the index in place and allocates nothing.
+func (t *CTT) smallestUnclaimed(claimed map[uint64]bool) *Entry {
 	var best *Entry
-	for _, e := range t.Entries() {
-		if best == nil || e.Dst.Size < best.Dst.Size ||
-			(e.Dst.Size == best.Dst.Size && e.ID < best.ID) {
+	for _, e := range t.dst {
+		if best != nil && (e.Dst.Size > best.Dst.Size || e.Dst.Size == best.Dst.Size && e.ID > best.ID) {
+			continue
+		}
+		if !claimed[e.ID] {
 			best = e
 		}
 	}
@@ -461,14 +497,53 @@ func (t *CTT) Smallest() *Entry {
 }
 
 // CheckInvariants verifies structural invariants; tests call it after every
-// mutation. It returns an error describing the first violation found.
+// mutation. It returns an error describing the first violation found. It
+// runs in time linear in the table size.
 func (t *CTT) CheckInvariants() error {
-	if len(t.entries) > t.capacity {
-		return fmt.Errorf("ctt: %d entries exceed capacity %d", len(t.entries), t.capacity)
+	if t.Len() > t.capacity {
+		return fmt.Errorf("ctt: %d entries exceed capacity %d", t.Len(), t.capacity)
+	}
+	type srcSlot struct {
+		e   *Entry
+		seg uint64
+	}
+	slots := make(map[srcSlot]bool)
+	for seg, list := range t.srcSeg {
+		for _, e := range list {
+			if slots[srcSlot{e, seg}] {
+				return fmt.Errorf("ctt: src index holds entry %d twice in segment %d", e.ID, seg)
+			}
+			slots[srcSlot{e, seg}] = true
+		}
 	}
 	var liveBytes uint64
-	for _, e := range t.entries {
+	need := 0
+	for i, e := range t.dst {
+		if e.Dst.Empty() {
+			return fmt.Errorf("ctt: entry %d has empty destination", e.ID)
+		}
+		if e.Dst.Size > MaxEntrySize {
+			return fmt.Errorf("ctt: entry %d size %d exceeds 2 MB", e.ID, e.Dst.Size)
+		}
+		if e.ID == 0 || e.ID > t.nextID {
+			return fmt.Errorf("ctt: entry %d has an ID never issued (next %d)", e.ID, t.nextID)
+		}
+		// Sorted and disjoint: each destination starts at or after the end
+		// of the one before it, so the order is strict.
+		if i > 0 && t.dst[i-1].Dst.End() > e.Dst.Start {
+			return fmt.Errorf("ctt: destination index out of order or overlapping at entries %d and %d", t.dst[i-1].ID, e.ID)
+		}
 		liveBytes += e.Dst.Size
+		lo, hi := segsOf(e.SrcRange())
+		for seg := lo; seg <= hi; seg++ {
+			if !slots[srcSlot{e, seg}] {
+				return fmt.Errorf("ctt: src index lost entry %d", e.ID)
+			}
+			need++
+		}
+	}
+	if len(slots) != need {
+		return fmt.Errorf("ctt: src index holds %d slots, the %d live entries need %d", len(slots), t.Len(), need)
 	}
 	if liveBytes != t.trackedBytes {
 		return fmt.Errorf("ctt: tracked-byte counter %d != live entry bytes %d", t.trackedBytes, liveBytes)
@@ -476,33 +551,6 @@ func (t *CTT) CheckInvariants() error {
 	if t.Stats.DeferredBytes-t.Stats.UntrackedBytes != t.trackedBytes {
 		return fmt.Errorf("ctt: byte conservation violated: deferred %d - untracked %d != tracked %d",
 			t.Stats.DeferredBytes, t.Stats.UntrackedBytes, t.trackedBytes)
-	}
-	ents := t.Entries()
-	for i, e := range ents {
-		if e.Dst.Empty() {
-			return fmt.Errorf("ctt: entry %d has empty destination", e.ID)
-		}
-		if e.Dst.Size > MaxEntrySize {
-			return fmt.Errorf("ctt: entry %d size %d exceeds 2 MB", e.ID, e.Dst.Size)
-		}
-		for _, o := range ents[i+1:] {
-			if e.Dst.Overlaps(o.Dst) {
-				return fmt.Errorf("ctt: destination overlap between entries %d and %d", e.ID, o.ID)
-			}
-		}
-		// Index consistency.
-		if got := t.LookupDest(e.Dst.Start); got != e {
-			return fmt.Errorf("ctt: dest index lost entry %d", e.ID)
-		}
-		found := false
-		for _, s := range t.SrcOverlapping(e.SrcRange()) {
-			if s == e {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("ctt: src index lost entry %d", e.ID)
-		}
 	}
 	return nil
 }

@@ -695,7 +695,7 @@ func (e *Engine) tryLazy(pl *pendingLazy) {
 	}
 	// The insert redefines every destination line: any in-flight
 	// reconstruction composed under an older entry is now stale.
-	for _, l := range pl.dst.Lines() {
+	for l := memdata.LineAlign(pl.dst.Start); l < pl.dst.End(); l += memdata.LineSize {
 		e.destGen[l]++
 	}
 	e.Stats.LazyOps++
@@ -744,9 +744,16 @@ func (e *Engine) lazyConflicts(pl *pendingLazy) bool {
 	return false
 }
 
+// conflictsWithHeld reports whether any line r touches is BPQ-held. It
+// tests the few held lines (at most BPQCapacity per controller) against r
+// rather than probing every line of r, which may be a 2 MB copy.
 func (e *Engine) conflictsWithHeld(r memdata.Range) bool {
-	for _, l := range r.Lines() {
-		if _, ok := e.held[l]; ok {
+	if r.Empty() {
+		return false
+	}
+	first := memdata.LineAlign(r.Start)
+	for l := range e.held {
+		if l >= first && l < r.End() {
 			return true
 		}
 	}
@@ -799,7 +806,7 @@ func (e *Engine) MCFree(r memdata.Range, tx txtrace.Tx, done func()) {
 		e.Stats.MCFreedBytes += e.ctt.RemoveDestRange(inner)
 		// Freed lines are undefined; stale in-flight reconstructions must
 		// not land after the free and resurrect old data as fresh writes.
-		for _, l := range inner.Lines() {
+		for l := inner.Start; l < inner.End(); l += memdata.LineSize {
 			e.destGen[l]++
 		}
 		e.inv.ObserveFree(inner)
@@ -871,19 +878,7 @@ func (e *Engine) hasFullStall() bool {
 
 // pickFreeEntry returns the smallest unclaimed entry, or nil. Claiming
 // prevents parallel workers from redundantly copying the same entry.
-func (e *Engine) pickFreeEntry() *Entry {
-	var best *Entry
-	for _, ent := range e.ctt.Entries() {
-		if e.freeing[ent.ID] {
-			continue
-		}
-		if best == nil || ent.Dst.Size < best.Dst.Size ||
-			(ent.Dst.Size == best.Dst.Size && ent.ID < best.ID) {
-			best = ent
-		}
-	}
-	return best
-}
+func (e *Engine) pickFreeEntry() *Entry { return e.ctt.smallestUnclaimed(e.freeing) }
 
 func (e *Engine) freeWorker() {
 	if e.ctt.Len() < e.freeTarget() && !e.hasFullStall() {
@@ -901,34 +896,34 @@ func (e *Engine) freeWorker() {
 	e.Stats.Frees++
 	e.Stats.FreedBytes += ent.Dst.Size
 	fsp := e.tr.BeginRoot(txtrace.StageFree, txtrace.TrackEngine, uint64(ent.Dst.Start), uint64(e.eng.Now()))
-	lines := ent.Dst.Lines()
-	var step func(i int)
-	step = func(i int) {
-		// The entry may shrink or vanish while we work (writes, bounces).
-		for i < len(lines) && e.ctt.LookupDest(lines[i]) == nil {
-			i++
+	// The entry may shrink or vanish while we work (writes, bounces), so
+	// walk the lines of its destination as it was when claimed.
+	end := ent.Dst.End()
+	var step func(dl memdata.Addr)
+	step = func(dl memdata.Addr) {
+		for dl < end && e.ctt.LookupDest(dl) == nil {
+			dl += memdata.LineSize
 		}
-		if i >= len(lines) {
+		if dl >= end {
 			delete(e.freeing, ent.ID)
 			e.tr.End(fsp, uint64(e.eng.Now()))
 			e.eng.After(0, e.freeWorker)
 			return
 		}
-		dl := lines[i]
 		// Background freeing yields to demand traffic: back off while the
 		// destination controller's write queue is busy.
 		if e.mcs[e.route(dl)].WPQOccupancy() >= 0.5 {
-			e.eng.After(e.p.FreePacing, func() { step(i) })
+			e.eng.After(e.p.FreePacing, func() { step(dl) })
 			return
 		}
 		gen := e.destGen[dl]
 		e.composeDestLine(dl, fsp, func(data []byte) {
 			e.writeReconstructed(dl, gen, fsp, data, func() {
-				e.eng.After(e.p.FreePacing, func() { step(i + 1) })
+				e.eng.After(e.p.FreePacing, func() { step(dl + memdata.LineSize) })
 			})
 		})
 	}
-	step(0)
+	step(memdata.LineAlign(ent.Dst.Start))
 }
 
 // materializeEntry eagerly performs one CTT entry's copy and thereby
@@ -946,13 +941,13 @@ func (e *Engine) materializeEntry(ent *Entry) {
 	e.Stats.Frees++
 	e.Stats.FreedBytes += ent.Dst.Size
 	fsp := e.tr.BeginRoot(txtrace.StageFree, txtrace.TrackEngine, uint64(ent.Dst.Start), uint64(e.eng.Now()))
-	lines := ent.Dst.Lines()
-	var step func(i int)
-	step = func(i int) {
-		for i < len(lines) && e.ctt.LookupDest(lines[i]) == nil {
-			i++
+	end := ent.Dst.End()
+	var step func(dl memdata.Addr)
+	step = func(dl memdata.Addr) {
+		for dl < end && e.ctt.LookupDest(dl) == nil {
+			dl += memdata.LineSize
 		}
-		if i >= len(lines) {
+		if dl >= end {
 			delete(e.freeing, ent.ID)
 			e.tr.End(fsp, uint64(e.eng.Now()))
 			e.freeWorkers--
@@ -960,11 +955,10 @@ func (e *Engine) materializeEntry(ent *Entry) {
 			e.wakePending()
 			return
 		}
-		dl := lines[i]
 		gen := e.destGen[dl]
 		e.composeDestLine(dl, fsp, func(data []byte) {
-			e.writeReconstructed(dl, gen, fsp, data, func() { step(i + 1) })
+			e.writeReconstructed(dl, gen, fsp, data, func() { step(dl + memdata.LineSize) })
 		})
 	}
-	step(0)
+	step(memdata.LineAlign(ent.Dst.Start))
 }
