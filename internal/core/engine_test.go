@@ -94,7 +94,7 @@ func (r *rig) fill(seed int64) {
 
 // run executes fn as a simulated process and drains the engine. Failures
 // recorded by check are reported here: calling t.Fatal on the workload
-// goroutine would Goexit it and strand the engine.
+// process would Goexit through the engine mid-event.
 func (r *rig) run(fn func()) {
 	r.proc = r.eng.Go("test", func(p *sim.Proc) { fn() })
 	r.eng.Drain()

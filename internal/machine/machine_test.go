@@ -134,8 +134,9 @@ func TestMemcpyLazyFullStackEquivalence(t *testing.T) {
 	shadow := m.Phys.Read(base, region)
 	rnd := rand.New(rand.NewSource(7))
 
-	// t.Fatalf must not run on the workload goroutine (Goexit would strand
-	// the engine); record the failure and report after Run.
+	// t.Fatalf must not run on the workload process (its Goexit would leave
+	// the coroutine through the engine mid-event); record the failure and
+	// report after Run.
 	var failure string
 	m.Run(func(c *cpu.Core) {
 		for step := 0; step < 120 && failure == ""; step++ {

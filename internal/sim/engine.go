@@ -2,9 +2,10 @@
 // with cooperative processes.
 //
 // The engine maintains a priority queue of events keyed by (cycle, sequence
-// number). Exactly one entity — the engine's event loop or a single process
-// goroutine — runs at any moment, so simulations are fully reproducible:
-// the same inputs always produce the same event ordering and timings.
+// number). Processes are coroutines the engine switches into directly, and
+// exactly one entity — the engine's event loop or a single process — runs
+// at any moment, so simulations are fully reproducible: the same inputs
+// always produce the same event ordering and timings.
 //
 // The queue is split for speed: a monomorphic binary heap holds future
 // events, and a plain FIFO holds events scheduled for the current cycle —
@@ -86,6 +87,7 @@ type Engine struct {
 	fifoHead int
 
 	procs    []*Proc // live processes, for deadlock diagnostics and Close
+	running  *Proc   // process being resumed, nil while the engine runs
 	limit    Cycle   // cycle budget; Step panics past it (0 = unlimited)
 	closed   bool
 	reported Cycle  // cycles already flushed into totalCycles
@@ -158,6 +160,9 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Step runs the next event, advancing simulated time to its cycle. It
 // reports whether an event was run.
 func (e *Engine) Step() bool {
+	if e.running != nil {
+		e.inProcPanic("Step")
+	}
 	// Same-cycle fast path. A heap event can still be due first: it was
 	// scheduled for this cycle before time advanced here, so its seq is
 	// smaller. fifo[fifoHead] has the smallest seq in the FIFO, so one
@@ -272,6 +277,9 @@ func (e *Engine) nextWhen() (Cycle, bool) {
 // bounded run simulates exactly limit-Now() cycles, so "sim.cycles" does
 // not under-report on runs that stop mid-queue.
 func (e *Engine) RunUntil(limit Cycle) {
+	if e.running != nil {
+		e.inProcPanic("RunUntil")
+	}
 	for {
 		when, ok := e.nextWhen()
 		if !ok || when > limit {
@@ -292,6 +300,9 @@ func (e *Engine) RunUntil(limit Cycle) {
 // Drain runs events until none remain. If a process is still blocked when
 // the queue empties, Drain panics: the simulation has deadlocked.
 func (e *Engine) Drain() {
+	if e.running != nil {
+		e.inProcPanic("Drain")
+	}
 	for e.Step() {
 	}
 	e.flushCycles()
@@ -302,33 +313,39 @@ func (e *Engine) Drain() {
 	}
 }
 
-// Close releases every parked process goroutine and drops all pending
-// events. Abandoned engines (bounded runs, panicked jobs, benchmark
-// harnesses) otherwise leak one goroutine per suspended process for the
-// life of the program. Close must be called when the engine is not
-// running — never from an event callback or a process. After Close the
-// engine schedules nothing, Step reports false, and Go panics.
+// Close releases every unfinished process and drops all pending events.
+// Abandoned engines (bounded runs, panicked jobs, benchmark harnesses)
+// otherwise keep one parked coroutine, and its goroutine, per process for
+// the life of the program. A parked process unwinds from its pending
+// Wait/Suspend, running its deferred calls; one that never started does
+// not run at all. Close must be called when the engine is not running:
+// never from an event callback, and from a process it panics. After Close
+// the engine schedules nothing, Step reports false, and Go panics.
 // Idempotent.
 func (e *Engine) Close() {
+	if e.running != nil {
+		e.inProcPanic("Close")
+	}
 	if e.closed {
 		return
 	}
 	e.closed = true
 	e.flushCycles()
-	for _, p := range e.procs {
-		if p.finished {
-			continue
-		}
-		// Exactly one entity runs at a time and it is the caller, so every
-		// unfinished process is blocked receiving on its wake channel —
-		// either parked or awaiting its first resume. Waking it with
-		// aborted set makes it exit (via runtime.Goexit for parked
-		// processes); the yield receive is its termination ack.
-		p.aborted = true
-		p.wake <- struct{}{}
-		<-p.yield
-	}
+	// Drop the queue first: nothing an unwinding process does runs an event.
+	procs := e.procs
 	e.heap, e.fifo, e.fifoHead, e.procs = nil, nil, 0, nil
+	for _, p := range procs {
+		if !p.finished {
+			p.stop()
+			p.finished = true
+		}
+	}
+}
+
+// inProcPanic rejects driving the engine from inside one of its own
+// processes: the process would wait on itself.
+func (e *Engine) inProcPanic(op string) {
+	panic(fmt.Sprintf("sim: %s called from process %q", op, e.running.name))
 }
 
 // flushCycles publishes this engine's progress into the process-wide

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 )
 
 // refSched is a trivially-correct reference scheduler: a flat slice
@@ -157,19 +156,7 @@ func TestEngineCloseReleasesParkedProcs(t *testing.T) {
 		e.RunUntil(10)
 		e.Close()
 	}
-	// Goroutine exit is asynchronous after Close's ack: poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after Close of all engines",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitNoLeak(t, before, 2)
 }
 
 func TestEngineCloseSemantics(t *testing.T) {

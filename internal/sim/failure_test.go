@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -17,7 +18,7 @@ func mustPanic(t *testing.T, fn func()) (v any) {
 
 // TestProcPanicCapture: a panic inside a simulated process surfaces
 // engine-side as *ProcPanic carrying the process name, the original value,
-// and the process goroutine's stack — not as a bare value with the
+// and the process's own stack (with the body's frame) — not as a bare value with the
 // engine's own stack.
 func TestProcPanicCapture(t *testing.T) {
 	eng := NewEngine()
@@ -33,8 +34,8 @@ func TestProcPanicCapture(t *testing.T) {
 	if pp.Proc != "exploder" || pp.Value != "boom" {
 		t.Fatalf("ProcPanic = %+v", pp)
 	}
-	if len(pp.Stack) == 0 {
-		t.Fatal("ProcPanic carries no stack")
+	if !bytes.Contains(pp.Stack, []byte("TestProcPanicCapture.func1")) {
+		t.Fatalf("ProcPanic stack lacks the process body's frame:\n%s", pp.Stack)
 	}
 	eng.Close()
 }

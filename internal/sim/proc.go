@@ -1,22 +1,22 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 	"runtime/debug"
 )
 
-// ProcPanic wraps a panic raised inside a simulated process. Without the
-// wrapper a workload panic unwinds the process goroutine — not the
-// goroutine driving the engine — and kills the whole program before any
-// caller-side recover can see it. The spawn wrapper captures the panic
-// here and the engine re-raises it on its own goroutine at the resume
-// point, so Drain/Step callers (the runner's per-job recover, tests) can
-// handle it like any other panic.
+// ProcPanic wraps a panic raised inside a simulated process. The body
+// wrapper captures the panic with the process's own stack and re-panics
+// it, so it comes out of the engine's resume point and Drain/Step callers
+// (the runner's per-job recover, tests) can handle it like any other
+// panic.
 type ProcPanic struct {
 	Proc  string // process name
 	Value any    // original panic value
-	Stack []byte // stack of the panicking goroutine at capture time
+	Stack []byte // stack of the process at capture time
 }
 
 func (p *ProcPanic) Error() string {
@@ -31,74 +31,67 @@ func (p *ProcPanic) Unwrap() error {
 	return nil
 }
 
-// Proc is a simulated process: a goroutine co-scheduled with the engine's
-// event loop. Exactly one of {engine, some process} executes at a time.
-// A process runs until it parks (Wait/Suspend) or returns; the engine then
-// resumes pumping events. This gives imperative workload code (loops,
-// data structures, recursion) deterministic simulated timing.
+// procAbort is the sentinel panic that unwinds a process released by
+// Engine.Close. Process code that calls recover() must re-panic values it
+// does not own, so the sentinel always reaches the body wrapper.
+type procAbort struct{}
+
+// Proc is a simulated process: a coroutine (iter.Pull) co-scheduled with
+// the engine's event loop. Exactly one of {engine, some process} executes
+// at a time, and control passes between them by a direct coroutine
+// switch, not through the Go scheduler. A process runs until it parks
+// (Wait/Suspend) or returns; the engine then resumes pumping events. This
+// gives imperative workload code (loops, data structures, recursion)
+// deterministic simulated timing.
 type Proc struct {
 	eng       *Engine
 	name      string
-	wake      chan struct{} // engine -> proc: run
-	yield     chan struct{} // proc -> engine: parked or finished
-	resumeFn  func()        // pre-bound p.resume: every wakeup schedules this one closure
+	next      func() (struct{}, bool) // engine -> proc: run until the next park
+	stop      func()                  // Engine.Close: make the pending park unwind
+	yield     func(struct{}) bool     // proc -> engine: park; false once stopped
+	resumeFn  func()                  // pre-bound p.resume: every wakeup schedules this one closure
 	finished  bool
-	suspended bool       // parked via Suspend (awaiting an explicit Resume)
-	aborted   bool       // set by Engine.Close before the final wake
-	panicked  *ProcPanic // captured panic, re-raised engine-side
+	suspended bool // parked via Suspend (awaiting an explicit Resume)
+	aborted   bool // released by Engine.Close: panics while unwinding are dropped
 }
 
 // Go spawns fn as a simulated process starting at the current cycle.
-// fn runs on its own goroutine but never concurrently with the engine or
-// another process.
+// fn never runs concurrently with the engine or another process.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Go on closed engine")
 	}
-	p := &Proc{
-		eng:   e,
-		name:  name,
-		wake:  make(chan struct{}),
-		yield: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	p.resumeFn = p.resume
-	e.procs = append(e.procs, p)
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			// recover returns nil during runtime.Goexit (the Close/abort
-			// path), so only genuine workload panics are captured.
-			if r := recover(); r != nil {
-				if pp, ok := r.(*ProcPanic); ok {
-					p.panicked = pp
-				} else {
-					p.panicked = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-				}
-			}
 			p.finished = true
-			p.yield <- struct{}{}
+			r := recover()
+			if r == nil || p.aborted {
+				return
+			}
+			if _, ok := r.(*ProcPanic); !ok {
+				r = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+			}
+			panic(r) // comes out of next() on the engine side
 		}()
-		<-p.wake
-		if p.aborted {
-			return
-		}
 		fn(p)
-	}()
+	})
+	e.procs = append(e.procs, p)
 	e.After(0, p.resumeFn)
 	return p
 }
 
-// resume hands control to the process and blocks the engine until the
-// process parks again or finishes. Must be called from the engine side.
+// resume runs the process until it parks again or finishes. Must be
+// called from the engine side.
 func (p *Proc) resume() {
 	if p.finished {
 		panic("sim: waking process " + p.name + " after it finished (stale wakeup)")
 	}
-	p.wake <- struct{}{}
-	<-p.yield
-	if pp := p.panicked; pp != nil {
-		p.panicked = nil
-		panic(pp)
-	}
+	p.eng.running = p
+	defer func() { p.eng.running = nil }()
+	p.next()
 }
 
 // Engine returns the engine this process runs under.
@@ -135,10 +128,10 @@ func (p *Proc) Suspend() {
 }
 
 // Resume schedules the process to continue at the current cycle. It must
-// be called from engine context (an event callback), never from another
-// process's goroutine, and only while the target is suspended. Resuming a
-// process that is not suspended panics immediately — the alternative is a
-// silent simulator deadlock.
+// be called from engine context (an event callback or another process),
+// and only while the target is suspended. Resuming a process that is not
+// suspended panics immediately — the alternative is a silent simulator
+// deadlock.
 func (p *Proc) Resume() {
 	if !p.suspended {
 		panic("sim: Resume of process " + p.name + " that is not suspended")
@@ -147,23 +140,17 @@ func (p *Proc) Resume() {
 	p.eng.After(0, p.resumeFn)
 }
 
-// park transfers control back to the engine.
+// park transfers control back to the engine. yield reports false once
+// Engine.Close has stopped the coroutine — on the pending park and on any
+// later one, such as a deferred Wait during the unwind — and the sentinel
+// panic then unwinds the process, running its deferred calls.
 func (p *Proc) park() {
-	if p.aborted {
-		// Re-parking from a deferred call while the goroutine is being
-		// released by Engine.Close: keep unwinding instead of blocking on
-		// a wake that will never come.
-		runtime.Goexit()
-	}
-	p.yield <- struct{}{}
-	<-p.wake
-	if p.aborted {
-		// Engine.Close released us: unwind (running deferred calls); the
-		// spawn wrapper's defer acknowledges termination to Close.
-		runtime.Goexit()
+	if !p.yield(struct{}{}) {
+		p.aborted = true
+		panic(procAbort{})
 	}
 }
 
-// Finished reports whether the process goroutine has terminated — its
-// function returned, or Engine.Close released it.
+// Finished reports whether the process has terminated — its function
+// returned or panicked, or Engine.Close released it.
 func (p *Proc) Finished() bool { return p.finished }
