@@ -66,21 +66,24 @@ func DefaultConfig(cores int) Config {
 	}
 }
 
+// cacheLine is one way of a set. The line's bytes are inline, so an array
+// of lines holds no pointers for the garbage collector to scan.
 type cacheLine struct {
 	tag    memdata.Addr // line address
 	valid  bool
 	dirty  bool
-	data   []byte
-	lru    uint64
-	shared uint32 // L2 only: bitmask of L1s holding the line
 	owner  int8   // L2 only: core whose L1 holds it dirty, or -1
+	shared uint32 // L2 only: bitmask of L1s holding the line
+	lru    uint64
+	data   [memdata.LineSize]byte
 }
 
-// array is one set-associative cache array.
+// array is one set-associative cache array: sets*ways lines in one flat
+// slice, set s occupying lines[s*ways : (s+1)*ways].
 type array struct {
 	sets    int
 	ways    int
-	lines   [][]cacheLine
+	lines   []cacheLine
 	lruTick uint64
 }
 
@@ -89,25 +92,22 @@ func newArray(size, ways int) *array {
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a positive power of two", sets))
 	}
-	a := &array{sets: sets, ways: ways, lines: make([][]cacheLine, sets)}
+	a := &array{sets: sets, ways: ways, lines: make([]cacheLine, sets*ways)}
 	for i := range a.lines {
-		a.lines[i] = make([]cacheLine, ways)
-		for w := range a.lines[i] {
-			a.lines[i][w].owner = -1
-			a.lines[i][w].data = make([]byte, memdata.LineSize)
-		}
+		a.lines[i].owner = -1
 	}
 	return a
 }
 
 func (a *array) set(line memdata.Addr) []cacheLine {
-	return a.lines[(uint64(line)>>memdata.LineShift)%uint64(a.sets)]
+	s := int((uint64(line) >> memdata.LineShift) % uint64(a.sets))
+	return a.lines[s*a.ways : (s+1)*a.ways]
 }
 
 func (a *array) lookup(line memdata.Addr) *cacheLine {
-	for i := range a.set(line) {
-		cl := &a.set(line)[i]
-		if cl.valid && cl.tag == line {
+	set := a.set(line)
+	for i := range set {
+		if cl := &set[i]; cl.valid && cl.tag == line {
 			return cl
 		}
 	}
@@ -155,13 +155,29 @@ type Stats struct {
 	CancelledFills      uint64 // in-flight fills dropped by an invalidation
 }
 
+// mshr is one outstanding demand miss of a core: the MSHR entry and the
+// in-flight request in one struct. It carries the line from the L2 or the
+// controller in its own buffer, which every waiter borrows. Entries come
+// from the hierarchy's pool and their steps are method values bound when
+// the entry is first allocated, so a miss allocates nothing once the pool
+// has warmed up.
 type mshr struct {
+	h       *Hierarchy
+	core    int
+	a       memdata.Addr
+	tx      txtrace.Tx // the l1.miss span the L2 and memory legs nest under
+	sp      txtrace.Tx // the l2.miss span while memory serves the miss
+	pull    *cacheLine // L2 line a cross-core pull reads when its delay ends
 	waiters []func(data []byte)
 	// cancelled marks the fill stale: an invalidation (MCLAZY destination
 	// sweep, NT store) arrived while the miss was in flight. Waiters still
 	// receive the data — their access is ordered before the invalidation —
 	// but the line must not be installed in any cache.
 	cancelled bool
+	data      [memdata.LineSize]byte
+
+	accessFn, sendFn, arriveFn, pulledFn func()
+	recvFn                               func(data []byte)
 }
 
 // Hierarchy is the full cache system for all cores.
@@ -181,10 +197,18 @@ type Hierarchy struct {
 	mshrs      []map[memdata.Addr]*mshr // per core, demand misses
 	mshrUsed   []int
 	mshrQueue  []sim.FnQueue // deferred misses per core
-	mshrPool   []*mshr       // retired mshr entries for reuse (waiter slices keep capacity)
 	pfInflight int
 	pfPending  map[memdata.Addr]*pfFlight // prefetches in flight (dedup + cancel)
 	pf         []*stridePF
+
+	// Retired requests for reuse. Each machine is single-threaded, so
+	// plain slices suffice.
+	mshrPool  []*mshr
+	hitPool   []*hitReq
+	stallPool []*stalledMiss
+	rfoPool   []*rfo
+	pfPool    []*pfFlight
+	wrPool    []*lineWrite
 
 	Stats Stats
 }
@@ -244,12 +268,31 @@ func checkLine(a memdata.Addr) {
 	}
 }
 
+// nop is the completion of writes nobody waits for.
+func nop() {}
+
 // ---------------------------------------------------------------------------
 // Read path
 // ---------------------------------------------------------------------------
 
-// Read fetches the full line at a for the given core. done receives a copy
-// of the line's current data.
+// hitReq delivers an L1 hit after the L1 latency. The line is copied at
+// the access, the cycle its value is bound.
+type hitReq struct {
+	h      *Hierarchy
+	done   func(data []byte)
+	data   [memdata.LineSize]byte
+	fireFn func()
+}
+
+func (r *hitReq) fire() {
+	r.done(r.data[:])
+	r.done = nil
+	r.h.hitPool = append(r.h.hitPool, r)
+}
+
+// Read fetches the full line at a for the given core. done receives the
+// line's current data in a borrowed slice: it is valid only until done
+// returns, so done copies whatever it keeps and must not modify it.
 //
 // tx is the transaction-trace id (0 when untraced): traced reads record an
 // l1.hit span, or an l1.miss span under which the L2/memory legs nest.
@@ -263,8 +306,17 @@ func (h *Hierarchy) Read(core int, a memdata.Addr, tx txtrace.Tx, done func(data
 			h.tr.Complete(tx, txtrace.StageL1Hit, uint64(a), now, now+uint64(h.cfg.L1Latency), 0)
 		}
 		l1.touch(cl)
-		data := append([]byte(nil), cl.data...)
-		h.eng.After(h.cfg.L1Latency, func() { done(data) })
+		var r *hitReq
+		if n := len(h.hitPool); n > 0 {
+			r = h.hitPool[n-1]
+			h.hitPool = h.hitPool[:n-1]
+		} else {
+			r = &hitReq{h: h}
+			r.fireFn = r.fire
+		}
+		r.done = done
+		r.data = cl.data
+		h.eng.After(h.cfg.L1Latency, r.fireFn)
 		return
 	}
 	h.Stats.L1Misses++
@@ -281,18 +333,26 @@ func (h *Hierarchy) Read(core int, a memdata.Addr, tx txtrace.Tx, done func(data
 }
 
 // getMSHR returns a recycled mshr entry (waiter slice capacity retained)
-// or a fresh one; putMSHR returns it once its fill completes. Misses are
-// the steady-state churn of every workload, so this keeps the miss path
-// free of per-access allocations after warmup.
-func (h *Hierarchy) getMSHR(done func(data []byte)) *mshr {
+// or a fresh one with its steps bound; putMSHR returns it once its fill
+// completes. Misses are the steady-state churn of every workload, so this
+// keeps the miss path free of per-access allocations after warmup.
+func (h *Hierarchy) getMSHR(core int, a memdata.Addr, tx txtrace.Tx, done func(data []byte)) *mshr {
+	var m *mshr
 	if n := len(h.mshrPool); n > 0 {
-		m := h.mshrPool[n-1]
+		m = h.mshrPool[n-1]
 		h.mshrPool = h.mshrPool[:n-1]
-		m.cancelled = false
-		m.waiters = append(m.waiters, done)
-		return m
+	} else {
+		m = &mshr{h: h}
+		m.accessFn = m.access
+		m.sendFn = m.send
+		m.recvFn = m.recv
+		m.arriveFn = m.arrive
+		m.pulledFn = m.pulled
 	}
-	return &mshr{waiters: []func([]byte){done}}
+	m.core, m.a, m.tx, m.sp = core, a, tx, 0
+	m.cancelled = false
+	m.waiters = append(m.waiters, done)
+	return m
 }
 
 func (h *Hierarchy) putMSHR(m *mshr) {
@@ -300,7 +360,30 @@ func (h *Hierarchy) putMSHR(m *mshr) {
 		m.waiters[i] = nil
 	}
 	m.waiters = m.waiters[:0]
+	m.pull = nil
 	h.mshrPool = append(h.mshrPool, m)
+}
+
+// stalledMiss is a miss deferred on a full MSHR file.
+type stalledMiss struct {
+	h     *Hierarchy
+	core  int
+	a     memdata.Addr
+	tx    txtrace.Tx
+	start uint64
+	done  func(data []byte)
+	runFn func()
+}
+
+func (s *stalledMiss) run() {
+	h := s.h
+	core, a, tx, done := s.core, s.a, s.tx, s.done
+	if tx != 0 {
+		h.tr.Complete(tx, txtrace.StageMSHRWait, uint64(a), s.start, uint64(h.eng.Now()), 0)
+	}
+	s.done = nil
+	h.stallPool = append(h.stallPool, s)
+	h.missToL2(core, a, tx, done)
 }
 
 // missToL2 handles an L1 miss, merging concurrent misses to the same line
@@ -312,84 +395,108 @@ func (h *Hierarchy) missToL2(core int, a memdata.Addr, tx txtrace.Tx, done func(
 	}
 	if h.mshrUsed[core] >= h.cfg.MSHRsPerCore {
 		h.Stats.MSHRStalls++
-		start := uint64(h.eng.Now())
-		h.mshrQueue[core].Push(func() {
-			if tx != 0 {
-				h.tr.Complete(tx, txtrace.StageMSHRWait, uint64(a), start, uint64(h.eng.Now()), 0)
-			}
-			h.missToL2(core, a, tx, done)
-		})
+		var s *stalledMiss
+		if n := len(h.stallPool); n > 0 {
+			s = h.stallPool[n-1]
+			h.stallPool = h.stallPool[:n-1]
+		} else {
+			s = &stalledMiss{h: h}
+			s.runFn = s.run
+		}
+		s.core, s.a, s.tx, s.done = core, a, tx, done
+		s.start = uint64(h.eng.Now())
+		h.mshrQueue[core].Push(s.runFn)
 		return
 	}
 	h.mshrUsed[core]++
 	if h.inv.QueuesOn() {
 		h.inv.CheckQueue(h.mshrNames[core], h.mshrUsed[core], h.cfg.MSHRsPerCore)
 	}
-	m := h.getMSHR(done)
+	m := h.getMSHR(core, a, tx, done)
 	h.mshrs[core][a] = m
-
-	h.eng.After(h.cfg.L1Latency+h.cfg.L2Latency, func() {
-		h.l2Access(core, a, tx, m, func(data []byte) {
-			if !m.cancelled {
-				h.fillL1(core, a, data, false)
-			}
-			delete(h.mshrs[core], a)
-			h.mshrUsed[core]--
-			if h.inv.QueuesOn() {
-				h.inv.CheckQueue(h.mshrNames[core], h.mshrUsed[core], h.cfg.MSHRsPerCore)
-			}
-			for _, w := range m.waiters {
-				w(append([]byte(nil), data...))
-			}
-			if h.mshrQueue[core].Len() > 0 {
-				h.mshrQueue[core].Pop()()
-			}
-			// m is unreferenced from here: the map entry is gone and the
-			// waiters have run. Recycle it.
-			h.putMSHR(m)
-		})
-	})
+	h.eng.After(h.cfg.L1Latency+h.cfg.L2Latency, m.accessFn)
 }
 
-// l2Access resolves a line at the L2 level: hit (pulling a dirty copy from
-// another L1 if needed) or miss to the memory controller. m carries the
-// cancellation flag checked before installing the line.
-func (h *Hierarchy) l2Access(core int, a memdata.Addr, tx txtrace.Tx, m *mshr, done func(data []byte)) {
+// access resolves the miss at the L2 level: hit (pulling a dirty copy from
+// another L1 if needed) or miss to the memory controller.
+func (m *mshr) access() {
+	h, a := m.h, m.a
 	if cl := h.l2.lookup(a); cl != nil {
 		h.Stats.L2Hits++
 		h.l2.touch(cl)
-		if cl.owner >= 0 && int(cl.owner) != core {
+		if cl.owner >= 0 && int(cl.owner) != m.core {
 			// Another core's L1 holds the dirty copy: pull it into L2.
 			h.Stats.CrossCorePulls++
 			h.pullDirty(cl)
-			if tx != 0 {
+			if m.tx != 0 {
 				now := uint64(h.eng.Now())
-				h.tr.Complete(tx, txtrace.StageL2Hit, uint64(a), now, now+uint64(h.cfg.L1Latency), 0)
+				h.tr.Complete(m.tx, txtrace.StageL2Hit, uint64(a), now, now+uint64(h.cfg.L1Latency), 0)
 			}
-			h.eng.After(h.cfg.L1Latency, func() { done(append([]byte(nil), cl.data...)) })
+			m.pull = cl
+			h.eng.After(h.cfg.L1Latency, m.pulledFn)
 			return
 		}
-		if tx != 0 {
+		if m.tx != 0 {
 			now := uint64(h.eng.Now())
-			h.tr.Complete(tx, txtrace.StageL2Hit, uint64(a), now, now, 0)
+			h.tr.Complete(m.tx, txtrace.StageL2Hit, uint64(a), now, now, 0)
 		}
-		done(append([]byte(nil), cl.data...))
+		m.data = cl.data
+		m.fill()
 		return
 	}
 	h.Stats.L2Misses++
-	sp := h.tr.Begin(tx, txtrace.StageL2Miss, uint64(a), uint64(h.eng.Now()))
-	mc := h.route(a)
-	h.bus.Send(memdata.LineSize, sp, func() {
-		mc.ReadLine(a, sp, func(data []byte) {
-			h.bus.Send(memdata.LineSize, sp, func() {
-				if !m.cancelled {
-					h.fillL2(a, data, false)
-				}
-				h.tr.End(sp, uint64(h.eng.Now()))
-				done(data)
-			})
-		})
-	})
+	m.sp = h.tr.Begin(m.tx, txtrace.StageL2Miss, uint64(a), uint64(h.eng.Now()))
+	h.bus.Send(memdata.LineSize, m.sp, m.sendFn)
+}
+
+// pulled delivers the L2 line a cross-core pull refreshed, as it stands
+// when the pull's delay ends.
+func (m *mshr) pulled() {
+	m.data = m.pull.data
+	m.pull = nil
+	m.fill()
+}
+
+// send runs when the miss reaches the controller.
+func (m *mshr) send() { m.h.route(m.a).ReadLine(m.a, m.sp, m.recvFn) }
+
+// recv copies the controller's line and sends it back over the link.
+func (m *mshr) recv(data []byte) {
+	copy(m.data[:], data)
+	m.h.bus.Send(memdata.LineSize, m.sp, m.arriveFn)
+}
+
+// arrive installs the line from memory in the L2 and completes the miss.
+func (m *mshr) arrive() {
+	h := m.h
+	if !m.cancelled {
+		h.fillL2(m.a, m.data[:], false)
+	}
+	h.tr.End(m.sp, uint64(h.eng.Now()))
+	m.fill()
+}
+
+// fill installs the line in the L1, retires the MSHR, hands the line to
+// every waiter and starts the oldest deferred miss.
+func (m *mshr) fill() {
+	h, core, a := m.h, m.core, m.a
+	if !m.cancelled {
+		h.fillL1(core, a, m.data[:], false)
+	}
+	delete(h.mshrs[core], a)
+	h.mshrUsed[core]--
+	if h.inv.QueuesOn() {
+		h.inv.CheckQueue(h.mshrNames[core], h.mshrUsed[core], h.cfg.MSHRsPerCore)
+	}
+	for _, w := range m.waiters {
+		w(m.data[:])
+	}
+	if h.mshrQueue[core].Len() > 0 {
+		h.mshrQueue[core].Pop()()
+	}
+	// m is unreferenced from here: the map entry is gone and the waiters
+	// have returned. Recycle it.
+	h.putMSHR(m)
 }
 
 // pullDirty copies the owner L1's dirty data into the L2 line and marks the
@@ -397,7 +504,7 @@ func (h *Hierarchy) l2Access(core int, a memdata.Addr, tx txtrace.Tx, m *mshr, d
 func (h *Hierarchy) pullDirty(l2cl *cacheLine) {
 	ownerL1 := h.l1s[l2cl.owner]
 	if cl := ownerL1.lookup(l2cl.tag); cl != nil && cl.dirty {
-		copy(l2cl.data, cl.data)
+		l2cl.data = cl.data
 		cl.dirty = false
 	}
 	l2cl.dirty = true
@@ -420,7 +527,7 @@ func (h *Hierarchy) fillL1(core int, a memdata.Addr, data []byte, dirty bool) {
 		cl.valid = true
 		cl.dirty = false
 	}
-	copy(cl.data, data)
+	copy(cl.data[:], data)
 	if dirty {
 		cl.dirty = true
 	}
@@ -439,9 +546,9 @@ func (h *Hierarchy) evictL1(core int, cl *cacheLine) {
 	if cl.dirty {
 		if l2cl == nil {
 			// Inclusive L2 lost the line (should not happen): write through.
-			h.writebackToMemory(cl.tag, cl.data)
+			h.writebackToMemory(cl.tag, cl.data[:])
 		} else {
-			copy(l2cl.data, cl.data)
+			l2cl.data = cl.data
 			l2cl.dirty = true
 		}
 	}
@@ -467,7 +574,7 @@ func (h *Hierarchy) fillL2(a memdata.Addr, data []byte, dirty bool) {
 		cl.shared = 0
 		cl.owner = -1
 	}
-	copy(cl.data, data)
+	copy(cl.data[:], data)
 	if dirty {
 		cl.dirty = true
 	}
@@ -490,26 +597,103 @@ func (h *Hierarchy) evictL2(cl *cacheLine) {
 	}
 	if cl.dirty {
 		h.Stats.L2Writebacks++
-		h.writebackToMemory(cl.tag, cl.data)
+		h.writebackToMemory(cl.tag, cl.data[:])
 	}
 	cl.valid = false
+}
+
+// lineWrite is one full-line write on its way from the hierarchy to a
+// controller (write-back, CLWB, flush or non-temporal store). It holds its
+// own copy of the line, taken when the write leaves the cache; the
+// controller copies it again at entry, so the request is recycled as soon
+// as the controller call returns.
+type lineWrite struct {
+	h       *Hierarchy
+	a       memdata.Addr
+	tx      txtrace.Tx
+	done    func()
+	data    [memdata.LineSize]byte
+	sendFn  func()
+	writeFn func()
+}
+
+func (h *Hierarchy) newLineWrite(a memdata.Addr, tx txtrace.Tx, done func()) *lineWrite {
+	var w *lineWrite
+	if n := len(h.wrPool); n > 0 {
+		w = h.wrPool[n-1]
+		h.wrPool = h.wrPool[:n-1]
+	} else {
+		w = &lineWrite{h: h}
+		w.sendFn = w.send
+		w.writeFn = w.write
+	}
+	w.a, w.tx, w.done = a, tx, done
+	return w
+}
+
+// send puts the write on the cache-to-controller link.
+func (w *lineWrite) send() { w.h.bus.Send(memdata.LineSize, w.tx, w.writeFn) }
+
+// write hands the line to its controller through the hooked path (the
+// (MC)² engine observes every write the caches send).
+func (w *lineWrite) write() {
+	h, done := w.h, w.done
+	w.done = nil
+	h.route(w.a).WriteLine(w.a, w.data[:], w.tx, done)
+	h.wrPool = append(h.wrPool, w)
 }
 
 // writebackToMemory sends a full line to its controller through the hooked
 // path (the (MC)² engine observes all cache writebacks).
 func (h *Hierarchy) writebackToMemory(a memdata.Addr, data []byte) {
-	cp := append([]byte(nil), data...)
-	mc := h.route(a)
-	h.bus.Send(memdata.LineSize, 0, func() { mc.WriteLineOwned(a, cp, 0, func() {}) })
+	w := h.newLineWrite(a, 0, nop)
+	copy(w.data[:], data)
+	h.bus.Send(memdata.LineSize, 0, w.writeFn)
 }
 
 // ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
 
+// rfo is a store waiting for its read-for-ownership miss. data is the
+// caller's slice, read when the line arrives.
+type rfo struct {
+	h        *Hierarchy
+	core     int
+	a        memdata.Addr
+	off      uint64
+	data     []byte
+	sp       txtrace.Tx
+	done     func()
+	arriveFn func(lineData []byte)
+}
+
+// arrive applies the store to the line the miss brought in.
+func (r *rfo) arrive(lineData []byte) {
+	h, core, a := r.h, r.core, r.a
+	h.invalidateOtherSharers(core, a)
+	cl := h.l1s[core].lookup(a)
+	if cl == nil {
+		// Evicted between fill and store (tiny cache): refill.
+		h.fillL1(core, a, lineData, false)
+		cl = h.l1s[core].lookup(a)
+	}
+	copy(cl.data[r.off:], r.data)
+	cl.dirty = true
+	if l2cl := h.l2.lookup(a); l2cl != nil {
+		l2cl.owner = int8(core)
+	}
+	h.tr.EndFlags(r.sp, uint64(h.eng.Now()), txtrace.FlagWrite)
+	done := r.done
+	r.data, r.done = nil, nil
+	h.rfoPool = append(h.rfoPool, r)
+	done()
+}
+
 // Write stores data at byte offset off within the line at a for the given
 // core, acquiring the line exclusively first (RFO on a miss). done fires
-// when the store retires into the L1.
+// when the store retires into the L1. On a miss data is read when the line
+// arrives, so the caller must leave it unchanged until done fires.
 //
 // tx is the transaction-trace id (0 when untraced).
 func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx txtrace.Tx, done func()) {
@@ -537,23 +721,17 @@ func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx 
 	// Read-for-ownership: fetch the line, then apply the store.
 	h.Stats.L1Misses++
 	h.trainPrefetcher(core, a)
-	sp := h.tr.Begin(tx, txtrace.StageL1Miss, uint64(a), uint64(h.eng.Now()))
-	h.missToL2(core, a, sp, func(lineData []byte) {
-		h.invalidateOtherSharers(core, a)
-		cl := h.l1s[core].lookup(a)
-		if cl == nil {
-			// Evicted between fill and store (tiny cache): refill.
-			h.fillL1(core, a, lineData, false)
-			cl = h.l1s[core].lookup(a)
-		}
-		copy(cl.data[off:], data)
-		cl.dirty = true
-		if l2cl := h.l2.lookup(a); l2cl != nil {
-			l2cl.owner = int8(core)
-		}
-		h.tr.EndFlags(sp, uint64(h.eng.Now()), txtrace.FlagWrite)
-		done()
-	})
+	var r *rfo
+	if n := len(h.rfoPool); n > 0 {
+		r = h.rfoPool[n-1]
+		h.rfoPool = h.rfoPool[:n-1]
+	} else {
+		r = &rfo{h: h}
+		r.arriveFn = r.arrive
+	}
+	r.core, r.a, r.off, r.data, r.done = core, a, off, data, done
+	r.sp = h.tr.Begin(tx, txtrace.StageL1Miss, uint64(a), uint64(h.eng.Now()))
+	h.missToL2(core, a, r.sp, r.arriveFn)
 }
 
 func (h *Hierarchy) invalidateOtherSharers(core int, a memdata.Addr) {
@@ -580,7 +758,8 @@ func (h *Hierarchy) invalidateOtherSharers(core int, a memdata.Addr) {
 
 // WriteLineNT performs a non-temporal full-line store: caches are bypassed
 // (any cached copies are discarded — the line is fully overwritten) and the
-// write goes straight to the controller, avoiding the RFO memory read.
+// write goes straight to the controller, avoiding the RFO memory read. data
+// is copied at the call.
 //
 // tx is the transaction-trace id (0 when untraced).
 func (h *Hierarchy) WriteLineNT(core int, a memdata.Addr, data []byte, tx txtrace.Tx, done func()) {
@@ -590,22 +769,28 @@ func (h *Hierarchy) WriteLineNT(core int, a memdata.Addr, data []byte, tx txtrac
 	}
 	h.Stats.NTStores++
 	h.dropLine(a)
-	cp := append([]byte(nil), data...)
-	mc := h.route(a)
-	h.eng.After(h.cfg.L1Latency, func() {
-		h.bus.Send(memdata.LineSize, tx, func() { mc.WriteLineOwned(a, cp, tx, done) })
-	})
+	w := h.newLineWrite(a, tx, done)
+	copy(w.data[:], data)
+	h.eng.After(h.cfg.L1Latency, w.sendFn)
 }
 
+// pfFlight is one prefetch in flight to the L2.
 type pfFlight struct {
+	h         *Hierarchy
+	a         memdata.Addr
 	cancelled bool
+	data      [memdata.LineSize]byte
+
+	sendFn, arriveFn func()
+	recvFn           func(data []byte)
 }
 
 // cancelInflightFills marks every in-flight demand miss and prefetch of the
-// line stale so it will not be installed when its data returns.
+// line stale so it will not be installed when its data returns. A fill is
+// cancelled, and counted, once.
 func (h *Hierarchy) cancelInflightFills(a memdata.Addr) {
 	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if m, ok := h.mshrs[coreID][a]; ok {
+		if m, ok := h.mshrs[coreID][a]; ok && !m.cancelled {
 			m.cancelled = true
 			h.Stats.CancelledFills++
 		}
@@ -619,25 +804,46 @@ func (h *Hierarchy) cancelInflightFills(a memdata.Addr) {
 // dropLine removes the line from every cache without writing it back.
 func (h *Hierarchy) dropLine(a memdata.Addr) {
 	h.cancelInflightFills(a)
+	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
+		if l1cl := h.l1s[coreID].lookup(a); l1cl != nil {
+			l1cl.valid = false
+		}
+	}
 	if l2cl := h.l2.lookup(a); l2cl != nil {
-		for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-			if l1cl := h.l1s[coreID].lookup(a); l1cl != nil {
-				l1cl.valid = false
-			}
-		}
 		l2cl.valid = false
-	} else {
-		for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-			if l1cl := h.l1s[coreID].lookup(a); l1cl != nil {
-				l1cl.valid = false
-			}
-		}
 	}
 }
 
 // ---------------------------------------------------------------------------
 // CLWB / invalidate / flush
 // ---------------------------------------------------------------------------
+
+// takeDirty copies the freshest dirty copy of the line at a — a dirty L1
+// anywhere, else a dirty L2 — into a new line write for the caller to
+// send, and leaves a clean copy cached. It returns nil when the line is
+// clean or absent.
+func (h *Hierarchy) takeDirty(a memdata.Addr, tx txtrace.Tx, done func()) *lineWrite {
+	var w *lineWrite
+	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
+		if cl := h.l1s[coreID].lookup(a); cl != nil && cl.dirty {
+			w = h.newLineWrite(a, tx, done)
+			w.data = cl.data
+			cl.dirty = false
+			break
+		}
+	}
+	l2cl := h.l2.lookup(a)
+	if w == nil && l2cl != nil && l2cl.dirty {
+		w = h.newLineWrite(a, tx, done)
+		w.data = l2cl.data
+	}
+	if w != nil && l2cl != nil {
+		l2cl.data = w.data
+		l2cl.dirty = false
+		l2cl.owner = -1
+	}
+	return w
+}
 
 // CLWB writes the line back to memory if it is dirty anywhere in the
 // hierarchy, keeping a clean copy cached (Intel CLWB semantics). done fires
@@ -648,49 +854,29 @@ func (h *Hierarchy) dropLine(a memdata.Addr) {
 func (h *Hierarchy) CLWB(core int, a memdata.Addr, tx txtrace.Tx, done func()) {
 	checkLine(a)
 	h.Stats.CLWBs++
-	var data []byte
-	// Freshest copy: dirty L1 anywhere, else dirty L2.
-	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if cl := h.l1s[coreID].lookup(a); cl != nil && cl.dirty {
-			data = append([]byte(nil), cl.data...)
-			cl.dirty = false
-			break
-		}
-	}
-	l2cl := h.l2.lookup(a)
-	if data == nil && l2cl != nil && l2cl.dirty {
-		data = append([]byte(nil), l2cl.data...)
-	}
-	if data == nil {
+	w := h.takeDirty(a, tx, done)
+	if w == nil {
 		// Clean or absent: still costs the full L1 + L2 probe.
 		h.eng.After(h.cfg.L1Latency+h.cfg.L2Latency, done)
 		return
 	}
 	h.Stats.CLWBDirty++
-	if l2cl != nil {
-		copy(l2cl.data, data)
-		l2cl.dirty = false
-		l2cl.owner = -1
-	}
-	mc := h.route(a)
-	h.eng.After(h.cfg.L1Latency+h.cfg.L2Latency, func() {
-		h.bus.Send(memdata.LineSize, tx, func() { mc.WriteLineOwned(a, data, tx, done) })
-	})
+	h.eng.After(h.cfg.L1Latency+h.cfg.L2Latency, w.sendFn)
 }
 
 // InvalidateRange drops every cached line in r without writeback and
 // returns how many lines were found. MCLAZY uses this for destination
 // buffers: their contents are about to be redefined by the lazy copy.
 func (h *Hierarchy) InvalidateRange(r memdata.Range) int {
+	if r.Empty() {
+		return 0
+	}
 	found := 0
-	for _, l := range r.Lines() {
+	for l := memdata.LineAlign(r.Start); l < r.End(); l += memdata.LineSize {
 		// Fills racing this invalidation must not install stale data, even
 		// when the line is not cached yet (e.g. a prefetch in flight).
 		h.cancelInflightFills(l)
-		present := false
-		if h.l2.lookup(l) != nil {
-			present = true
-		}
+		present := h.l2.lookup(l) != nil
 		for coreID := 0; coreID < h.cfg.Cores && !present; coreID++ {
 			if h.l1s[coreID].lookup(l) != nil {
 				present = true
@@ -720,33 +906,17 @@ func (h *Hierarchy) FlushRange(r memdata.Range, tx txtrace.Tx, done func()) int 
 			done()
 		}
 	}
-	for _, l := range r.Lines() {
-		var data []byte
-		for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-			if cl := h.l1s[coreID].lookup(l); cl != nil && cl.dirty {
-				data = append([]byte(nil), cl.data...)
-				cl.dirty = false
-				break
+	if !r.Empty() {
+		for l := memdata.LineAlign(r.Start); l < r.End(); l += memdata.LineSize {
+			w := h.takeDirty(l, tx, complete)
+			if w == nil {
+				continue
 			}
+			dirty++
+			h.Stats.FlushedLines++
+			remaining++
+			h.bus.Send(memdata.LineSize, tx, w.writeFn)
 		}
-		l2cl := h.l2.lookup(l)
-		if data == nil && l2cl != nil && l2cl.dirty {
-			data = append([]byte(nil), l2cl.data...)
-		}
-		if data == nil {
-			continue
-		}
-		if l2cl != nil {
-			copy(l2cl.data, data)
-			l2cl.dirty = false
-			l2cl.owner = -1
-		}
-		dirty++
-		h.Stats.FlushedLines++
-		remaining++
-		mc := h.route(l)
-		lcopy := l
-		h.bus.Send(memdata.LineSize, tx, func() { mc.WriteLineOwned(lcopy, data, tx, complete) })
 	}
 	h.eng.After(h.cfg.L2Latency, complete)
 	return dirty
@@ -763,7 +933,9 @@ type stridePF struct {
 }
 
 // trainPrefetcher observes a demand miss and issues prefetches into the L2
-// once a stable stride is seen.
+// once a stable stride is seen. Targets outside physical memory (below
+// zero, or at or past the end of the controller's backing store) are
+// skipped.
 func (h *Hierarchy) trainPrefetcher(core int, a memdata.Addr) {
 	if !h.cfg.Prefetch.Enabled {
 		return
@@ -782,7 +954,7 @@ func (h *Hierarchy) trainPrefetcher(core int, a memdata.Addr) {
 	}
 	for i := 0; i < h.cfg.Prefetch.Degree; i++ {
 		target := int64(a) + pf.stride*int64(h.cfg.Prefetch.Distance+i)
-		if target < 0 {
+		if target < 0 || uint64(target) >= h.route(memdata.Addr(target)).MemSize() {
 			continue
 		}
 		h.issuePrefetch(memdata.Addr(target))
@@ -798,21 +970,37 @@ func (h *Hierarchy) issuePrefetch(a memdata.Addr) {
 		return
 	}
 	h.Stats.PrefetchesIssued++
-	f := &pfFlight{}
+	var f *pfFlight
+	if n := len(h.pfPool); n > 0 {
+		f = h.pfPool[n-1]
+		h.pfPool = h.pfPool[:n-1]
+	} else {
+		f = &pfFlight{h: h}
+		f.sendFn = f.send
+		f.recvFn = f.recv
+		f.arriveFn = f.arrive
+	}
+	f.a, f.cancelled = a, false
 	h.pfPending[a] = f
 	h.pfInflight++
-	mc := h.route(a)
-	h.bus.Send(memdata.LineSize, 0, func() {
-		mc.ReadLine(a, 0, func(data []byte) {
-			h.bus.Send(memdata.LineSize, 0, func() {
-				delete(h.pfPending, a)
-				h.pfInflight--
-				if !f.cancelled {
-					h.fillL2(a, data, false)
-				}
-			})
-		})
-	})
+	h.bus.Send(memdata.LineSize, 0, f.sendFn)
+}
+
+func (f *pfFlight) send() { f.h.route(f.a).ReadLine(f.a, 0, f.recvFn) }
+
+func (f *pfFlight) recv(data []byte) {
+	copy(f.data[:], data)
+	f.h.bus.Send(memdata.LineSize, 0, f.arriveFn)
+}
+
+func (f *pfFlight) arrive() {
+	h := f.h
+	delete(h.pfPending, f.a)
+	h.pfInflight--
+	if !f.cancelled {
+		h.fillL2(f.a, f.data[:], false)
+	}
+	h.pfPool = append(h.pfPool, f)
 }
 
 // ---------------------------------------------------------------------------
@@ -825,15 +1013,15 @@ func (h *Hierarchy) issuePrefetch(a memdata.Addr) {
 func (h *Hierarchy) Peek(a memdata.Addr) ([]byte, string) {
 	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
 		if cl := h.l1s[coreID].lookup(a); cl != nil && cl.dirty {
-			return append([]byte(nil), cl.data...), "l1"
+			return append([]byte(nil), cl.data[:]...), "l1"
 		}
 	}
 	if cl := h.l2.lookup(a); cl != nil {
-		return append([]byte(nil), cl.data...), "l2"
+		return append([]byte(nil), cl.data[:]...), "l2"
 	}
 	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
 		if cl := h.l1s[coreID].lookup(a); cl != nil {
-			return append([]byte(nil), cl.data...), "l1"
+			return append([]byte(nil), cl.data[:]...), "l1"
 		}
 	}
 	return nil, ""
@@ -843,12 +1031,10 @@ func (h *Hierarchy) Peek(a memdata.Addr) ([]byte, string) {
 // Test-only invariant check.
 func (h *Hierarchy) CheckInclusion() error {
 	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		for _, set := range h.l1s[coreID].lines {
-			for i := range set {
-				cl := &set[i]
-				if cl.valid && h.l2.lookup(cl.tag) == nil {
-					return fmt.Errorf("cache: L1[%d] line %#x not in L2", coreID, cl.tag)
-				}
+		for i := range h.l1s[coreID].lines {
+			cl := &h.l1s[coreID].lines[i]
+			if cl.valid && h.l2.lookup(cl.tag) == nil {
+				return fmt.Errorf("cache: L1[%d] line %#x not in L2", coreID, cl.tag)
 			}
 		}
 	}

@@ -36,7 +36,7 @@ func (r *rig) fill(seed int64) {
 // read synchronously reads a line in a fresh engine run.
 func (r *rig) read(core int, a memdata.Addr) []byte {
 	var out []byte
-	r.eng.After(0, func() { r.h.Read(core, a, 0, func(d []byte) { out = d }) })
+	r.eng.After(0, func() { r.h.Read(core, a, 0, func(d []byte) { out = append([]byte(nil), d...) }) })
 	r.eng.Drain()
 	return out
 }

@@ -164,7 +164,7 @@ func TestControllerDrainKeepsForwarding(t *testing.T) {
 	forwarded := r.readDoneAt(1, 0) // in flight: forwarded
 	var late []byte
 	r.eng.At(500, func() { // long after landing: from the array
-		r.mc.RawReadLine(0, 0, func(d []byte) { late = d })
+		r.mc.RawReadLine(0, 0, func(d []byte) { late = append([]byte(nil), d...) })
 	})
 	r.eng.Drain()
 

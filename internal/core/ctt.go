@@ -106,6 +106,10 @@ type CTT struct {
 	// maintained incrementally by register/remove/mutate and cross-checked
 	// against the index by CheckInvariants.
 	trackedBytes uint64
+	// Scratch for one call: RemoveDestRange's snapshot of the run it trims
+	// and collapse's pieces. Their capacity is reused across calls.
+	cover  []*Entry
+	pieces []piece
 
 	Stats CTTStats
 }
@@ -225,13 +229,21 @@ func (t *CTT) remove(e *Entry) {
 // entries are refreshed and its new geometry installed. Every mutation
 // either shrinks the destination (a trim) or grows it into a free range
 // adjacent to it (a merge), so the entry keeps its slot in the sorted
-// destination index.
+// destination index. Its source buckets change only when its source range
+// moves to other 2 MB segments.
 func (t *CTT) mutate(e *Entry, dst memdata.Range, src memdata.Addr) {
-	t.srcRemove(e)
+	oldLo, oldHi := segsOf(e.SrcRange())
+	newLo, newHi := segsOf(memdata.Range{Start: src, Size: dst.Size})
+	moved := oldLo != newLo || oldHi != newHi
+	if moved {
+		t.srcRemove(e)
+	}
 	t.trackedBytes += dst.Size - e.Dst.Size // unsigned wrap cancels out
 	e.Dst = dst
 	e.Src = src
-	t.srcAdd(e)
+	if moved {
+		t.srcAdd(e)
+	}
 }
 
 // DestCover returns the live entries whose destination range overlaps r,
@@ -246,6 +258,13 @@ func (t *CTT) DestCover(r memdata.Range) []*Entry {
 	return append([]*Entry(nil), t.dst[i:j]...)
 }
 
+// HasDestOverlap reports whether any live entry's destination overlaps r.
+// Unlike DestCover it allocates nothing on a hit.
+func (t *CTT) HasDestOverlap(r memdata.Range) bool {
+	i, j := t.destRun(r)
+	return i < j
+}
+
 // LookupDest returns the entry whose destination contains a, or nil.
 func (t *CTT) LookupDest(a memdata.Addr) *Entry {
 	if i := t.dstSearch(a); i < len(t.dst) && t.dst[i].Dst.Start <= a {
@@ -258,8 +277,13 @@ func (t *CTT) LookupDest(a memdata.Addr) *Entry {
 // in insertion order. Source ranges may overlap each other (one source,
 // many destinations).
 func (t *CTT) SrcOverlapping(r memdata.Range) []*Entry {
+	return t.appendSrcOverlapping(nil, r)
+}
+
+// appendSrcOverlapping appends SrcOverlapping(r) to out, which must be
+// empty, so a caller can reuse its capacity.
+func (t *CTT) appendSrcOverlapping(out []*Entry, r memdata.Range) []*Entry {
 	lo, hi := segsOf(r)
-	var out []*Entry
 	for s := lo; s <= hi; s++ {
 		for _, e := range t.srcSeg[s] {
 			// An entry whose source spans two segments sits in both
@@ -294,10 +318,14 @@ func (t *CTT) HasSrcOverlap(r memdata.Range) bool {
 // destination bytes that were tracked.
 func (t *CTT) RemoveDestRange(r memdata.Range) uint64 {
 	var trimmed uint64
-	for _, e := range t.DestCover(r) {
+	// Trimming edits the index, so walk a snapshot of the run.
+	i, j := t.destRun(r)
+	t.cover = append(t.cover[:0], t.dst[i:j]...)
+	for _, e := range t.cover {
 		trimmed += e.Dst.Intersect(r).Size
 		t.trimEntry(e, r)
 	}
+	clear(t.cover)
 	if trimmed > 0 {
 		t.Stats.Trims++
 		t.Stats.UntrackedBytes += trimmed
@@ -310,18 +338,20 @@ func (t *CTT) TrackedBytes() uint64 { return t.trackedBytes }
 
 // trimEntry removes the part of e's destination overlapped by r.
 func (t *CTT) trimEntry(e *Entry, r memdata.Range) {
-	rest := e.Dst.Subtract(r)
-	switch len(rest) {
-	case 0:
+	lo, hi := e.Dst.Minus(r)
+	switch {
+	case lo.Empty() && hi.Empty():
 		t.remove(e)
-	case 1:
-		t.mutate(e, rest[0], e.SrcFor(rest[0].Start))
-	case 2:
-		src0 := e.SrcFor(rest[0].Start)
-		src1 := e.SrcFor(rest[1].Start)
-		t.mutate(e, rest[0], src0)
+	case hi.Empty():
+		t.mutate(e, lo, e.SrcFor(lo.Start))
+	case lo.Empty():
+		t.mutate(e, hi, e.SrcFor(hi.Start))
+	default:
+		src0 := e.SrcFor(lo.Start)
+		src1 := e.SrcFor(hi.Start)
+		t.mutate(e, lo, src0)
 		t.nextID++
-		t.register(&Entry{ID: t.nextID, Dst: rest[1], Src: src1})
+		t.register(&Entry{ID: t.nextID, Dst: hi, Src: src1})
 	}
 }
 
@@ -336,11 +366,12 @@ type piece struct {
 // older entry's source, so a copy of a lazy copy never chains (§III-A1:
 // "A→B then B→C yields C←A"). Fragments whose source equals their
 // destination after redirection are dropped — memory already holds the
-// right bytes.
+// right bytes. The result is the table's scratch, valid until the next
+// collapse.
 func (t *CTT) collapse(dst memdata.Range, src memdata.Addr, record bool) []piece {
 	srcR := memdata.Range{Start: src, Size: dst.Size}
 	i, j := t.destRun(srcR)
-	var out []piece
+	out := t.pieces[:0]
 	cur := src
 	end := srcR.End()
 	emit := func(from, to memdata.Addr, redirect *Entry) {
@@ -372,6 +403,7 @@ func (t *CTT) collapse(dst memdata.Range, src memdata.Addr, record bool) []piece
 		cur = o.End()
 	}
 	emit(cur, end, nil)
+	t.pieces = out
 	return out
 }
 
@@ -425,10 +457,10 @@ func (t *CTT) Insert(dst memdata.Range, src memdata.Addr) bool {
 	delta := 0
 	i, j := t.destRun(dst)
 	for _, e := range t.dst[i:j] {
-		switch len(e.Dst.Subtract(dst)) {
-		case 0:
+		switch lo, hi := e.Dst.Minus(dst); {
+		case lo.Empty() && hi.Empty():
 			delta--
-		case 2:
+		case !lo.Empty() && !hi.Empty():
 			delta++
 		}
 	}

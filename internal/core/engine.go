@@ -110,8 +110,25 @@ type EngineStats struct {
 	MCFreedBytes      uint64 // untracked by an MCFREE hint
 }
 
+// heldWrite is a write to a tracked source line, from its arrival at the
+// controller until it leaves the BPQ for memory (states 3–6 of Fig 9).
+// data is the engine's own copy of the line, taken at entry; CPU writes
+// merge into it while it is held. Held writes come from the engine's pool
+// and their steps are method values bound when the write is first
+// allocated.
 type heldWrite struct {
-	data []byte
+	e         *Engine
+	mc        int
+	a         memdata.Addr
+	tx        txtrace.Tx
+	qsp, hsp  txtrace.Tx // bpq.wait and bpq.hold spans
+	release   func()
+	slotHeld  bool           // holds a CPU-visible BPQ slot
+	deps      []memdata.Addr // destination lines copied from this line
+	remaining int            // dependent copies still in flight
+	data      [memdata.LineSize]byte
+
+	acquiredFn, finishFn, depDoneFn func()
 }
 
 type bpq struct {
@@ -157,6 +174,18 @@ type Engine struct {
 	// write arrived meanwhile (Fig 9: "bounce requests for D are dropped").
 	destGen map[memdata.Addr]uint64
 
+	// Retired requests for reuse, and scratch space for the queries of
+	// one call. The machine is single-threaded, so plain slices suffice.
+	readPool     []*readReq
+	composePool  []*composeReq
+	heldPool     []*heldWrite
+	copyPool     []*lineCopy
+	freePool     []*freeJob
+	srcScratch   []*Entry
+	wakeScratch  []*pendingLazy
+	depSeen      map[memdata.Addr]bool
+	freeWorkerFn func() // freeWorker, bound once
+
 	Stats EngineStats
 }
 
@@ -173,7 +202,9 @@ func NewEngine(eng *sim.Engine, p Params, mcs []*memctrl.Controller, route func(
 		held:    make(map[memdata.Addr]*heldWrite),
 		freeing: make(map[uint64]bool),
 		destGen: make(map[memdata.Addr]uint64),
+		depSeen: make(map[memdata.Addr]bool),
 	}
+	e.freeWorkerFn = e.freeWorker
 	for i := range mcs {
 		mcs[i].SetHook(&mcHook{e: e, mc: i})
 	}
@@ -244,9 +275,53 @@ func lineRange(a memdata.Addr) memdata.Range {
 	return memdata.Range{Start: memdata.LineAlign(a), Size: memdata.LineSize}
 }
 
+// nop is the completion of writes nobody waits for.
+func nop() {}
+
 // ---------------------------------------------------------------------------
 // Read path (§III-B2: "Read from destination", "Read from source")
 // ---------------------------------------------------------------------------
+
+// readReq is a controller read the engine claimed: a forward from a held
+// write, or a bounce to the sources. The line is held in the request's own
+// buffer, which done borrows. Requests come from the engine's pool and
+// their steps are method values bound when the request is first allocated.
+type readReq struct {
+	e     *Engine
+	a     memdata.Addr
+	bsp   txtrace.Tx // the bounce span
+	gen   uint64     // destGen when the bounce composed its line
+	bound sim.Cycle  // cycle the delivered value was bound
+	done  func(data []byte)
+	data  [memdata.LineSize]byte
+
+	deliverFn, startFn, replyFn func()
+	composedFn                  func(data []byte)
+}
+
+func (e *Engine) newRead(a memdata.Addr, done func([]byte)) *readReq {
+	var r *readReq
+	if n := len(e.readPool); n > 0 {
+		r = e.readPool[n-1]
+		e.readPool = e.readPool[:n-1]
+	} else {
+		r = &readReq{e: e}
+		r.deliverFn = r.deliver
+		r.startFn = r.start
+		r.composedFn = r.composed
+		r.replyFn = r.reply
+	}
+	r.a, r.done, r.bsp = a, done, 0
+	return r
+}
+
+// deliver hands the line to the requester and recycles the request.
+func (r *readReq) deliver() {
+	done := r.done
+	r.done = nil
+	done(r.data[:])
+	r.e.readPool = append(r.e.readPool, r)
+}
 
 func (e *Engine) filterRead(mc int, a memdata.Addr, tx txtrace.Tx, done func([]byte)) bool {
 	if !memdata.IsLineAligned(a) {
@@ -259,45 +334,59 @@ func (e *Engine) filterRead(mc int, a memdata.Addr, tx txtrace.Tx, done func([]b
 			now := uint64(e.eng.Now())
 			e.tr.Complete(tx, txtrace.StageBPQForward, uint64(a), now, now+uint64(e.p.CTTLatency), 0)
 		}
-		data := append([]byte(nil), hw.data...)
-		e.inv.CheckRead(a, data, e.eng.Now())
-		e.eng.After(e.p.CTTLatency, func() { done(data) })
+		r := e.newRead(a, done)
+		r.data = hw.data
+		e.inv.CheckRead(a, r.data[:], e.eng.Now())
+		e.eng.After(e.p.CTTLatency, r.deliverFn)
 		return true
 	}
-	if len(e.ctt.DestCover(lineRange(a))) == 0 {
+	if !e.ctt.HasDestOverlap(lineRange(a)) {
 		return false // untracked, or read-from-source: proceed normally
 	}
 	// Read from destination: bounce to the source (Fig 7). The CTT lookup
 	// preempts the DRAM access, then the request crosses the interconnect.
 	e.Stats.Bounces++
-	bsp := txtrace.Tx(0)
+	r := e.newRead(a, done)
 	if tx != 0 {
 		now := uint64(e.eng.Now())
 		e.tr.Complete(tx, txtrace.StageCTTHit, uint64(a), now, now+uint64(e.p.CTTLatency), 0)
-		bsp = e.tr.Begin(tx, txtrace.StageBounce, uint64(a), now)
+		r.bsp = e.tr.Begin(tx, txtrace.StageBounce, uint64(a), now)
 	}
-	e.eng.After(e.p.CTTLatency+e.p.HopLatency, func() {
-		gen := e.destGen[a]
-		// The composed value is bound here: composeDestLine queries the CTT
-		// and snapshots every source at call time.
-		bound := e.eng.Now()
-		e.composeDestLine(a, bsp, func(data []byte) {
-			e.eng.After(e.p.HopLatency, func() {
-				e.tr.End(bsp, uint64(e.eng.Now()))
-				e.inv.CheckRead(a, data, bound)
-				done(data)
-			})
-			e.maybeWriteback(a, gen, bsp, data)
-		})
-	})
+	e.eng.After(e.p.CTTLatency+e.p.HopLatency, r.startFn)
 	return true
+}
+
+// start runs when the bounce reaches the source side.
+func (r *readReq) start() {
+	e := r.e
+	r.gen = e.destGen[r.a]
+	// The composed value is bound here: composeDestLine queries the CTT
+	// and snapshots every source at call time.
+	r.bound = e.eng.Now()
+	e.composeDestLine(r.a, r.bsp, r.composedFn)
+}
+
+// composed sends the reconstructed line back to the requester and, when
+// the WPQ allows, writes it back.
+func (r *readReq) composed(data []byte) {
+	e := r.e
+	copy(r.data[:], data)
+	e.eng.After(e.p.HopLatency, r.replyFn)
+	e.maybeWriteback(r.a, r.gen, r.bsp, r.data[:])
+}
+
+func (r *readReq) reply() {
+	e := r.e
+	e.tr.End(r.bsp, uint64(e.eng.Now()))
+	e.inv.CheckRead(r.a, r.data[:], r.bound)
+	r.deliver()
 }
 
 // maybeWriteback sends a reconstructed destination line to memory so that
 // future reads are serviced normally — unless the destination controller's
 // WPQ is too full (the paper's 75% rule, §III-B2). With WritebackRetries
 // set, a rejected writeback retries with bounded exponential backoff
-// instead of being dropped outright.
+// instead of being dropped outright. data is borrowed for the call.
 func (e *Engine) maybeWriteback(a memdata.Addr, gen uint64, tx txtrace.Tx, data []byte) {
 	if !e.p.WritebackOnBounce {
 		return
@@ -316,6 +405,7 @@ func (e *Engine) tryWriteback(a memdata.Addr, gen uint64, tx txtrace.Tx, data []
 		e.tr.Anomaly(txtrace.AnomalyWPQReject, e.route(a), uint64(a), uint64(e.eng.Now()))
 		if attempt < e.p.WritebackRetries {
 			e.Stats.WritebackRetries++
+			data := append([]byte(nil), data...) // the retry outlives the borrow
 			e.eng.After(e.p.WritebackBackoff<<attempt, func() {
 				if e.destGen[a] != gen {
 					e.Stats.DroppedInternal++ // a CPU write superseded the value
@@ -341,7 +431,7 @@ func (e *Engine) tryWriteback(a memdata.Addr, gen uint64, tx txtrace.Tx, data []
 	// The write goes through the full hooked path: it trims the CTT entry
 	// and, if this line is itself the source of another prospective copy,
 	// triggers the dependent lazy copies first.
-	done := func() {}
+	done := nop
 	if wsp := e.tr.Begin(tx, txtrace.StageBounceWriteback, uint64(a), uint64(e.eng.Now())); wsp != 0 {
 		done = func() { e.tr.EndFlags(wsp, uint64(e.eng.Now()), txtrace.FlagWrite) }
 	}
@@ -350,90 +440,168 @@ func (e *Engine) tryWriteback(a memdata.Addr, gen uint64, tx txtrace.Tx, data []
 
 // writeReconstructed lands a lazily reconstructed destination line unless
 // a CPU write to it arrived after the value was composed, in which case
-// the reconstruction is stale and dropped.
+// the reconstruction is stale and dropped. data is borrowed for the call.
 func (e *Engine) writeReconstructed(a memdata.Addr, gen uint64, tx txtrace.Tx, data []byte, done func()) {
 	if e.destGen[a] != gen {
 		e.Stats.DroppedInternal++
 		e.eng.After(0, done)
 		return
 	}
-	e.hookedWrite(a, data, tx, done, false)
+	e.hookedWrite(a, data, tx, done)
+}
+
+// composeReq reconstructs one destination line (composeDestLine). Its
+// segment and source-line lists keep their capacity across requests.
+type composeReq struct {
+	e         *Engine
+	a         memdata.Addr
+	covered   uint64 // destination bytes the segments cover
+	segs      []composeSeg
+	lines     []*srcLine // lines to read, in first-need order; [:nlines] live
+	nlines    int
+	remaining int
+	cb        func(data []byte)
+	out       [memdata.LineSize]byte
+}
+
+// composeSeg is the part of the line one CTT entry covers.
+type composeSeg struct {
+	part memdata.Range // destination bytes within the line
+	src  memdata.Addr  // source of part.Start
+}
+
+// srcLine is one line a compose reads, and its snapshot once read.
+type srcLine struct {
+	r      *composeReq
+	line   memdata.Addr
+	ssp    txtrace.Tx
+	data   [memdata.LineSize]byte
+	recvFn func(data []byte)
+}
+
+// need adds l to the lines to read unless it is there already.
+func (r *composeReq) need(l memdata.Addr) {
+	for _, sl := range r.lines[:r.nlines] {
+		if sl.line == l {
+			return
+		}
+	}
+	if r.nlines == len(r.lines) {
+		sl := &srcLine{r: r}
+		sl.recvFn = sl.recv
+		r.lines = append(r.lines, sl)
+	}
+	r.lines[r.nlines].line = l
+	r.nlines++
+}
+
+// snapshot returns the data read for line l.
+func (r *composeReq) snapshot(l memdata.Addr) *[memdata.LineSize]byte {
+	for _, sl := range r.lines[:r.nlines] {
+		if sl.line == l {
+			return &sl.data
+		}
+	}
+	panic(fmt.Sprintf("core: compose of %#x never read line %#x", r.a, l))
 }
 
 // composeDestLine reconstructs the 64-byte destination line at a: bytes
 // covered by CTT entries are fetched from their sources (snapshot at call
 // time), remaining bytes from memory. cb receives the completed line once
-// all fetches finish.
+// all fetches finish; the line is borrowed, valid only until cb returns.
 func (e *Engine) composeDestLine(a memdata.Addr, tx txtrace.Tx, cb func([]byte)) {
-	lr := lineRange(a)
-	type seg struct {
-		part memdata.Range // destination bytes within the line
-		src  memdata.Addr  // source of part.Start
+	var r *composeReq
+	if n := len(e.composePool); n > 0 {
+		r = e.composePool[n-1]
+		e.composePool = e.composePool[:n-1]
+	} else {
+		r = &composeReq{e: e}
 	}
-	var segs []seg
-	covered := uint64(0)
-	for _, ent := range e.ctt.DestCover(lr) {
+	r.a, r.cb, r.covered = a, cb, 0
+	r.segs, r.nlines = r.segs[:0], 0
+	lr := lineRange(a)
+	i, j := e.ctt.destRun(lr)
+	for _, ent := range e.ctt.dst[i:j] {
 		part := ent.Dst.Intersect(lr)
-		segs = append(segs, seg{part: part, src: ent.SrcFor(part.Start)})
-		covered += part.Size
+		r.segs = append(r.segs, composeSeg{part: part, src: ent.SrcFor(part.Start)})
+		r.covered += part.Size
 	}
 
 	// Determine every line we must read: the needed source lines, plus the
 	// destination line itself when entries don't cover it fully.
-	needs := map[memdata.Addr][]byte{}
-	var order []memdata.Addr
-	addNeed := func(l memdata.Addr) {
-		if _, ok := needs[l]; !ok {
-			needs[l] = nil
-			order = append(order, l)
+	for _, s := range r.segs {
+		for l := memdata.LineAlign(s.src); l < s.src+memdata.Addr(s.part.Size); l += memdata.LineSize {
+			r.need(l)
 		}
 	}
-	for _, s := range segs {
-		for _, l := range (memdata.Range{Start: s.src, Size: s.part.Size}).Lines() {
-			addNeed(l)
-		}
-	}
-	if covered < memdata.LineSize {
+	if r.covered < memdata.LineSize {
 		e.Stats.MemFills++
-		addNeed(a)
+		r.need(a)
 	}
 
-	remaining := len(order)
-	finish := func() {
-		out := make([]byte, memdata.LineSize)
-		if covered < memdata.LineSize {
-			copy(out, needs[a])
-		}
-		for _, s := range segs {
-			for i := uint64(0); i < s.part.Size; i++ {
-				sb := s.src + memdata.Addr(i)
-				out[s.part.Start-a+memdata.Addr(i)] = needs[memdata.LineAlign(sb)][memdata.LineOffset(sb)]
-			}
-		}
-		cb(out)
-	}
-	if remaining == 0 {
-		finish()
+	r.remaining = r.nlines
+	if r.remaining == 0 {
+		r.finish()
 		return
 	}
-	for _, l := range order {
-		l := l
+	for _, sl := range r.lines[:r.nlines] {
 		e.Stats.BounceSrcReads++
-		ssp := e.tr.Begin(tx, txtrace.StageBounceSrcRead, uint64(l), uint64(e.eng.Now()))
-		e.mcs[e.route(l)].RawReadLineSnapshot(l, ssp, func(d []byte) {
-			e.tr.End(ssp, uint64(e.eng.Now()))
-			needs[l] = d
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
-		})
+		sl.ssp = e.tr.Begin(tx, txtrace.StageBounceSrcRead, uint64(sl.line), uint64(e.eng.Now()))
+		e.mcs[e.route(sl.line)].RawReadLineSnapshot(sl.line, sl.ssp, sl.recvFn)
 	}
+}
+
+func (sl *srcLine) recv(d []byte) {
+	r := sl.r
+	r.e.tr.End(sl.ssp, uint64(r.e.eng.Now()))
+	copy(sl.data[:], d)
+	r.remaining--
+	if r.remaining == 0 {
+		r.finish()
+	}
+}
+
+// finish assembles the line from the snapshots and hands it to cb.
+func (r *composeReq) finish() {
+	clear(r.out[:])
+	if r.covered < memdata.LineSize {
+		r.out = *r.snapshot(r.a)
+	}
+	for _, s := range r.segs {
+		dst := r.out[s.part.Start-r.a : s.part.End()-r.a]
+		for sb := s.src; len(dst) > 0; {
+			k := copy(dst, r.snapshot(memdata.LineAlign(sb))[memdata.LineOffset(sb):])
+			dst = dst[k:]
+			sb += memdata.Addr(k)
+		}
+	}
+	cb := r.cb
+	r.cb = nil
+	cb(r.out[:])
+	r.e.composePool = append(r.e.composePool, r)
 }
 
 // ---------------------------------------------------------------------------
 // Write path (§III-B2: "Write to destination", "Write to source")
 // ---------------------------------------------------------------------------
+
+// newHeld takes a held write from the pool, copying the line in.
+func (e *Engine) newHeld(mc int, a memdata.Addr, data []byte, tx txtrace.Tx, release func()) *heldWrite {
+	var hw *heldWrite
+	if n := len(e.heldPool); n > 0 {
+		hw = e.heldPool[n-1]
+		e.heldPool = e.heldPool[:n-1]
+	} else {
+		hw = &heldWrite{e: e}
+		hw.acquiredFn = hw.acquired
+		hw.finishFn = hw.finish
+		hw.depDoneFn = hw.depDone
+	}
+	hw.mc, hw.a, hw.tx, hw.release = mc, a, tx, release
+	hw.qsp, hw.hsp, hw.slotHeld = 0, 0, false
+	copy(hw.data[:], data)
+	return hw
+}
 
 func (e *Engine) filterWrite(mc int, a memdata.Addr, data []byte, tx txtrace.Tx, release func()) bool {
 	if !memdata.IsLineAligned(a) {
@@ -448,8 +616,8 @@ func (e *Engine) filterWrite(mc int, a memdata.Addr, data []byte, tx txtrace.Tx,
 			now := uint64(e.eng.Now())
 			e.tr.Complete(tx, txtrace.StageBPQMerge, uint64(a), now, now+uint64(e.p.CTTLatency), txtrace.FlagWrite)
 		}
-		copy(hw.data, data)
-		e.inv.ObserveWrite(a, hw.data) // merged value is forwardable immediately
+		copy(hw.data[:], data)
+		e.inv.ObserveWrite(a, hw.data[:]) // merged value is forwardable immediately
 		e.eng.After(e.p.CTTLatency, release)
 		return true
 	}
@@ -460,20 +628,27 @@ func (e *Engine) filterWrite(mc int, a memdata.Addr, data []byte, tx txtrace.Tx,
 		e.wakePending()
 		return false
 	}
-	// Write to source: hold in the BPQ while the lazy copies execute.
-	qsp := e.tr.Begin(tx, txtrace.StageBPQWait, uint64(a), uint64(e.eng.Now()))
-	e.acquireBPQ(mc, a, func() {
-		e.tr.End(qsp, uint64(e.eng.Now()))
-		e.processSrcWrite(mc, a, data, tx, release, true)
-	})
+	// Write to source: hold in the BPQ while the lazy copies execute. The
+	// line is copied now; data is only borrowed for this call.
+	hw := e.newHeld(mc, a, data, tx, release)
+	hw.qsp = e.tr.Begin(tx, txtrace.StageBPQWait, uint64(a), uint64(e.eng.Now()))
+	e.acquireBPQ(mc, a, hw.acquiredFn)
 	return true
+}
+
+// acquired runs once a CPU write to a source line holds a BPQ slot.
+func (hw *heldWrite) acquired() {
+	e := hw.e
+	e.tr.End(hw.qsp, uint64(e.eng.Now()))
+	hw.slotHeld = true
+	e.processSrcWrite(hw)
 }
 
 // hookedWrite routes an engine-generated write through the same consistency
 // rules as a CPU write (trim destinations, cascade through sources), but
-// without consuming a CPU-visible BPQ slot when useBPQ is false — internal
-// cascades are the controller's own machinery.
-func (e *Engine) hookedWrite(a memdata.Addr, data []byte, tx txtrace.Tx, release func(), useBPQ bool) {
+// without consuming a CPU-visible BPQ slot — internal cascades are the
+// controller's own machinery. data is borrowed for the call.
+func (e *Engine) hookedWrite(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
 	if _, ok := e.held[a]; ok {
 		// A CPU write to this line is already held in a BPQ and is newer
 		// than this reconstructed value: drop the internal write (Fig 9
@@ -495,104 +670,137 @@ func (e *Engine) hookedWrite(a memdata.Addr, data []byte, tx txtrace.Tx, release
 		}
 		e.Stats.MaterializedBytes += e.ctt.RemoveDestRange(lineRange(a))
 		e.wakePending()
-		e.mcs[mc].RawWriteLineOwned(a, data, tx, release)
+		e.mcs[mc].RawWriteLine(a, data, tx, release)
 		return
 	}
-	if useBPQ {
-		e.acquireBPQ(mc, a, func() { e.processSrcWrite(mc, a, data, tx, release, true) })
-	} else {
-		e.processSrcWrite(mc, a, data, tx, release, false)
-	}
+	e.processSrcWrite(e.newHeld(mc, a, data, tx, release))
 }
 
 // processSrcWrite implements states 3–6 of Fig 9: the write to a tracked
 // source line is held; every destination line that prospectively copies
 // from it is reconstructed (from memory, not the held data) and written;
 // then the held write proceeds to memory.
-func (e *Engine) processSrcWrite(mc int, a memdata.Addr, data []byte, tx txtrace.Tx, release func(), slotHeld bool) {
+func (e *Engine) processSrcWrite(hw *heldWrite) {
 	e.Stats.BPQHolds++
-	hsp := e.tr.Begin(tx, txtrace.StageBPQHold, uint64(a), uint64(e.eng.Now()))
-	hw := &heldWrite{data: append([]byte(nil), data...)}
+	a := hw.a
+	hw.hsp = e.tr.Begin(hw.tx, txtrace.StageBPQHold, uint64(a), uint64(e.eng.Now()))
 	e.held[a] = hw
-	e.inv.ObserveWrite(a, hw.data) // held value is forwardable immediately
+	e.inv.ObserveWrite(a, hw.data[:]) // held value is forwardable immediately
 	// The BPQ is a posted buffer: the writer proceeds once the write is
 	// held (reads forward from the BPQ); the memory write lands after the
 	// dependent lazy copies complete.
-	e.eng.After(e.p.CTTLatency, release)
+	e.eng.After(e.p.CTTLatency, hw.release)
+	hw.release = nil
 
-	// Collect the destination lines depending on this source line.
+	// Collect the destination lines depending on this source line, in
+	// entry (ID) order.
 	lr := lineRange(a)
-	depLines := map[memdata.Addr]bool{}
-	var order []memdata.Addr
-	for _, ent := range e.ctt.SrcOverlapping(lr) {
+	hw.deps = hw.deps[:0]
+	e.srcScratch = e.ctt.appendSrcOverlapping(e.srcScratch[:0], lr)
+	for _, ent := range e.srcScratch {
 		ov := ent.SrcRange().Intersect(lr)
 		dst := memdata.Range{Start: ent.Dst.Start + (ov.Start - ent.Src), Size: ov.Size}
-		for _, dl := range dst.Lines() {
-			if !depLines[dl] {
-				depLines[dl] = true
-				order = append(order, dl)
+		for dl := memdata.LineAlign(dst.Start); dl < dst.End(); dl += memdata.LineSize {
+			if !e.depSeen[dl] {
+				e.depSeen[dl] = true
+				hw.deps = append(hw.deps, dl)
 			}
 		}
 	}
+	clear(e.depSeen)
+	clear(e.srcScratch)
 
-	remaining := len(order)
-	var finish func()
-	finish = func() {
-		// The paper's rule (Fig 9 state 4): the held write may only proceed
-		// once no entry references this source line. A reference can
-		// legitimately outlive our copies when the dependent destination
-		// line is itself held in another BPQ — its tracking is removed by
-		// that write's completion, so wait for it. Anything else is a bug.
-		if e.ctt.HasSrcOverlap(lr) {
-			for _, ent := range e.ctt.SrcOverlapping(lr) {
-				ov := ent.SrcRange().Intersect(lr)
-				dst := memdata.Range{Start: ent.Dst.Start + (ov.Start - ent.Src), Size: ov.Size}
-				for _, dl := range dst.Lines() {
-					if _, held := e.held[dl]; !held {
-						panic(fmt.Sprintf("core: source %#x still referenced by entry %d after BPQ processing", a, ent.ID))
-					}
-				}
-			}
-			e.heldWaiters = append(e.heldWaiters, finish)
-			return
-		}
-		// The held line may itself have been a tracked destination.
-		e.Stats.OverwrittenBytes += e.ctt.RemoveDestRange(lr)
-		delete(e.held, a)
-		e.tr.EndFlags(hsp, uint64(e.eng.Now()), txtrace.FlagWrite)
-		// Unheld but not yet WPQ-accepted: reads in this window fetch stale
-		// memory, so mark it for the shadow oracle.
-		wdone := func() {}
-		if e.inv.ShadowOn() {
-			e.inv.BeginInternalWrite(a)
-			wdone = func() { e.inv.EndInternalWrite(a) }
-		}
-		e.mcs[mc].RawWriteLineOwned(a, hw.data, hsp, wdone)
-		if slotHeld {
-			e.releaseBPQ(mc)
-		}
-		e.runHeldWaiters()
-		e.wakePending()
-	}
-	if remaining == 0 {
-		finish()
+	hw.remaining = len(hw.deps)
+	if hw.remaining == 0 {
+		hw.finish()
 		return
 	}
-	for _, dl := range order {
-		dl := dl
+	for _, dl := range hw.deps {
 		e.Stats.BPQCopies++
-		gen := e.destGen[dl]
-		e.composeDestLine(dl, hsp, func(lineData []byte) {
-			// Writing the reconstructed line trims its CTT entries and
-			// cascades if the line is a source elsewhere.
-			e.writeReconstructed(dl, gen, hsp, lineData, func() {
-				remaining--
-				if remaining == 0 {
-					finish()
-				}
-			})
-		})
+		e.copyLine(hw, dl)
 	}
+}
+
+func (hw *heldWrite) depDone() {
+	hw.remaining--
+	if hw.remaining == 0 {
+		hw.finish()
+	}
+}
+
+// finish lets the held write proceed to memory once no entry references
+// its line any more.
+func (hw *heldWrite) finish() {
+	e, a := hw.e, hw.a
+	lr := lineRange(a)
+	// The paper's rule (Fig 9 state 4): the held write may only proceed
+	// once no entry references this source line. A reference can
+	// legitimately outlive our copies when the dependent destination
+	// line is itself held in another BPQ — its tracking is removed by
+	// that write's completion, so wait for it. Anything else is a bug.
+	if e.ctt.HasSrcOverlap(lr) {
+		for _, ent := range e.ctt.SrcOverlapping(lr) {
+			ov := ent.SrcRange().Intersect(lr)
+			dst := memdata.Range{Start: ent.Dst.Start + (ov.Start - ent.Src), Size: ov.Size}
+			for _, dl := range dst.Lines() {
+				if _, held := e.held[dl]; !held {
+					panic(fmt.Sprintf("core: source %#x still referenced by entry %d after BPQ processing", a, ent.ID))
+				}
+			}
+		}
+		e.heldWaiters = append(e.heldWaiters, hw.finishFn)
+		return
+	}
+	// The held line may itself have been a tracked destination.
+	e.Stats.OverwrittenBytes += e.ctt.RemoveDestRange(lr)
+	delete(e.held, a)
+	e.tr.EndFlags(hw.hsp, uint64(e.eng.Now()), txtrace.FlagWrite)
+	// Unheld but not yet WPQ-accepted: reads in this window fetch stale
+	// memory, so mark it for the shadow oracle.
+	wdone := nop
+	if e.inv.ShadowOn() {
+		e.inv.BeginInternalWrite(a)
+		wdone = func() { e.inv.EndInternalWrite(a) }
+	}
+	e.mcs[hw.mc].RawWriteLine(a, hw.data[:], hw.hsp, wdone)
+	if hw.slotHeld {
+		e.releaseBPQ(hw.mc)
+	}
+	e.runHeldWaiters()
+	e.wakePending()
+	e.heldPool = append(e.heldPool, hw)
+}
+
+// lineCopy reconstructs one destination line that depends on a held
+// source write and writes it through the hooked path.
+type lineCopy struct {
+	e          *Engine
+	hw         *heldWrite
+	dl         memdata.Addr
+	gen        uint64
+	composedFn func(data []byte)
+}
+
+func (e *Engine) copyLine(hw *heldWrite, dl memdata.Addr) {
+	var lc *lineCopy
+	if n := len(e.copyPool); n > 0 {
+		lc = e.copyPool[n-1]
+		e.copyPool = e.copyPool[:n-1]
+	} else {
+		lc = &lineCopy{e: e}
+		lc.composedFn = lc.composed
+	}
+	lc.hw, lc.dl, lc.gen = hw, dl, e.destGen[dl]
+	e.composeDestLine(dl, hw.hsp, lc.composedFn)
+}
+
+func (lc *lineCopy) composed(data []byte) {
+	e, hw, dl, gen := lc.e, lc.hw, lc.dl, lc.gen
+	lc.hw = nil
+	e.copyPool = append(e.copyPool, lc)
+	// Writing the reconstructed line trims its CTT entries and cascades
+	// if the line is a source elsewhere.
+	e.writeReconstructed(dl, gen, hw.hsp, data, hw.depDoneFn)
 }
 
 // runHeldWaiters retries BPQ finishes that were waiting for other held
@@ -736,8 +944,8 @@ func (e *Engine) lazyConflicts(pl *pendingLazy) bool {
 	if len(e.held) == 0 {
 		return false
 	}
-	for _, sr := range e.ctt.PreviewSources(pl.dst, pl.src) {
-		if e.conflictsWithHeld(sr) {
+	for _, p := range e.ctt.collapse(pl.dst, pl.src, false) {
+		if e.conflictsWithHeld(memdata.Range{Start: p.src, Size: p.dst.Size}) {
 			return true
 		}
 	}
@@ -765,10 +973,15 @@ func (e *Engine) wakePending() {
 	if len(e.pending) == 0 {
 		return
 	}
-	queued := append([]*pendingLazy(nil), e.pending...)
+	// Retries may wake pending operations again: a nested call finds the
+	// scratch taken and allocates its own.
+	queued := append(e.wakeScratch[:0], e.pending...)
+	e.wakeScratch = nil
 	for _, pl := range queued {
 		e.tryLazy(pl)
 	}
+	clear(queued)
+	e.wakeScratch = queued[:0]
 }
 
 // MCFree hints that the buffer r is dead: tracking for every fully
@@ -796,7 +1009,7 @@ func (e *Engine) MCFree(r memdata.Range, tx txtrace.Tx, done func()) {
 				if checked >= maxFreeChecks {
 					break
 				}
-				if len(e.ctt.DestCover(lineRange(l))) == 0 {
+				if !e.ctt.HasDestOverlap(lineRange(l)) {
 					continue
 				}
 				checked++
@@ -826,7 +1039,7 @@ const maxFreeChecks = 64
 // the same precedence as the event-driven read path.
 func (e *Engine) peekVisibleLine(a memdata.Addr) []byte {
 	if hw, ok := e.held[a]; ok {
-		return append([]byte(nil), hw.data...)
+		return append([]byte(nil), hw.data[:]...)
 	}
 	lr := lineRange(a)
 	out := make([]byte, memdata.LineSize)
@@ -892,38 +1105,7 @@ func (e *Engine) freeWorker() {
 		e.inv.CheckRefcount("core.free_workers", e.freeWorkers)
 		return
 	}
-	e.freeing[ent.ID] = true
-	e.Stats.Frees++
-	e.Stats.FreedBytes += ent.Dst.Size
-	fsp := e.tr.BeginRoot(txtrace.StageFree, txtrace.TrackEngine, uint64(ent.Dst.Start), uint64(e.eng.Now()))
-	// The entry may shrink or vanish while we work (writes, bounces), so
-	// walk the lines of its destination as it was when claimed.
-	end := ent.Dst.End()
-	var step func(dl memdata.Addr)
-	step = func(dl memdata.Addr) {
-		for dl < end && e.ctt.LookupDest(dl) == nil {
-			dl += memdata.LineSize
-		}
-		if dl >= end {
-			delete(e.freeing, ent.ID)
-			e.tr.End(fsp, uint64(e.eng.Now()))
-			e.eng.After(0, e.freeWorker)
-			return
-		}
-		// Background freeing yields to demand traffic: back off while the
-		// destination controller's write queue is busy.
-		if e.mcs[e.route(dl)].WPQOccupancy() >= 0.5 {
-			e.eng.After(e.p.FreePacing, func() { step(dl) })
-			return
-		}
-		gen := e.destGen[dl]
-		e.composeDestLine(dl, fsp, func(data []byte) {
-			e.writeReconstructed(dl, gen, fsp, data, func() {
-				e.eng.After(e.p.FreePacing, func() { step(dl + memdata.LineSize) })
-			})
-		})
-	}
-	step(memdata.LineAlign(ent.Dst.Start))
+	e.startFree(ent, false)
 }
 
 // materializeEntry eagerly performs one CTT entry's copy and thereby
@@ -936,29 +1118,89 @@ func (e *Engine) materializeEntry(ent *Entry) {
 	if ent == nil || e.freeing[ent.ID] {
 		return
 	}
+	e.startFree(ent, true)
+}
+
+// freeJob copies one claimed CTT entry out line by line: the current
+// entry of an async free worker, or an urgent materialization.
+type freeJob struct {
+	e       *Engine
+	ent     *Entry
+	urgent  bool // materialization: no pacing, and the job is its own worker
+	dl, end memdata.Addr
+	fsp     txtrace.Tx
+	gen     uint64
+
+	stepFn, writtenFn func()
+	composedFn        func(data []byte)
+}
+
+func (e *Engine) startFree(ent *Entry, urgent bool) {
 	e.freeing[ent.ID] = true
-	e.freeWorkers++
+	if urgent {
+		e.freeWorkers++
+	}
 	e.Stats.Frees++
 	e.Stats.FreedBytes += ent.Dst.Size
-	fsp := e.tr.BeginRoot(txtrace.StageFree, txtrace.TrackEngine, uint64(ent.Dst.Start), uint64(e.eng.Now()))
-	end := ent.Dst.End()
-	var step func(dl memdata.Addr)
-	step = func(dl memdata.Addr) {
-		for dl < end && e.ctt.LookupDest(dl) == nil {
-			dl += memdata.LineSize
-		}
-		if dl >= end {
-			delete(e.freeing, ent.ID)
-			e.tr.End(fsp, uint64(e.eng.Now()))
+	var j *freeJob
+	if n := len(e.freePool); n > 0 {
+		j = e.freePool[n-1]
+		e.freePool = e.freePool[:n-1]
+	} else {
+		j = &freeJob{e: e}
+		j.stepFn = j.step
+		j.composedFn = j.composed
+		j.writtenFn = j.written
+	}
+	j.ent, j.urgent = ent, urgent
+	j.fsp = e.tr.BeginRoot(txtrace.StageFree, txtrace.TrackEngine, uint64(ent.Dst.Start), uint64(e.eng.Now()))
+	// The entry may shrink or vanish while we work (writes, bounces), so
+	// walk the lines of its destination as it was when claimed.
+	j.end = ent.Dst.End()
+	j.dl = memdata.LineAlign(ent.Dst.Start)
+	j.step()
+}
+
+// step copies the next still-tracked line, or ends the job.
+func (j *freeJob) step() {
+	e := j.e
+	for j.dl < j.end && e.ctt.LookupDest(j.dl) == nil {
+		j.dl += memdata.LineSize
+	}
+	if j.dl >= j.end {
+		delete(e.freeing, j.ent.ID)
+		e.tr.End(j.fsp, uint64(e.eng.Now()))
+		urgent := j.urgent
+		j.ent = nil
+		e.freePool = append(e.freePool, j)
+		if urgent {
 			e.freeWorkers--
 			e.inv.CheckRefcount("core.free_workers", e.freeWorkers)
 			e.wakePending()
-			return
+		} else {
+			e.eng.After(0, e.freeWorkerFn)
 		}
-		gen := e.destGen[dl]
-		e.composeDestLine(dl, fsp, func(data []byte) {
-			e.writeReconstructed(dl, gen, fsp, data, func() { step(dl + memdata.LineSize) })
-		})
+		return
 	}
-	step(memdata.LineAlign(ent.Dst.Start))
+	// Background freeing yields to demand traffic: back off while the
+	// destination controller's write queue is busy.
+	if !j.urgent && e.mcs[e.route(j.dl)].WPQOccupancy() >= 0.5 {
+		e.eng.After(e.p.FreePacing, j.stepFn)
+		return
+	}
+	j.gen = e.destGen[j.dl]
+	e.composeDestLine(j.dl, j.fsp, j.composedFn)
+}
+
+func (j *freeJob) composed(data []byte) {
+	j.e.writeReconstructed(j.dl, j.gen, j.fsp, data, j.writtenFn)
+}
+
+func (j *freeJob) written() {
+	j.dl += memdata.LineSize
+	if j.urgent {
+		j.step()
+		return
+	}
+	j.e.eng.After(j.e.p.FreePacing, j.stepFn)
 }

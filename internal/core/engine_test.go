@@ -114,7 +114,7 @@ func (r *rig) read(a memdata.Addr) []byte {
 	sp := r.tr.BeginRoot(txtrace.StageCPULoad, 0, uint64(a), uint64(r.eng.Now()))
 	r.mc(a).ReadLine(a, sp, func(d []byte) {
 		r.tr.End(sp, uint64(r.eng.Now()))
-		out = d
+		out = append([]byte(nil), d...)
 		done = true
 		if !r.proc.Finished() {
 			r.proc.Resume()

@@ -77,16 +77,30 @@ type Core struct {
 	p    *sim.Proc
 	tr   *txtrace.Tracer
 
-	inflight    int
-	windowWait  bool
-	fenceWait   bool
-	resumeToken *bool // non-nil while blocked on a dependent completion
+	inflight   int
+	windowWait bool
+	fenceWait  bool
+
+	// The dependent load in progress. Load blocks its process until the
+	// line arrives, so a core has at most one.
+	loadOut     []byte
+	loadSpan    lineSpan
+	loadSp      txtrace.Tx
+	loadDone    bool
+	loadWaiting bool // suspended in Load, not yet resumed by the completion
+
+	// Completions bound once, in New.
+	loadedFn, asyncLoadedFn func(data []byte)
+
+	// Retired posted operations and copy elements for reuse.
+	opPool   []*op
+	elemPool []*copyElem
 
 	// Writeback FIFO tracking: MCLAZY packets are ordered behind all CLWBs
 	// issued before them (§III-B1's "the caches' FIFO write buffer ensures
 	// that the writebacks reach the MC before the MCLAZY packet").
 	wbSeq      uint64
-	wbInFlight map[uint64]struct{}
+	wbInFlight int // CLWBs issued and not yet accepted
 	wbBarriers []*wbBarrier
 
 	// pendingStores counts in-flight stores per cacheline; a CLWB to a
@@ -97,19 +111,24 @@ type Core struct {
 	Stats Stats
 }
 
+// wbBarrier holds an MCLAZY packet back until the CLWBs issued before it
+// have been accepted.
 type wbBarrier struct {
-	waiting map[uint64]struct{}
+	upTo    uint64 // the last CLWB sequence number issued before the barrier
+	pending int    // CLWBs numbered up to upTo still in flight
 	fire    func()
 }
 
 // New creates a core. Bind attaches the workload process before use.
 func New(id int, cfg Config, hier *cache.Hierarchy, lazy LazyIssuer) *Core {
-	return &Core{
+	c := &Core{
 		ID: id, cfg: cfg, hier: hier, lazy: lazy,
-		wbInFlight:    map[uint64]struct{}{},
 		pendingStores: map[memdata.Addr]int{},
 		storeWaiters:  map[memdata.Addr][]func(){},
 	}
+	c.loadedFn = c.loaded
+	c.asyncLoadedFn = c.asyncLoaded
+	return c
 }
 
 // Bind attaches the workload process that will drive this core.
@@ -159,25 +178,29 @@ func (c *Core) complete() {
 	}
 }
 
-// lineSpans decomposes [a, a+n) into per-line (lineAddr, offset, length).
+// lineSpan is the part of one cacheline that a byte range touches.
 type lineSpan struct {
 	line memdata.Addr
 	off  uint64
 	n    uint64
 }
 
+// firstSpan returns the span of [a, a+n) within a's cacheline (n > 0).
+// Walking a range is firstSpan, then advancing a and n by the span's n.
+func firstSpan(a memdata.Addr, n uint64) lineSpan {
+	off := memdata.LineOffset(a)
+	return lineSpan{line: memdata.LineAlign(a), off: off, n: min(n, memdata.LineSize-off)}
+}
+
+// lineSpans decomposes [a, a+n) into its per-line spans. The hot paths walk
+// a range with firstSpan instead, building no slice.
 func lineSpans(a memdata.Addr, n uint64) []lineSpan {
 	var out []lineSpan
 	for n > 0 {
-		line := memdata.LineAlign(a)
-		off := memdata.LineOffset(a)
-		take := memdata.LineSize - off
-		if take > n {
-			take = n
-		}
-		out = append(out, lineSpan{line: line, off: off, n: take})
-		a += memdata.Addr(take)
-		n -= take
+		s := firstSpan(a, n)
+		out = append(out, s)
+		a += memdata.Addr(s.n)
+		n -= s.n
 	}
 	return out
 }
@@ -189,69 +212,123 @@ func (c *Core) Load(a memdata.Addr, n uint64) []byte {
 	if n == 0 {
 		return nil
 	}
-	out := make([]byte, 0, n)
-	for _, s := range lineSpans(a, n) {
+	c.loadOut = make([]byte, 0, n)
+	for n > 0 {
+		s := firstSpan(a, n)
 		c.issue()
 		c.Stats.Loads++
-		sp := c.tr.BeginRoot(txtrace.StageCPULoad, int32(c.ID), uint64(s.line), uint64(c.p.Now()))
+		c.loadSpan = s
+		c.loadSp = c.tr.BeginRoot(txtrace.StageCPULoad, int32(c.ID), uint64(s.line), uint64(c.p.Now()))
 		start := c.p.Now()
-		var data []byte
-		done := false
-		c.hier.Read(c.ID, s.line, sp, func(d []byte) {
-			c.tr.End(sp, uint64(c.p.Now()))
-			data = d
-			done = true
-			c.complete()
-			if c.resumeToken != nil && !*c.resumeToken {
-				*c.resumeToken = true
-				c.p.Resume()
-			}
-		})
-		for !done {
-			tok := false
-			c.resumeToken = &tok
+		c.loadDone = false
+		c.hier.Read(c.ID, s.line, c.loadSp, c.loadedFn)
+		for !c.loadDone {
+			c.loadWaiting = true
 			c.p.Suspend()
-			c.resumeToken = nil
+			c.loadWaiting = false
 		}
 		c.Stats.DepStall += uint64(c.p.Now() - start)
-		out = append(out, data[s.off:s.off+s.n]...)
+		a += memdata.Addr(s.n)
+		n -= s.n
 	}
+	out := c.loadOut
+	c.loadOut = nil
 	return out
+}
+
+// loaded completes the dependent load in progress, copying its span out
+// of the borrowed line.
+func (c *Core) loaded(d []byte) {
+	c.tr.End(c.loadSp, uint64(c.p.Now()))
+	s := c.loadSpan
+	c.loadOut = append(c.loadOut, d[s.off:s.off+s.n]...)
+	c.loadDone = true
+	c.complete()
+	if c.loadWaiting {
+		c.loadWaiting = false
+		c.p.Resume()
+	}
 }
 
 // LoadAsync issues an independent load of n bytes: the window slot is held
 // until the data returns, but the core does not wait for it. Use for
 // streaming reads whose values feed no further address computation.
 func (c *Core) LoadAsync(a memdata.Addr, n uint64) {
-	for _, s := range lineSpans(a, n) {
+	for n > 0 {
+		s := firstSpan(a, n)
 		c.issue()
 		c.Stats.Loads++
-		line := s.line
-		sp := c.tr.BeginRoot(txtrace.StageCPULoad, int32(c.ID), uint64(line), uint64(c.p.Now()))
-		c.hier.Read(c.ID, line, sp, func([]byte) {
-			c.tr.End(sp, uint64(c.p.Now()))
-			c.complete()
-		})
+		sp := c.tr.BeginRoot(txtrace.StageCPULoad, int32(c.ID), uint64(s.line), uint64(c.p.Now()))
+		done := c.asyncLoadedFn
+		if sp != 0 {
+			done = func([]byte) {
+				c.tr.End(sp, uint64(c.p.Now()))
+				c.complete()
+			}
+		}
+		c.hier.Read(c.ID, s.line, sp, done)
+		a += memdata.Addr(s.n)
+		n -= s.n
 	}
 }
 
+func (c *Core) asyncLoaded([]byte) { c.complete() }
+
+// op is one posted store, non-temporal store or CLWB of the core, from
+// issue until its completion. Ops come from a per-core pool and their
+// steps are method values bound when the op is first allocated.
+type op struct {
+	c    *Core
+	line memdata.Addr
+	sp   txtrace.Tx
+	id   uint64 // CLWB sequence number
+
+	storedFn, ntStoredFn, clwbFireFn, clwbDoneFn func()
+}
+
+func (c *Core) newOp(line memdata.Addr) *op {
+	var o *op
+	if n := len(c.opPool); n > 0 {
+		o = c.opPool[n-1]
+		c.opPool = c.opPool[:n-1]
+	} else {
+		o = &op{c: c}
+		o.storedFn = o.stored
+		o.ntStoredFn = o.ntStored
+		o.clwbFireFn = o.clwbFire
+		o.clwbDoneFn = o.clwbDone
+	}
+	o.line = line
+	return o
+}
+
+func (c *Core) putOp(o *op) { c.opPool = append(c.opPool, o) }
+
 // Store writes data at a (posted: the slot is held until the line is owned
-// in the L1, but the core proceeds).
+// in the L1, but the core proceeds). data is read until then, so the
+// caller must leave it unchanged.
 func (c *Core) Store(a memdata.Addr, data []byte) {
-	for _, s := range lineSpans(a, uint64(len(data))) {
+	for len(data) > 0 {
+		s := firstSpan(a, uint64(len(data)))
 		c.issue()
 		c.Stats.Stores++
 		chunk := data[:s.n]
 		data = data[s.n:]
-		line := s.line
-		c.pendingStores[line]++
-		sp := c.tr.BeginRoot(txtrace.StageCPUStore, int32(c.ID), uint64(line), uint64(c.p.Now()))
-		c.hier.Write(c.ID, line, s.off, chunk, sp, func() {
-			c.tr.EndFlags(sp, uint64(c.p.Now()), txtrace.FlagWrite)
-			c.storeRetired(line)
-			c.complete()
-		})
+		a += memdata.Addr(s.n)
+		c.pendingStores[s.line]++
+		o := c.newOp(s.line)
+		o.sp = c.tr.BeginRoot(txtrace.StageCPUStore, int32(c.ID), uint64(s.line), uint64(c.p.Now()))
+		c.hier.Write(c.ID, s.line, s.off, chunk, o.sp, o.storedFn)
 	}
+}
+
+func (o *op) stored() {
+	c := o.c
+	c.tr.EndFlags(o.sp, uint64(c.p.Now()), txtrace.FlagWrite)
+	line := o.line
+	c.putOp(o)
+	c.storeRetired(line)
+	c.complete()
 }
 
 // storeRetired releases CLWBs waiting on same-line stores.
@@ -278,14 +355,18 @@ func (c *Core) StoreNT(a memdata.Addr, data []byte) {
 	for i := 0; i < len(data); i += memdata.LineSize {
 		c.issue()
 		c.Stats.NTStores++
-		line := a + memdata.Addr(i)
-		chunk := append([]byte(nil), data[i:i+memdata.LineSize]...)
-		sp := c.tr.BeginRoot(txtrace.StageCPUNTStore, int32(c.ID), uint64(line), uint64(c.p.Now()))
-		c.hier.WriteLineNT(c.ID, line, chunk, sp, func() {
-			c.tr.EndFlags(sp, uint64(c.p.Now()), txtrace.FlagWrite)
-			c.complete()
-		})
+		o := c.newOp(a + memdata.Addr(i))
+		o.sp = c.tr.BeginRoot(txtrace.StageCPUNTStore, int32(c.ID), uint64(o.line), uint64(c.p.Now()))
+		// WriteLineNT copies the line at the call.
+		c.hier.WriteLineNT(c.ID, o.line, data[i:i+memdata.LineSize], o.sp, o.ntStoredFn)
 	}
+}
+
+func (o *op) ntStored() {
+	c := o.c
+	c.tr.EndFlags(o.sp, uint64(c.p.Now()), txtrace.FlagWrite)
+	c.putOp(o)
+	c.complete()
 }
 
 // CLWB writes the line containing a back to memory if dirty, keeping it
@@ -294,34 +375,41 @@ func (c *Core) CLWB(a memdata.Addr) {
 	c.issue()
 	c.Stats.CLWBs++
 	c.wbSeq++
-	id := c.wbSeq
-	c.wbInFlight[id] = struct{}{}
-	line := memdata.LineAlign(a)
-	sp := c.tr.BeginRoot(txtrace.StageCPUCLWB, int32(c.ID), uint64(line), uint64(c.p.Now()))
-	fire := func() {
-		c.hier.CLWB(c.ID, line, sp, func() {
-			c.tr.End(sp, uint64(c.p.Now()))
-			delete(c.wbInFlight, id)
-			c.retireWB(id)
-			c.complete()
-		})
-	}
+	o := c.newOp(memdata.LineAlign(a))
+	o.id = c.wbSeq
+	c.wbInFlight++
+	o.sp = c.tr.BeginRoot(txtrace.StageCPUCLWB, int32(c.ID), uint64(o.line), uint64(c.p.Now()))
 	// Order behind in-flight stores to the same line: CLWB must write back
 	// the store's data, not probe an empty cache mid-RFO.
-	if c.pendingStores[line] > 0 {
-		c.storeWaiters[line] = append(c.storeWaiters[line], fire)
+	if c.pendingStores[o.line] > 0 {
+		c.storeWaiters[o.line] = append(c.storeWaiters[o.line], o.clwbFireFn)
 		return
 	}
-	fire()
+	o.clwbFire()
+}
+
+func (o *op) clwbFire() { o.c.hier.CLWB(o.c.ID, o.line, o.sp, o.clwbDoneFn) }
+
+func (o *op) clwbDone() {
+	c := o.c
+	c.tr.End(o.sp, uint64(c.p.Now()))
+	id := o.id
+	c.putOp(o)
+	c.wbInFlight--
+	c.retireWB(id)
+	c.complete()
 }
 
 // retireWB removes a completed writeback from pending barriers, firing any
-// that have fully drained.
+// that have fully drained. Every CLWB numbered up to a barrier's upTo was
+// in flight when the barrier was set, since it retires only now.
 func (c *Core) retireWB(id uint64) {
 	live := c.wbBarriers[:0]
 	for _, b := range c.wbBarriers {
-		delete(b.waiting, id)
-		if len(b.waiting) == 0 {
+		if id <= b.upTo {
+			b.pending--
+		}
+		if b.pending == 0 {
 			b.fire()
 		} else {
 			live = append(live, b)
@@ -334,15 +422,11 @@ func (c *Core) retireWB(id uint64) {
 // has been accepted by its memory controller (immediately if none are in
 // flight).
 func (c *Core) afterPriorWritebacks(fire func()) {
-	if len(c.wbInFlight) == 0 {
+	if c.wbInFlight == 0 {
 		fire()
 		return
 	}
-	waiting := make(map[uint64]struct{}, len(c.wbInFlight))
-	for id := range c.wbInFlight {
-		waiting[id] = struct{}{}
-	}
-	c.wbBarriers = append(c.wbBarriers, &wbBarrier{waiting: waiting, fire: fire})
+	c.wbBarriers = append(c.wbBarriers, &wbBarrier{upTo: c.wbSeq, pending: c.wbInFlight, fire: fire})
 }
 
 // MCLazy executes the MCLAZY instruction. dst must be line-aligned with a
@@ -391,6 +475,54 @@ func (c *Core) Fence() {
 	c.Stats.FenceStall += uint64(c.p.Now() - start)
 }
 
+// copyElem is one destination line of an eager Memcpy: a fused
+// load(+load)/store. A destination span draws on at most two source lines;
+// each load gathers its bytes into buf when its line arrives, and the
+// store issues once both have. Elements come from a per-core pool and are
+// recycled when the store retires: the store's RFO reads buf when the
+// destination line arrives.
+type copyElem struct {
+	c         *Core
+	dstLine   memdata.Addr
+	dstOff    uint64
+	dstN      uint64
+	src       [2]lineSpan
+	lsp       [2]txtrace.Tx
+	ssp       txtrace.Tx
+	remaining int
+	buf       [memdata.LineSize]byte
+
+	loadFn   [2]func(data []byte)
+	storedFn func()
+}
+
+func (e *copyElem) load0(d []byte) { e.loaded(0, d) }
+func (e *copyElem) load1(d []byte) { e.loaded(1, d) }
+
+// loaded gathers source span i from its borrowed line.
+func (e *copyElem) loaded(i int, d []byte) {
+	c := e.c
+	c.tr.End(e.lsp[i], uint64(c.p.Now()))
+	s := e.src[i]
+	at := uint64(0)
+	if i == 1 {
+		at = e.src[0].n
+	}
+	copy(e.buf[at:], d[s.off:s.off+s.n])
+	c.complete()
+	e.remaining--
+	if e.remaining == 0 {
+		c.hier.Write(c.ID, e.dstLine, e.dstOff, e.buf[:e.dstN], e.ssp, e.storedFn)
+	}
+}
+
+func (e *copyElem) stored() {
+	c := e.c
+	c.tr.EndFlags(e.ssp, uint64(c.p.Now()), txtrace.FlagWrite)
+	c.elemPool = append(c.elemPool, e)
+	c.complete()
+}
+
 // Memcpy performs an eager byte copy of n bytes from src to dst through
 // the cache hierarchy, moving real data. Each destination line is a fused
 // load(+load)/store element: loads issue asynchronously (memory-level
@@ -398,49 +530,40 @@ func (c *Core) Fence() {
 // Call Fence to wait for completion; the copied bytes are visible to
 // subsequent reads immediately thanks to store forwarding in the caches.
 func (c *Core) Memcpy(dst, src memdata.Addr, n uint64) {
-	for _, d := range lineSpans(dst, n) {
+	for done := uint64(0); done < n; {
+		d := firstSpan(dst+memdata.Addr(done), n-done)
 		// Source bytes feeding this destination span.
-		sOff := src + (d.line + memdata.Addr(d.off) - dst)
-		spans := lineSpans(sOff, d.n)
+		srcA := src + memdata.Addr(done)
+		done += d.n
+
+		var e *copyElem
+		if k := len(c.elemPool); k > 0 {
+			e = c.elemPool[k-1]
+			c.elemPool = c.elemPool[:k-1]
+		} else {
+			e = &copyElem{c: c}
+			e.loadFn = [2]func([]byte){e.load0, e.load1}
+			e.storedFn = e.stored
+		}
+		e.dstLine, e.dstOff, e.dstN = d.line, d.off, d.n
+		e.src[0] = firstSpan(srcA, d.n)
+		e.remaining = 1
+		if e.src[0].n < d.n {
+			e.src[1] = firstSpan(srcA+memdata.Addr(e.src[0].n), d.n-e.src[0].n)
+			e.remaining = 2
+		}
+		nsrc := e.remaining
 
 		// One window slot per source load plus one for the store.
-		type part struct {
-			span lineSpan
-			data []byte
-		}
-		parts := make([]part, len(spans))
-		for i, s := range spans {
-			parts[i] = part{span: s}
-		}
 		c.issue() // store slot, reserved up front to model the LSQ entry
 		c.Stats.Stores++
-		remaining := len(spans)
-		dstLine, dstOff, dstN := d.line, d.off, d.n
-		ssp := c.tr.BeginRoot(txtrace.StageCPUStore, int32(c.ID), uint64(dstLine), uint64(c.p.Now()))
-		fire := func() {
-			buf := make([]byte, 0, dstN)
-			for _, pt := range parts {
-				buf = append(buf, pt.data[pt.span.off:pt.span.off+pt.span.n]...)
-			}
-			c.hier.Write(c.ID, dstLine, dstOff, buf, ssp, func() {
-				c.tr.EndFlags(ssp, uint64(c.p.Now()), txtrace.FlagWrite)
-				c.complete()
-			})
-		}
-		for i, s := range spans {
+		e.ssp = c.tr.BeginRoot(txtrace.StageCPUStore, int32(c.ID), uint64(d.line), uint64(c.p.Now()))
+		for i := 0; i < nsrc; i++ {
 			c.issue()
 			c.Stats.Loads++
-			idx := i
-			lsp := c.tr.BeginRoot(txtrace.StageCPULoad, int32(c.ID), uint64(s.line), uint64(c.p.Now()))
-			c.hier.Read(c.ID, s.line, lsp, func(data []byte) {
-				c.tr.End(lsp, uint64(c.p.Now()))
-				parts[idx].data = data
-				c.complete()
-				remaining--
-				if remaining == 0 {
-					fire()
-				}
-			})
+			s := e.src[i]
+			e.lsp[i] = c.tr.BeginRoot(txtrace.StageCPULoad, int32(c.ID), uint64(s.line), uint64(c.p.Now()))
+			c.hier.Read(c.ID, s.line, e.lsp[i], e.loadFn[i])
 		}
 	}
 }

@@ -271,3 +271,28 @@ func TestLineSpansPartitionQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMemcpyLineAllocations pins one eager Memcpy line at zero allocations
+// once warm: the element, its gather buffer and its load and store steps
+// come from the core's pool. The source is unaligned, so the line gathers
+// from two source lines.
+func TestMemcpyLineAllocations(t *testing.T) {
+	r := newRig()
+	r.fill(9)
+	const dst, src = memdata.Addr(1 << 20), memdata.Addr(8<<10 + 24)
+	var allocs float64
+	r.run(func(c *Core) {
+		c.Memcpy(dst, src, memdata.LineSize)
+		c.Fence()
+		allocs = testing.AllocsPerRun(100, func() {
+			c.Memcpy(dst, src, memdata.LineSize)
+			c.Fence()
+		})
+	})
+	if allocs != 0 {
+		t.Fatalf("Memcpy of one line: %v allocs/op, want 0", allocs)
+	}
+	if got, _ := r.hier.Peek(dst); !bytes.Equal(got, r.phys.Read(src, memdata.LineSize)) {
+		t.Fatalf("copied line %x, want the source's bytes", got)
+	}
+}

@@ -64,9 +64,12 @@ func TestAllocExhaustionPanics(t *testing.T) {
 // TestNewAllocationPin keeps machine construction cheap in host memory: the
 // sparse physical store costs a page table, not MemSize bytes, so building
 // the 256 MB Table I machine allocates a few MB. A dense store would
-// allocate over 256 MB per machine and fail here.
+// allocate over 256 MB per machine and fail here. Each cache array is one
+// flat allocation, so the machine takes a few hundred objects, not one per
+// cache line.
 func TestNewAllocationPin(t *testing.T) {
 	const limit = 16 << 20
+	const maxObjects = 1000
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			New(DefaultParams())
@@ -75,6 +78,10 @@ func TestNewAllocationPin(t *testing.T) {
 	if got := r.AllocedBytesPerOp(); got > limit {
 		t.Fatalf("New(DefaultParams()) allocates %d bytes per machine, want at most %d", got, limit)
 	}
+	if got := r.AllocsPerOp(); got >= maxObjects {
+		t.Fatalf("New(DefaultParams()) makes %d allocations per machine, want fewer than %d", got, maxObjects)
+	}
+	t.Logf("New(DefaultParams()): %d allocations, %d bytes", r.AllocsPerOp(), r.AllocedBytesPerOp())
 }
 
 // TestNewGuards pins the last-resort panics on hand-built Params — spec

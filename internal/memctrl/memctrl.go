@@ -24,15 +24,22 @@ import (
 // engine (event) context and must eventually invoke the provided completion
 // callback if they claim an access. tx is the access's transaction-trace
 // id (0 when untraced); hooks thread it into any spans they record.
+//
+// Line slices crossing this interface are borrowed: FilterWrite's data is
+// valid only during the call, and the slice a hook passes to a read's done
+// only until done returns. Whoever keeps bytes copies them.
 type Hook interface {
 	// FilterRead is consulted when a cacheline read arrives at the
 	// controller. Returning true claims the read: the hook must call done
 	// (with the 64-byte line) itself, and the controller takes no action.
+	// The line passed to done is borrowed: it is valid only until done
+	// returns.
 	FilterRead(a memdata.Addr, tx txtrace.Tx, done func(data []byte)) bool
 
 	// FilterWrite is consulted when a cacheline write arrives. Returning
 	// true claims the write: the hook must complete it (typically after
-	// lazy copies) and call release when the writer may proceed.
+	// lazy copies) and call release when the writer may proceed. data is
+	// borrowed for the duration of the call.
 	FilterWrite(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) bool
 }
 
@@ -60,10 +67,38 @@ func DefaultConfig() Config {
 	}
 }
 
-type pendingWrite struct {
-	addr memdata.Addr
-	data []byte
-	tx   txtrace.Tx // traced writer, for the dram.write span at drain time
+// readReq is one line read in flight at the controller, from its arrival
+// until done returns. The line lands in the request's own buffer, which
+// done borrows. Requests come from a per-controller pool, and their steps
+// are method values bound when the request is first allocated, so a read
+// allocates nothing once the pool has warmed up.
+type readReq struct {
+	c        *Controller
+	a        memdata.Addr
+	tx, rsp  txtrace.Tx
+	done     func(data []byte)
+	check    bool      // compare with the shadow oracle on delivery
+	snapshot bool      // data captured at issue (RawReadLineSnapshot)
+	bound    sim.Cycle // cycle the delivered value was bound
+	data     [memdata.LineSize]byte
+
+	acquiredFn, finishFn, deliverFn, forwardedFn func()
+}
+
+// writeReq is one posted line write, from its acceptance at the front end
+// until it lands in the backing store. data is the controller's own copy of
+// the line, taken at entry; reads forward from it while the write is
+// buffered or in flight. The request returns to the pool only after the
+// write has landed and the in-flight identity check has run.
+type writeReq struct {
+	c       *Controller
+	a       memdata.Addr
+	tx, wsp txtrace.Tx // tx: traced writer, for the dram.write span at drain time
+	release func()
+	observe bool // replay into the shadow oracle at WPQ accept
+	data    [memdata.LineSize]byte
+
+	acceptFn, landFn func()
 }
 
 // Stats holds controller counters.
@@ -98,10 +133,12 @@ type Controller struct {
 	rpqWaiters  sim.FnQueue
 	wpqUsed     int
 	wpqWaiters  sim.FnQueue
-	writeBuf    []pendingWrite          // accepted, not yet issued to DRAM
-	wbHead      int                     // writeBuf dequeue index (backing array reused)
-	inFlightWr  map[memdata.Addr][]byte // issued to DRAM, not yet landed
-	pendingRead int                     // reads currently queued or in DRAM
+	writeBuf    []*writeReq                // accepted, not yet issued to DRAM
+	wbHead      int                        // writeBuf dequeue index (backing array reused)
+	inFlightWr  map[memdata.Addr]*writeReq // issued to DRAM, not yet landed
+	pendingRead int                        // reads currently queued or in DRAM
+	readPool    []*readReq                 // retired read requests
+	writePool   []*writeReq                // retired write requests
 
 	Stats Stats
 }
@@ -114,7 +151,7 @@ func New(id int, eng *sim.Engine, cfg Config, ch *dram.Channel, phys *memdata.Ph
 		cfg:        cfg,
 		ch:         ch,
 		phys:       phys,
-		inFlightWr: make(map[memdata.Addr][]byte),
+		inFlightWr: make(map[memdata.Addr]*writeReq),
 	}
 }
 
@@ -139,6 +176,10 @@ func (c *Controller) SetInvariants(o *invariant.Oracles) {
 // Channel returns the controller's DRAM channel (for stats).
 func (c *Controller) Channel() *dram.Channel { return c.ch }
 
+// MemSize returns the size in bytes of the backing store behind the
+// controller; line addresses at or past it do not exist.
+func (c *Controller) MemSize() uint64 { return c.phys.Size() }
+
 // WPQOccupancy returns the fraction of WPQ slots in use, in [0,1]. A
 // controller configured with no WPQ reports 1.0 (full): occupancy feeds
 // hook throttling decisions (writeback rejection, free-worker pacing),
@@ -151,9 +192,35 @@ func (c *Controller) WPQOccupancy() float64 {
 	return float64(c.wpqUsed) / float64(c.cfg.WPQCapacity)
 }
 
+// nop is the completion of writes nobody waits for.
+func nop() {}
+
+func (c *Controller) newRead(a memdata.Addr, tx txtrace.Tx, done func([]byte)) *readReq {
+	var r *readReq
+	if n := len(c.readPool); n > 0 {
+		r = c.readPool[n-1]
+		c.readPool = c.readPool[:n-1]
+	} else {
+		r = &readReq{c: c}
+		r.acquiredFn = r.acquired
+		r.finishFn = r.finish
+		r.deliverFn = r.deliver
+		r.forwardedFn = r.forwarded
+	}
+	r.a, r.tx, r.rsp, r.done = a, tx, 0, done
+	r.check, r.snapshot = false, false
+	return r
+}
+
+func (c *Controller) putRead(r *readReq) {
+	r.done = nil
+	c.readPool = append(c.readPool, r)
+}
+
 // ReadLine requests the 64-byte line at a (line-aligned). The hook is
 // consulted first; otherwise the read is queued and done is called with the
-// line data when DRAM returns it.
+// line data when DRAM returns it. The line is borrowed: it is valid only
+// until done returns, so done copies whatever it keeps.
 //
 // tx is the transaction-trace id (0 when untraced).
 func (c *Controller) ReadLine(a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
@@ -169,7 +236,8 @@ func (c *Controller) ReadLine(a memdata.Addr, tx txtrace.Tx, done func(data []by
 	c.rawReadLine(a, tx, done, c.inv.ShadowOn())
 }
 
-// RawReadLine is ReadLine without hook interception.
+// RawReadLine is ReadLine without hook interception. The line passed to
+// done is borrowed: it is valid only until done returns.
 //
 // tx is the transaction-trace id (0 when untraced): traced reads record an
 // mc.rpq_wait span (zero-length when a slot was free), a dram.read span
@@ -185,81 +253,115 @@ func (c *Controller) RawReadLine(a memdata.Addr, tx txtrace.Tx, done func(data [
 // that cycle so later legitimate writes don't count as mismatches.
 func (c *Controller) rawReadLine(a memdata.Addr, tx txtrace.Tx, done func(data []byte), check bool) {
 	c.Stats.Reads++
+	r := c.newRead(a, tx, done)
+	r.check = check
 	// Forward from pending writes: the freshest value may still be queued.
-	if d := c.forward(a); d != nil {
-		c.Stats.Forwards++
-		if check {
-			c.inv.CheckRead(a, d, c.eng.Now())
-		}
-		if tx != 0 {
-			now := uint64(c.eng.Now())
-			c.tr.Complete(tx, txtrace.StageWPQForward, uint64(a), now, now+uint64(c.cfg.AcceptLatency), 0)
-		}
-		c.eng.After(c.cfg.AcceptLatency, func() { done(d) })
+	if c.forwardAtIssue(r) {
 		return
 	}
-	rsp := c.tr.Begin(tx, txtrace.StageRPQWait, uint64(a), uint64(c.eng.Now()))
-	c.acquireRPQ(func() {
-		c.tr.End(rsp, uint64(c.eng.Now()))
-		// Re-check forwarding: a write may have been queued while waiting.
-		if d := c.forward(a); d != nil {
-			c.Stats.Forwards++
-			c.releaseRPQ()
-			if check {
-				c.inv.CheckRead(a, d, c.eng.Now())
-			}
-			if tx != 0 {
-				now := uint64(c.eng.Now())
-				c.tr.Complete(tx, txtrace.StageWPQForward, uint64(a), now, now, 0)
-			}
-			done(d)
-			return
-		}
-		bound := c.eng.Now()
-		c.pendingRead++
-		rowHits := c.ch.RowHits
-		finish := c.ch.Access(c.eng.Now(), a, false)
-		if tx != 0 {
-			fl := txtrace.FlagRowMiss
-			if c.ch.RowHits > rowHits {
-				fl = txtrace.FlagRowHit
-			}
-			c.tr.Complete(tx, txtrace.StageDRAMRead, uint64(a), uint64(c.eng.Now()), uint64(finish), fl)
-		}
-		c.eng.At(finish, func() {
-			data := c.phys.ReadLine(a)
-			c.finishRead(a, tx, data, func(d []byte) {
-				c.pendingRead--
-				c.releaseRPQ()
-				if check {
-					c.inv.CheckRead(a, d, bound)
-				}
-				done(d)
-				c.maybeDrain()
-			})
-		})
-	})
+	r.rsp = c.tr.Begin(tx, txtrace.StageRPQWait, uint64(a), uint64(c.eng.Now()))
+	c.acquireRPQ(r.acquiredFn)
 }
 
-// finishRead completes a DRAM read burst. When the fault plane schedules a
+// forwardAtIssue serves r from a pending write to its line, if there is
+// one, delivering after the front-end latency. The value is bound now.
+func (c *Controller) forwardAtIssue(r *readReq) bool {
+	d := c.forward(r.a)
+	if d == nil {
+		return false
+	}
+	c.Stats.Forwards++
+	copy(r.data[:], d)
+	if r.check {
+		c.inv.CheckRead(r.a, r.data[:], c.eng.Now())
+	}
+	if r.tx != 0 {
+		now := uint64(c.eng.Now())
+		c.tr.Complete(r.tx, txtrace.StageWPQForward, uint64(r.a), now, now+uint64(c.cfg.AcceptLatency), 0)
+	}
+	c.eng.After(c.cfg.AcceptLatency, r.forwardedFn)
+	return true
+}
+
+func (r *readReq) forwarded() {
+	r.done(r.data[:])
+	r.c.putRead(r)
+}
+
+// acquired runs once the read holds an RPQ slot.
+func (r *readReq) acquired() {
+	c := r.c
+	c.tr.End(r.rsp, uint64(c.eng.Now()))
+	// Re-check forwarding: a write may have been queued while waiting. A
+	// snapshot read captured its data at issue and is ordered before it.
+	if !r.snapshot {
+		if d := c.forward(r.a); d != nil {
+			c.Stats.Forwards++
+			copy(r.data[:], d)
+			c.releaseRPQ()
+			if r.check {
+				c.inv.CheckRead(r.a, r.data[:], c.eng.Now())
+			}
+			if r.tx != 0 {
+				now := uint64(c.eng.Now())
+				c.tr.Complete(r.tx, txtrace.StageWPQForward, uint64(r.a), now, now, 0)
+			}
+			r.done(r.data[:])
+			c.putRead(r)
+			return
+		}
+	}
+	r.bound = c.eng.Now()
+	c.pendingRead++
+	rowHits := c.ch.RowHits
+	finish := c.ch.Access(c.eng.Now(), r.a, false)
+	if r.tx != 0 {
+		fl := txtrace.FlagRowMiss
+		if c.ch.RowHits > rowHits {
+			fl = txtrace.FlagRowHit
+		}
+		c.tr.Complete(r.tx, txtrace.StageDRAMRead, uint64(r.a), uint64(c.eng.Now()), uint64(finish), fl)
+	}
+	c.eng.At(finish, r.finishFn)
+}
+
+// finish completes the DRAM read burst. When the fault plane schedules a
 // transient single-bit upset here, the per-line checksum ECC model detects
 // the corruption, charges one full re-read of the line (the RPQ slot stays
 // held), and delivers the intact data at the retry's finish time.
-func (c *Controller) finishRead(a memdata.Addr, tx txtrace.Tx, data []byte, deliver func(data []byte)) {
-	if c.flt.Fire(faultinject.KindDRAMCorrupt, uint64(a), uint64(c.eng.Now())) {
-		want := dram.LineChecksum(data)
-		bad := dram.CorruptBit(data, c.flt.Rand(uint64(len(data))*8))
+func (r *readReq) finish() {
+	c := r.c
+	if !r.snapshot {
+		c.phys.ReadInto(r.a, r.data[:])
+	}
+	if c.flt.Fire(faultinject.KindDRAMCorrupt, uint64(r.a), uint64(c.eng.Now())) {
+		want := dram.LineChecksum(r.data[:])
+		bad := dram.CorruptBit(r.data[:], c.flt.Rand(memdata.LineSize*8))
 		if dram.LineChecksum(bad) != want {
 			c.Stats.ECCRetries++
-			finish := c.ch.Access(c.eng.Now(), a, false)
-			if tx != 0 {
-				c.tr.Complete(tx, txtrace.StageDRAMRead, uint64(a), uint64(c.eng.Now()), uint64(finish), txtrace.FlagRowHit)
+			finish := c.ch.Access(c.eng.Now(), r.a, false)
+			if r.tx != 0 {
+				c.tr.Complete(r.tx, txtrace.StageDRAMRead, uint64(r.a), uint64(c.eng.Now()), uint64(finish), txtrace.FlagRowHit)
 			}
-			c.eng.At(finish, func() { deliver(data) })
+			c.eng.At(finish, r.deliverFn)
 			return
 		}
 	}
-	deliver(data)
+	r.deliver()
+}
+
+// deliver hands the line read from DRAM to the requester and frees the
+// request's RPQ slot.
+func (r *readReq) deliver() {
+	c := r.c
+	c.pendingRead--
+	c.releaseRPQ()
+	if r.check {
+		c.inv.CheckRead(r.a, r.data[:], r.bound)
+	}
+	r.done(r.data[:])
+	c.maybeDrain()
+	c.putRead(r)
 }
 
 // RawReadLineSnapshot is RawReadLine except that the data is captured at
@@ -267,55 +369,36 @@ func (c *Controller) finishRead(a memdata.Addr, tx txtrace.Tx, data []byte, deli
 // full queue + DRAM latency. The (MC)² engine uses it for bounce and
 // lazy-copy source reads, which the controller orders ahead of any write
 // that arrives later — guaranteeing as-of-copy data even under queue
-// back-pressure.
+// back-pressure. The line passed to done is borrowed: it is valid only
+// until done returns.
 //
 // tx is the transaction-trace id (0 when untraced) (same spans as
 // RawReadLine).
 func (c *Controller) RawReadLineSnapshot(a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
 	c.Stats.Reads++
-	var data []byte
-	if d := c.forward(a); d != nil {
-		c.Stats.Forwards++
-		data = make([]byte, memdata.LineSize)
-		copy(data, d)
-		if tx != 0 {
-			now := uint64(c.eng.Now())
-			c.tr.Complete(tx, txtrace.StageWPQForward, uint64(a), now, now+uint64(c.cfg.AcceptLatency), 0)
-		}
-		c.eng.After(c.cfg.AcceptLatency, func() { done(data) })
+	r := c.newRead(a, tx, done)
+	r.snapshot = true
+	if c.forwardAtIssue(r) {
 		return
 	}
-	data = c.phys.ReadLine(a)
-	rsp := c.tr.Begin(tx, txtrace.StageRPQWait, uint64(a), uint64(c.eng.Now()))
-	c.acquireRPQ(func() {
-		c.tr.End(rsp, uint64(c.eng.Now()))
-		c.pendingRead++
-		rowHits := c.ch.RowHits
-		finish := c.ch.Access(c.eng.Now(), a, false)
-		if tx != 0 {
-			fl := txtrace.FlagRowMiss
-			if c.ch.RowHits > rowHits {
-				fl = txtrace.FlagRowHit
-			}
-			c.tr.Complete(tx, txtrace.StageDRAMRead, uint64(a), uint64(c.eng.Now()), uint64(finish), fl)
-		}
-		c.eng.At(finish, func() {
-			c.finishRead(a, tx, data, func(d []byte) {
-				c.pendingRead--
-				c.releaseRPQ()
-				done(d)
-				c.maybeDrain()
-			})
-		})
-	})
+	c.phys.ReadInto(a, r.data[:])
+	r.rsp = c.tr.Begin(tx, txtrace.StageRPQWait, uint64(a), uint64(c.eng.Now()))
+	c.acquireRPQ(r.acquiredFn)
 }
 
 // WriteLine posts a full-line write. The hook is consulted first; otherwise
 // the write is buffered in the WPQ and release is called once a slot is
-// held (posted-write semantics; DRAM completion happens later).
+// held (posted-write semantics; DRAM completion happens later). data is
+// borrowed for the call: the controller copies the line at entry, so the
+// caller may reuse its buffer as soon as WriteLine returns.
 //
 // tx is the transaction-trace id (0 when untraced).
 func (c *Controller) WriteLine(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
+	// Checked before the hook sees the line: a short line merged into a
+	// held write, or held itself, would fail far from its cause.
+	if len(data) != memdata.LineSize {
+		panic("memctrl: WriteLine with partial line")
+	}
 	if o := c.inv; o.WatchdogOn() {
 		id := o.TxBegin(uint64(a))
 		inner := release
@@ -324,77 +407,54 @@ func (c *Controller) WriteLine(a memdata.Addr, data []byte, tx txtrace.Tx, relea
 	if c.hook != nil && c.hook.FilterWrite(a, data, tx, release) {
 		return
 	}
-	if len(data) != memdata.LineSize {
-		panic("memctrl: WriteLine with partial line")
-	}
-	cp := make([]byte, memdata.LineSize)
-	copy(cp, data)
-	c.rawWriteLineOwned(a, cp, tx, release, c.inv.ShadowOn())
+	c.rawWriteLine(a, data, tx, release, c.inv.ShadowOn())
 }
 
-// WriteLineOwned is WriteLine with ownership transfer: the caller hands
-// the line buffer over and must not reuse or mutate it afterwards. The
-// write paths that already build a private copy (cache writebacks, NT
-// stores, CLWB, reconstructed (MC)² lines) use this to skip the
-// controller's defensive copy — one 64-byte allocation per write on the
-// hottest store path. Hook implementations observe the data during the
-// FilterWrite call and must copy anything they keep (they do).
-//
-// tx is the transaction-trace id (0 when untraced).
-func (c *Controller) WriteLineOwned(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
-	if o := c.inv; o.WatchdogOn() {
-		id := o.TxBegin(uint64(a))
-		inner := release
-		release = func() { o.TxEnd(id); inner() }
-	}
-	if c.hook != nil && c.hook.FilterWrite(a, data, tx, release) {
-		return
-	}
-	c.rawWriteLineOwned(a, data, tx, release, c.inv.ShadowOn())
-}
-
-// RawWriteLine is WriteLine without hook interception.
-//
-// tx is the transaction-trace id (0 when untraced).
-func (c *Controller) RawWriteLine(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
-	if len(data) != memdata.LineSize {
-		panic("memctrl: WriteLine with partial line")
-	}
-	cp := make([]byte, memdata.LineSize)
-	copy(cp, data)
-	c.RawWriteLineOwned(a, cp, tx, release)
-}
-
-// RawWriteLineOwned is RawWriteLine with ownership transfer (see
-// WriteLineOwned). The buffer may still be read through write-forwarding
-// until the write lands, which is safe precisely because nobody mutates
-// it after the handoff.
+// RawWriteLine is WriteLine without hook interception. Like WriteLine it
+// copies the line at entry.
 //
 // tx is the transaction-trace id (0 when untraced): traced writes record an
 // mc.wpq_wait span covering the slot wait plus accept latency, and a
 // dram.write span when the drain issues the line.
-func (c *Controller) RawWriteLineOwned(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
-	c.rawWriteLineOwned(a, data, tx, release, false)
-}
-
-// rawWriteLineOwned is the shared write path. observe replays CPU-visible
-// writes into the shadow at WPQ-accept time — the cycle the write becomes
-// forwardable, i.e. the first cycle a read can legally return it.
-func (c *Controller) rawWriteLineOwned(a memdata.Addr, data []byte, tx txtrace.Tx, release func(), observe bool) {
+func (c *Controller) RawWriteLine(a memdata.Addr, data []byte, tx txtrace.Tx, release func()) {
 	if len(data) != memdata.LineSize {
 		panic("memctrl: WriteLine with partial line")
 	}
+	c.rawWriteLine(a, data, tx, release, false)
+}
+
+// rawWriteLine is the shared write path. observe replays CPU-visible
+// writes into the shadow at WPQ-accept time — the cycle the write becomes
+// forwardable, i.e. the first cycle a read can legally return it.
+func (c *Controller) rawWriteLine(a memdata.Addr, data []byte, tx txtrace.Tx, release func(), observe bool) {
 	c.Stats.Writes++
-	wsp := c.tr.Begin(tx, txtrace.StageWPQWait, uint64(a), uint64(c.eng.Now()))
-	c.acquireWPQ(func() {
-		c.tr.EndFlags(wsp, uint64(c.eng.Now())+uint64(c.cfg.AcceptLatency), txtrace.FlagWrite)
-		if observe {
-			c.inv.ObserveWrite(a, data)
-		}
-		c.writeBuf = append(c.writeBuf, pendingWrite{addr: a, data: data, tx: tx})
-		c.eng.After(c.cfg.AcceptLatency, release)
-		c.maybeDrain()
-	})
+	var w *writeReq
+	if n := len(c.writePool); n > 0 {
+		w = c.writePool[n-1]
+		c.writePool = c.writePool[:n-1]
+	} else {
+		w = &writeReq{c: c}
+		w.acceptFn = w.accept
+		w.landFn = w.land
+	}
+	w.a, w.tx, w.release, w.observe = a, tx, release, observe
+	copy(w.data[:], data)
+	w.wsp = c.tr.Begin(tx, txtrace.StageWPQWait, uint64(a), uint64(c.eng.Now()))
+	c.acquireWPQ(w.acceptFn)
+}
+
+// accept runs once the write holds a WPQ slot: from here on reads
+// forward from it.
+func (w *writeReq) accept() {
+	c := w.c
+	c.tr.EndFlags(w.wsp, uint64(c.eng.Now())+uint64(c.cfg.AcceptLatency), txtrace.FlagWrite)
+	if w.observe {
+		c.inv.ObserveWrite(w.a, w.data[:])
+	}
+	c.writeBuf = append(c.writeBuf, w)
+	c.eng.After(c.cfg.AcceptLatency, w.release)
+	w.release = nil
+	c.maybeDrain()
 }
 
 // TryRawWriteLine behaves like RawWriteLine but refuses (returns false)
@@ -406,20 +466,21 @@ func (c *Controller) TryRawWriteLine(a memdata.Addr, data []byte, frac float64) 
 		c.Stats.RejectedWrites++
 		return false
 	}
-	c.RawWriteLine(a, data, 0, func() {})
+	c.RawWriteLine(a, data, 0, nop)
 	return true
 }
 
-// forward returns buffered/in-flight write data for a, or nil.
+// forward returns buffered/in-flight write data for a, or nil. The slice
+// is the pending write's own buffer: callers copy what they keep.
 func (c *Controller) forward(a memdata.Addr) []byte {
 	// Scan newest-first so the latest write wins.
 	for i := len(c.writeBuf) - 1; i >= c.wbHead; i-- {
-		if c.writeBuf[i].addr == a {
-			return c.writeBuf[i].data
+		if c.writeBuf[i].a == a {
+			return c.writeBuf[i].data[:]
 		}
 	}
-	if d, ok := c.inFlightWr[a]; ok {
-		return d
+	if w, ok := c.inFlightWr[a]; ok {
+		return w.data[:]
 	}
 	return nil
 }
@@ -429,9 +490,9 @@ func (c *Controller) buffered() int { return len(c.writeBuf) - c.wbHead }
 
 // popWrite dequeues the oldest buffered write, reusing the backing array
 // once drained instead of reslicing capacity away.
-func (c *Controller) popWrite() pendingWrite {
+func (c *Controller) popWrite() *writeReq {
 	w := c.writeBuf[c.wbHead]
-	c.writeBuf[c.wbHead] = pendingWrite{}
+	c.writeBuf[c.wbHead] = nil
 	c.wbHead++
 	if c.wbHead == len(c.writeBuf) {
 		c.writeBuf = c.writeBuf[:0]
@@ -496,33 +557,39 @@ func (c *Controller) maybeDrain() {
 			return
 		}
 		w := c.popWrite()
-		c.inFlightWr[w.addr] = w.data
+		c.inFlightWr[w.a] = w
 		rowHits := c.ch.RowHits
-		finish := c.ch.Access(c.eng.Now(), w.addr, true)
+		finish := c.ch.Access(c.eng.Now(), w.a, true)
 		if w.tx != 0 {
 			fl := txtrace.FlagWrite | txtrace.FlagRowMiss
 			if c.ch.RowHits > rowHits {
 				fl = txtrace.FlagWrite | txtrace.FlagRowHit
 			}
-			c.tr.Complete(w.tx, txtrace.StageDRAMWrite, uint64(w.addr), uint64(c.eng.Now()), uint64(finish), fl)
+			c.tr.Complete(w.tx, txtrace.StageDRAMWrite, uint64(w.a), uint64(c.eng.Now()), uint64(finish), fl)
 		}
-		c.eng.At(finish, func() {
-			c.phys.WriteLine(w.addr, w.data)
-			// Only clear the in-flight entry if a newer write to the same
-			// address hasn't replaced it.
-			if d, ok := c.inFlightWr[w.addr]; ok && &d[0] == &w.data[0] {
-				delete(c.inFlightWr, w.addr)
-			}
-			c.releaseWPQ()
-			c.maybeDrain()
-		})
+		c.eng.At(finish, w.landFn)
 	}
+}
+
+// land stores the drained write in the backing store and retires it.
+func (w *writeReq) land() {
+	c := w.c
+	c.phys.WriteLine(w.a, w.data[:])
+	// Only clear the in-flight entry if a newer write to the same address
+	// hasn't replaced it.
+	if c.inFlightWr[w.a] == w {
+		delete(c.inFlightWr, w.a)
+	}
+	c.writePool = append(c.writePool, w)
+	c.releaseWPQ()
+	c.maybeDrain()
 }
 
 // PeekLine returns the value a raw read issued now would eventually
 // deliver (WPQ forward or backing store), with no timing, stats, or side
 // effects. The invariant oracles use it to compute MCFREE-time visible
-// values synchronously. The returned slice must not be mutated.
+// values synchronously. The returned slice must not be mutated, and a
+// forwarded one is valid only until the current event returns.
 func (c *Controller) PeekLine(a memdata.Addr) []byte {
 	if d := c.forward(a); d != nil {
 		return d

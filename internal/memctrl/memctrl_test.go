@@ -28,7 +28,7 @@ func TestReadReturnsMemoryData(t *testing.T) {
 	var got []byte
 	var doneAt sim.Cycle
 	eng.After(0, func() {
-		mc.ReadLine(256, 0, func(d []byte) { got = d; doneAt = eng.Now() })
+		mc.ReadLine(256, 0, func(d []byte) { got = append([]byte(nil), d...); doneAt = eng.Now() })
 	})
 	eng.Drain()
 	if !bytes.Equal(got, want) {
@@ -48,7 +48,7 @@ func TestWriteThenReadForwards(t *testing.T) {
 	var got []byte
 	eng.After(0, func() {
 		mc.WriteLine(512, data, 0, func() {})
-		mc.ReadLine(512, 0, func(d []byte) { got = d })
+		mc.ReadLine(512, 0, func(d []byte) { got = append([]byte(nil), d...) })
 	})
 	eng.Drain()
 	if got[0] != 0xAB {
@@ -87,7 +87,7 @@ func TestLatestWriteWins(t *testing.T) {
 	eng.After(0, func() {
 		mc.WriteLine(a, mk(1), 0, func() {})
 		mc.WriteLine(a, mk(2), 0, func() {})
-		mc.ReadLine(a, 0, func(d []byte) { got = d })
+		mc.ReadLine(a, 0, func(d []byte) { got = append([]byte(nil), d...) })
 	})
 	eng.Drain()
 	if got[0] != 2 {
@@ -244,11 +244,11 @@ func TestSnapshotReadCapturesAtIssue(t *testing.T) {
 	newer[0] = 0x02
 	var snap, plain []byte
 	eng.After(0, func() {
-		mc.RawReadLineSnapshot(a, 0, func(d []byte) { snap = d })
+		mc.RawReadLineSnapshot(a, 0, func(d []byte) { snap = append([]byte(nil), d...) })
 		// A write arrives immediately after the snapshot was taken.
 		mc.RawWriteLine(a, newer, 0, func() {})
 		// A regular read issued after the write must see the new data.
-		mc.RawReadLine(a, 0, func(d []byte) { plain = d })
+		mc.RawReadLine(a, 0, func(d []byte) { plain = append([]byte(nil), d...) })
 	})
 	eng.Drain()
 	if snap[0] != 0x01 {
@@ -282,5 +282,29 @@ func TestWPQOccupancyZeroCapacity(t *testing.T) {
 	// The value must behave as "full" against the paper's 75% rule.
 	if !(occ >= 0.75) {
 		t.Fatal("zero-capacity occupancy does not trip threshold comparisons")
+	}
+}
+
+// TestPartialWritePanicsBeforeHook: a short line must be refused at
+// WriteLine's entry, before the hook sees it. A claiming hook used to take
+// it first, and could merge it into a held line as a prefix.
+func TestPartialWritePanicsBeforeHook(t *testing.T) {
+	eng := sim.NewEngine()
+	mc, _ := newTestMC(eng)
+	h := &claimAllHook{}
+	mc.SetHook(h)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("WriteLine accepted a 32-byte line")
+			}
+		}()
+		mc.WriteLine(64, make([]byte, memdata.LineSize/2), 0, func() {})
+	}()
+	if h.writes != 0 {
+		t.Fatalf("hook saw %d writes of a partial line, want 0", h.writes)
+	}
+	if mc.Stats.Writes != 0 {
+		t.Fatalf("controller counted %d writes, want 0", mc.Stats.Writes)
 	}
 }

@@ -93,21 +93,32 @@ func (r Range) Intersect(o Range) Range {
 // Subtract returns the parts of r not covered by o: zero, one, or two
 // disjoint ranges in ascending order.
 func (r Range) Subtract(o Range) []Range {
-	inter := r.Intersect(o)
-	if inter.Empty() {
-		if r.Empty() {
-			return nil
-		}
-		return []Range{r}
-	}
+	lo, hi := r.Minus(o)
 	var out []Range
-	if inter.Start > r.Start {
-		out = append(out, Range{Start: r.Start, Size: uint64(inter.Start - r.Start)})
+	if !lo.Empty() {
+		out = append(out, lo)
 	}
-	if inter.End() < r.End() {
-		out = append(out, Range{Start: inter.End(), Size: uint64(r.End() - inter.End())})
+	if !hi.Empty() {
+		out = append(out, hi)
 	}
 	return out
+}
+
+// Minus is Subtract without the slice: lo and hi are the parts of r below
+// and above o, either possibly empty. When r and o do not intersect, r
+// comes back whole as lo.
+func (r Range) Minus(o Range) (lo, hi Range) {
+	inter := r.Intersect(o)
+	if inter.Empty() {
+		return r, Range{}
+	}
+	if inter.Start > r.Start {
+		lo = Range{Start: r.Start, Size: uint64(inter.Start - r.Start)}
+	}
+	if inter.End() < r.End() {
+		hi = Range{Start: inter.End(), Size: uint64(r.End() - inter.End())}
+	}
+	return lo, hi
 }
 
 // Lines returns the cacheline-aligned addresses of every line the range
