@@ -178,8 +178,9 @@ func (r ResilienceSpec) Normalized() ResilienceSpec {
 }
 
 // EnabledAny reports whether any mitigation mechanism is switched on. A
-// nil spec (or one with every sub-block absent or disabled) leaves the
-// fleet event loop on its exact legacy path.
+// nil spec (or one with every sub-block absent or disabled) runs no
+// mitigation, and the fleet's result reports ResilienceOn only if a fleet
+// storm is active.
 func (r *ResilienceSpec) EnabledAny() bool {
 	if r == nil {
 		return false

@@ -45,21 +45,7 @@ func fleetSweep() SweepSpec {
 // same (baseline-derived) load to each, and emit one row. o supplies quick
 // mode; spec carries the load-point override.
 func fleetRow(o Options, spec config.MachineSpec, frac float64) []*stats.Table {
-	f, err := fleet.New(spec, fleet.Options{Quick: o.Quick, Env: o.Env})
-	if err != nil {
-		panic(fmt.Sprintf("figures: fleet: %v", err))
-	}
-	base, err := f.Calibrate("baseline")
-	if err != nil {
-		panic(fmt.Sprintf("figures: fleet baseline calibration: %v", err))
-	}
-	mc2, err := f.Calibrate("mc2")
-	if err != nil {
-		panic(fmt.Sprintf("figures: fleet mc2 calibration: %v", err))
-	}
-	rate := f.OfferedReqPerCycle(base)
-	rb := f.Simulate(base, rate)
-	rl := f.Simulate(mc2, rate)
+	rb, rl := simulatePair("fleet", spec, fleet.Options{Quick: o.Quick, Env: o.Env})
 
 	tb := stats.NewTable(fleetTitle,
 		"load", "offered_kops",
@@ -69,6 +55,27 @@ func fleetRow(o Options, spec config.MachineSpec, frac float64) []*stats.Table {
 		rb.GoodputKOps(), rb.PercentileMs(50), rb.PercentileMs(99), rb.PercentileMs(99.9), rb.Dropped,
 		rl.GoodputKOps(), rl.PercentileMs(50), rl.PercentileMs(99), rl.PercentileMs(99.9), rl.Dropped)
 	return tables(tb)
+}
+
+// simulatePair expands spec into a fleet, calibrates the baseline and
+// (MC)² mechanisms, and simulates both at the offered rate derived from
+// the baseline calibration, so the two columns of a row face the same
+// load. fig names the figure in panic messages.
+func simulatePair(fig string, spec config.MachineSpec, fo fleet.Options) (base, mc2 *fleet.Result) {
+	f, err := fleet.New(spec, fo)
+	if err != nil {
+		panic(fmt.Sprintf("figures: %s: %v", fig, err))
+	}
+	bc, err := f.Calibrate("baseline")
+	if err != nil {
+		panic(fmt.Sprintf("figures: %s baseline calibration: %v", fig, err))
+	}
+	lc, err := f.Calibrate("mc2")
+	if err != nil {
+		panic(fmt.Sprintf("figures: %s mc2 calibration: %v", fig, err))
+	}
+	rate := f.OfferedReqPerCycle(bc)
+	return f.Simulate(bc, rate), f.Simulate(lc, rate)
 }
 
 // fleetJobs lowers the sweep with the options bound into each cell.

@@ -102,21 +102,7 @@ func resilienceRow(o Options, spec config.MachineSpec, intensity float64) []*sta
 	}
 	sched = sched.ScaleFleet(intensity)
 
-	f, err := fleet.New(spec, fleet.Options{Quick: o.Quick, Env: o.Env.WithFaults(&sched)})
-	if err != nil {
-		panic(fmt.Sprintf("figures: resilience: %v", err))
-	}
-	base, err := f.Calibrate("baseline")
-	if err != nil {
-		panic(fmt.Sprintf("figures: resilience baseline calibration: %v", err))
-	}
-	mc2, err := f.Calibrate("mc2")
-	if err != nil {
-		panic(fmt.Sprintf("figures: resilience mc2 calibration: %v", err))
-	}
-	rate := f.OfferedReqPerCycle(base)
-	rb := f.Simulate(base, rate)
-	rl := f.Simulate(mc2, rate)
+	rb, rl := simulatePair("resilience", spec, fleet.Options{Quick: o.Quick, Env: o.Env.WithFaults(&sched)})
 
 	tb := stats.NewTable(resilienceTitle,
 		"intensity", "offered_kops",

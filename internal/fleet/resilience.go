@@ -10,7 +10,7 @@ import (
 	"mcsquare/internal/stats"
 )
 
-// ResilienceStats is the fault-tolerance plane's availability accounting.
+// ResilienceStats is the fleet's availability accounting.
 // Together with Result.Completed and Result.Dropped it satisfies the fleet
 // conservation invariant: Offered == Completed + TimedOut + Shed + Dropped
 // + Failed. Hedge duplicates are extra attempts, not extra requests, and
@@ -33,7 +33,7 @@ type ResilienceStats struct {
 
 // ResilienceSummary renders the availability accounting the way mcsim's
 // -fleet mode prints it: one block of outcome, storm, and attempt lines.
-// Empty when the plane was off, so default runs print nothing new.
+// Empty unless ResilienceOn, so default runs print nothing new.
 func (r *Result) ResilienceSummary() string {
 	if !r.ResilienceOn {
 		return ""
@@ -61,27 +61,32 @@ const (
 	brHalfOpen
 )
 
-// outcomeCause tags why a request attempt (and ultimately the request)
-// failed; the final resolution maps it onto the Result outcome counters.
-type outcomeCause uint8
+// outcome is one thing that happens to a request: a final resolution
+// (completed, dropped, timed out, shed, failed) or an extra attempt
+// (retry, hedge). fleetSim.count records each in the Result and the
+// Timeline; a failed attempt keeps its cause as the request's lastCause.
+type outcome uint8
 
 const (
-	causeNone    outcomeCause = iota
-	causeDropped              // queue full
-	causeTimeout              // per-attempt timeout expired
-	causeFailed               // machine down / no routable destination
+	outCompleted outcome = iota
+	outDropped           // queue full
+	outTimedOut          // per-attempt timeout expired
+	outShed              // turned away by admission control
+	outFailed            // machine down / no routable destination
+	outRetry
+	outHedge
 )
 
-// resPlane is the per-run resilience runtime: the normalized spec, the
-// fleet storm, calibration-derived timeout and hedge delays, and the
-// seeded per-machine fault streams. A nil *resPlane means the event loop
-// runs its exact legacy path (no storms, no mitigations).
+// resPlane is the per-run fault-tolerance runtime: the normalized spec,
+// the fleet storm, calibration-derived timeout and hedge delays, and the
+// seeded per-machine storm streams (only while the storm is active).
+// Every run has one; a mitigation that is off, or a storm kind that is
+// inert, schedules no event and draws no randomness.
 type resPlane struct {
 	spec  config.ResilienceSpec
 	storm faultinject.Schedule
 
 	priorities  []int   // per mix entry, for load shedding
-	p99Service  float64 // calibrated service-time p99 across the fleet
 	timeoutCyc  float64 // per-attempt timeout (0 = none)
 	hedgeDelay  float64 // hedge delay from arrival (0 = none)
 	brownFactor float64 // service-time multiplier while browned
@@ -91,43 +96,28 @@ type resPlane struct {
 	probePhase []uint64     // per-machine probe-loss phase
 }
 
-// newResPlane derives the run's resilience runtime from the fleet block
-// and the fault schedule of the fleet's run environment. Returns nil when no
-// mitigation is enabled and the storm is inert, so a default spec keeps
-// Simulate on the byte-identical legacy path.
-func (f *Fleet) newResPlane(cal *Calibration) *resPlane {
+// newResPlane derives the run's fault-tolerance runtime from the fleet
+// block and the fault schedule of the fleet's run environment.
+func (f *Fleet) newResPlane(cal *Calibration) resPlane {
 	var spec config.ResilienceSpec
 	if f.Block.Resilience != nil {
 		spec = *f.Block.Resilience
 	}
 	storm := f.Env.FaultSchedule()
-	if !spec.EnabledAny() && !storm.FleetActive() {
-		return nil
-	}
-
-	rp := &resPlane{spec: spec, storm: storm}
+	rp := resPlane{spec: spec, storm: storm}
 	for _, mx := range f.Block.Mix {
 		rp.priorities = append(rp.priorities, mx.Priority)
 	}
-	var all stats.Histogram
-	for _, mc := range cal.machines {
-		for _, v := range mc.samples {
-			for _, x := range v {
-				all.Add(x)
-			}
-		}
-	}
-	rp.p99Service = all.Percentile(99)
 	if rt := spec.Retry; rt != nil && rt.Enabled {
 		rp.timeoutCyc = rt.TimeoutCycles
 		if rp.timeoutCyc == 0 {
-			rp.timeoutCyc = rt.TimeoutP99Mult * rp.p99Service
+			rp.timeoutCyc = rt.TimeoutP99Mult * cal.p99Service()
 		}
 	}
 	if h := spec.Hedge; h != nil && h.Enabled {
 		rp.hedgeDelay = h.DelayCycles
 		if rp.hedgeDelay == 0 {
-			rp.hedgeDelay = h.DelayP99Mult * rp.p99Service
+			rp.hedgeDelay = h.DelayP99Mult * cal.p99Service()
 		}
 	}
 	rp.brownFactor = storm.BrownoutFactor
@@ -135,6 +125,9 @@ func (f *Fleet) newResPlane(cal *Calibration) *resPlane {
 		rp.brownFactor = 4
 	}
 
+	if !storm.FleetActive() {
+		return rp
+	}
 	n := len(cal.machines)
 	rp.crashRng = make([]*rand.Rand, n)
 	rp.brownRng = make([]*rand.Rand, n)
@@ -149,9 +142,18 @@ func (f *Fleet) newResPlane(cal *Calibration) *resPlane {
 	return rp
 }
 
-// healthEnabled reports whether LB membership is probe-driven.
-func (rp *resPlane) healthEnabled() bool {
-	return rp != nil && rp.spec.Health != nil && rp.spec.Health.Enabled
+// p99Service is the calibrated service-time p99 across the fleet, the
+// unit of the timeout and hedge delays a spec gives as multiples.
+func (c *Calibration) p99Service() float64 {
+	var all stats.Histogram
+	for _, mc := range c.machines {
+		for _, v := range mc.samples {
+			for _, x := range v {
+				all.Add(x)
+			}
+		}
+	}
+	return all.Percentile(99)
 }
 
 // retryBudget returns the attempt cap (1 = no retries).
@@ -185,8 +187,8 @@ func mix64(x uint64) uint64 {
 // rendezvousPick maps a request key onto one of the member machine
 // indices by highest random weight. Unlike key % n, removing one member
 // never remaps a key that was assigned to a survivor — the property the
-// health-checked hash LB needs so membership churn only moves traffic
-// that had nowhere else to go.
+// hash LB needs so membership churn only moves traffic that had nowhere
+// else to go.
 func rendezvousPick(key uint64, members []int) int {
 	best, bestW := -1, uint64(0)
 	for _, m := range members {

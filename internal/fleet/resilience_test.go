@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -274,7 +275,7 @@ func routeSim(t *testing.T, lb string, n int) *fleetSim {
 	t.Helper()
 	f, cal := syntheticFleet(t, lb, n, 100)
 	withResilience(f, config.ResilienceSpec{Health: &config.HealthSpec{Enabled: true}})
-	s := &fleetSim{f: f, cal: cal, res: &Result{}, rp: &resPlane{spec: *f.Block.Resilience}}
+	s := &fleetSim{f: f, cal: cal, res: &Result{}, resPlane: resPlane{spec: *f.Block.Resilience}}
 	s.machines = make([]machineState, n)
 	for i := range s.machines {
 		s.machines[i] = machineState{free: 1, up: true, member: true}
@@ -317,6 +318,32 @@ func TestHashRoutingStableAcrossMembershipChange(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("no key ever mapped to the departed machine; test is vacuous")
+	}
+}
+
+// TestHashRoutingPlaneOffIsRendezvous pins the one hash policy: with every
+// mitigation off and no storm, key k goes to rendezvousPick(k, all
+// machines), the choice a health-checked fleet makes while every machine
+// is a member. The keys are recovered by replaying the fleet stream's
+// per-arrival draws (gap, workload, service sample, key).
+func TestHashRoutingPlaneOffIsRendezvous(t *testing.T) {
+	const n = 5
+	f, cal := syntheticFleet(t, "hash", n, 100)
+	res := f.Simulate(cal, cal.CapacityReqPerCycle()*0.3)
+	if res.ResilienceOn || res.Completed != res.Offered {
+		t.Fatalf("want a plane-off run that completes everything: %+v", res)
+	}
+	all := []int{0, 1, 2, 3, 4}
+	want := make([]uint64, n)
+	rnd := f.rng()
+	for i := uint64(0); i < res.Offered; i++ {
+		rnd.ExpFloat64()
+		rnd.Float64()
+		rnd.Intn(1 << 30)
+		want[rendezvousPick(rnd.Uint64(), all)]++
+	}
+	if !reflect.DeepEqual(res.Served, want) {
+		t.Fatalf("served per machine %v, want rendezvous placement %v", res.Served, want)
 	}
 }
 
@@ -441,42 +468,63 @@ func TestZeroRequestsGuard(t *testing.T) {
 
 // --- timeline integration ---
 
+// TestTimelineResilienceColumns checks that the windowed outcomes sum to
+// the run totals, with the outcome columns exported only when the run's
+// ResilienceOn: under a storm with retries, and with every mitigation off
+// under an overload that drops at the door.
 func TestTimelineResilienceColumns(t *testing.T) {
-	f, cal := syntheticFleet(t, "least", 3, 100)
-	f.Spec.Timeline = &config.TimelineSpec{Enabled: true, WindowCycles: 10_000}
-	withResilience(f, config.ResilienceSpec{
-		Retry: &config.RetrySpec{Enabled: true, MaxAttempts: 2, TimeoutCycles: 150},
-	})
-	withStorm(t, f, testStorm(59))
-	res := f.Simulate(cal, cal.CapacityReqPerCycle()*0.8)
-	conservation(t, res)
-	tl := res.Timeline
-	if tl == nil || !tl.Resilience {
-		t.Fatal("resilience run did not widen its timeline")
+	const header = "window,start,end,arrivals,completed,dropped,goodput_kops,mean_depth,max_depth,p50_ms,p99_ms"
+	cases := []struct {
+		name    string
+		setup   func(t *testing.T, f *Fleet)
+		load    float64 // offered load as a multiple of capacity
+		columns string  // outcome columns appended to the CSV header
+	}{
+		{"storm", func(t *testing.T, f *Fleet) {
+			withResilience(f, config.ResilienceSpec{
+				Retry: &config.RetrySpec{Enabled: true, MaxAttempts: 2, TimeoutCycles: 150},
+			})
+			withStorm(t, f, testStorm(59))
+		}, 0.8, ",timed_out,shed,failed,retries,hedges"},
+		{"plane-off-overload", func(t *testing.T, f *Fleet) { f.Block.QueueCap = 4 }, 3, ""},
 	}
-	var buf bytes.Buffer
-	if err := tl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(),
-		"window,start,end,arrivals,completed,dropped,goodput_kops,mean_depth,max_depth,p50_ms,p99_ms,timed_out,shed,failed,retries,hedges\n") {
-		t.Fatalf("resilience CSV header missing outcome columns:\n%s", buf.String()[:min(len(buf.String()), 200)])
-	}
-	// Windowed outcomes sum to the run totals.
-	var to, sh, fl, dr, cp uint64
-	for i := range tl.Windows {
-		w := &tl.Windows[i]
-		to += w.TimedOut
-		sh += w.Shed
-		fl += w.Failed
-		dr += w.Dropped
-		cp += w.Completed
-	}
-	if to != res.Resilience.TimedOut || sh != res.Resilience.Shed ||
-		fl != res.Resilience.Failed || dr != res.Dropped || cp != res.Completed {
-		t.Fatalf("windowed outcomes (to %d sh %d fl %d dr %d cp %d) != totals (%d %d %d %d %d)",
-			to, sh, fl, dr, cp,
-			res.Resilience.TimedOut, res.Resilience.Shed, res.Resilience.Failed,
-			res.Dropped, res.Completed)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, cal := syntheticFleet(t, "least", 3, 100)
+			f.Spec.Timeline = &config.TimelineSpec{Enabled: true, WindowCycles: 10_000}
+			tc.setup(t, f)
+			res := f.Simulate(cal, cal.CapacityReqPerCycle()*tc.load)
+			conservation(t, res)
+			if res.ResilienceOn != (tc.columns != "") {
+				t.Fatalf("ResilienceOn = %v", res.ResilienceOn)
+			}
+			if tc.columns == "" && res.Dropped == 0 {
+				t.Fatal("the overload dropped nothing")
+			}
+			tl := res.Timeline
+			var buf bytes.Buffer
+			if err := tl.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(buf.String(), header+tc.columns+"\n") {
+				t.Fatalf("CSV header wrong:\n%s", buf.String()[:min(len(buf.String()), 200)])
+			}
+			var to, sh, fl, dr, cp uint64
+			for i := range tl.Windows {
+				w := &tl.Windows[i]
+				to += w.TimedOut
+				sh += w.Shed
+				fl += w.Failed
+				dr += w.Dropped
+				cp += w.Completed
+			}
+			if to != res.Resilience.TimedOut || sh != res.Resilience.Shed ||
+				fl != res.Resilience.Failed || dr != res.Dropped || cp != res.Completed {
+				t.Fatalf("windowed outcomes (to %d sh %d fl %d dr %d cp %d) != totals (%d %d %d %d %d)",
+					to, sh, fl, dr, cp,
+					res.Resilience.TimedOut, res.Resilience.Shed, res.Resilience.Failed,
+					res.Dropped, res.Completed)
+			}
+		})
 	}
 }

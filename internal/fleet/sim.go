@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math"
-	"math/rand"
 	"strconv"
 
 	"mcsquare/internal/machine"
@@ -51,14 +50,12 @@ type Result struct {
 	// Timeline block enables it.
 	Timeline *Timeline
 
-	// ResilienceOn records whether the fault-tolerance plane ran: a
-	// mitigation was enabled or a fleet fault storm was active. When false
-	// the counters below stay zero and the event loop took the exact
-	// legacy path.
+	// ResilienceOn records whether a mitigation was enabled or a fleet
+	// fault storm was active. When false the counters below stay zero.
 	ResilienceOn bool
-	// Resilience is the availability accounting; with ResilienceOn the
-	// conservation invariant holds:
-	// Offered == Completed + TimedOut + Shed + Dropped + Failed.
+	// Resilience is the availability accounting; the conservation
+	// invariant holds: Offered == Completed + TimedOut + Shed + Dropped +
+	// Failed.
 	Resilience ResilienceStats
 	// DowntimeCycles is each machine's total crashed time.
 	DowntimeCycles []float64
@@ -93,9 +90,10 @@ func (r *Result) Unavailability() float64 {
 	return float64(r.Offered-r.Completed) / float64(r.Offered)
 }
 
-// request is one generated arrival. Its random draws (workload, service
-// sample index, hash key) happen at generation time in arrival order, so
-// the stream is identical no matter which machines end up serving it.
+// request is one generated arrival. Its random draws (gap, workload,
+// service sample index, hash key) happen as it arrives, from a stream
+// nothing else draws from, so the stream is identical no matter which
+// machines end up serving it.
 type request struct {
 	arrive  float64
 	wl      int    // mix entry index
@@ -103,9 +101,9 @@ type request struct {
 	hashKey uint64 // consistent-hash routing key
 }
 
-// reqState tracks one request across its attempts. With the resilience
-// plane off a request has exactly one attempt that either completes or is
-// dropped at the door, and everything here stays trivial.
+// reqState tracks one request across its attempts. With every
+// mitigation off a request has exactly one attempt that either completes
+// or is dropped at the door, and everything here stays trivial.
 type reqState struct {
 	req          request
 	attempts     int // primary + retry attempts issued
@@ -113,7 +111,7 @@ type reqState struct {
 	inflight     int // live (queued or serving) attempts
 	retryPending bool
 	resolved     bool
-	lastCause    outcomeCause
+	lastCause    outcome // why the latest attempt failed
 	// first is the primary attempt, embedded so the common single-attempt
 	// request needs no second object. Retry and hedge attempts chain off
 	// it through attempt.next in issue order; last is the chain's tail.
@@ -165,8 +163,8 @@ func (s *slab[T]) alloc() *T {
 	return p
 }
 
-// evKind orders the event loop's work. Only evComplete exists on the
-// legacy path; everything else belongs to the resilience plane.
+// evKind orders the event loop's work. With every mitigation off and an
+// inert storm only evComplete is ever scheduled.
 type evKind uint8
 
 const (
@@ -295,16 +293,16 @@ func (q *attemptFIFO) reset() {
 
 // machineState is one machine's runtime queueing and health state.
 type machineState struct {
-	free  int // idle servers
-	busy  int
-	queue attemptFIFO // cancelled attempts are skipped at dequeue
+	free     int // idle servers
+	busy     int
+	queue    attemptFIFO // cancelled attempts are skipped at dequeue
+	inflight []*attempt  // attempts currently occupying servers
 
-	// Resilience-plane state; untouched (zero) on the legacy path.
-	up       bool
-	browned  bool
-	epoch    uint64     // bumped on crash to invalidate stale completions
-	inflight []*attempt // attempts currently occupying servers
-	downAt   float64
+	// Health state; only storms and mitigations act on it.
+	up      bool
+	browned bool
+	epoch   uint64 // bumped on crash to invalidate stale completions
+	downAt  float64
 
 	member     bool // health-checked LB membership
 	okProbes   int
@@ -325,7 +323,7 @@ type fleetSim struct {
 	f   *Fleet
 	cal *Calibration
 	res *Result
-	rp  *resPlane // nil = legacy path
+	resPlane
 
 	machines     []machineState
 	pending      eventHeap
@@ -339,16 +337,16 @@ type fleetSim struct {
 	attempts slab[attempt]      // retry and hedge attempts
 	members  []int              // route's candidate buffer, reused per dispatch
 	perWL    []*stats.Histogram // res.PerWorkload resolved by mix entry
+	noWindow TimelineWindow     // absorbs window counts when the timeline is off
 }
 
 // Simulate drives the calibrated fleet with an open-loop arrival stream at
 // the given offered rate (requests per cycle) and returns the operating
 // point. The whole pass is a single-threaded seeded event loop:
-// byte-identical output for identical inputs. When the fleet block's
-// Resilience spec enables a mitigation, or the fault schedule of the
-// fleet's run environment carries a fleet storm, the loop additionally
-// runs the fault-tolerance plane; otherwise it executes the exact legacy
-// sequence of operations.
+// byte-identical output for identical inputs. The fleet block's
+// Resilience mitigations and the fleet storm of the run environment's
+// fault schedule run inside the same loop; one that is off schedules no
+// event and draws no randomness.
 func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 	res := &Result{
 		Mechanism:          cal.Mechanism,
@@ -361,7 +359,7 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 		Served:             make([]uint64, len(f.Specs)),
 		DowntimeCycles:     make([]float64, len(f.Specs)),
 	}
-	s := &fleetSim{f: f, cal: cal, res: res, perWL: make([]*stats.Histogram, len(f.Block.Mix))}
+	s := &fleetSim{f: f, cal: cal, res: res, resPlane: f.newResPlane(cal), perWL: make([]*stats.Histogram, len(f.Block.Mix))}
 	for i, mx := range f.Block.Mix {
 		h := res.PerWorkload[mx.Workload]
 		if h == nil {
@@ -374,15 +372,10 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 	if f.Quick {
 		n = (n + 3) / 4
 	}
-	s.rp = f.newResPlane(cal)
-	res.ResilienceOn = s.rp != nil
-	res.Timeline = f.newTimeline() // nil unless the spec enables it
-	if res.Timeline != nil {
-		res.Timeline.Resilience = res.ResilienceOn
-	}
-	// The explicit n guard keeps the mean-depth division and the
-	// first-arrival index safe even if the quick-scale shrink above ever
-	// changes: past this point len(arrivals) > 0.
+	res.ResilienceOn = s.spec.EnabledAny() || s.storm.FleetActive()
+	res.Timeline = f.newTimeline(res) // nil unless the spec enables it
+	// The explicit n guard keeps the mean-depth division safe even if the
+	// quick-scale shrink above ever changes: past this point n > 0.
 	if n <= 0 || rate <= 0 {
 		return res
 	}
@@ -393,27 +386,6 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 	for i, w := range cal.weights {
 		sum += w
 		cum[i] = sum
-	}
-
-	// The arrival stream: every random draw happens here, in order. The
-	// resilience plane draws from its own per-machine streams, so this
-	// sequence is identical with the plane on or off.
-	arrivals := make([]request, n)
-	now := 0.0
-	for i := range arrivals {
-		switch f.Block.Arrival.Process {
-		case "trace":
-			gaps := f.Block.Arrival.GapsCycles
-			now += gaps[i%len(gaps)]
-		default: // poisson: exponential gaps at the offered rate
-			now += rnd.ExpFloat64() / rate
-		}
-		u := rnd.Float64() * sum
-		wl := 0
-		for u > cum[wl] && wl < len(cum)-1 {
-			wl++
-		}
-		arrivals[i] = request{arrive: now, wl: wl, sample: rnd.Intn(1 << 30), hashKey: rnd.Uint64()}
 	}
 	res.Offered = uint64(n)
 
@@ -426,8 +398,27 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 	s.arrivalsLeft = n
 	s.scheduleStorm()
 
-	depthSum := 0.0
-	for _, r := range arrivals {
+	depthSum, now, first := 0.0, 0.0, 0.0
+	for i := 0; i < n; i++ {
+		// Each arrival makes its random draws here, in order; the storm
+		// draws from its own per-machine streams, so this sequence is
+		// identical whatever runs alongside it.
+		switch f.Block.Arrival.Process {
+		case "trace":
+			gaps := f.Block.Arrival.GapsCycles
+			now += gaps[i%len(gaps)]
+		default: // poisson: exponential gaps at the offered rate
+			now += rnd.ExpFloat64() / rate
+		}
+		u := rnd.Float64() * sum
+		wl := 0
+		for u > cum[wl] && wl < len(cum)-1 {
+			wl++
+		}
+		r := request{arrive: now, wl: wl, sample: rnd.Intn(1 << 30), hashKey: rnd.Uint64()}
+		if i == 0 {
+			first = now
+		}
 		// Events scheduled before (or exactly at) this arrival land first,
 		// so balancer state reflects them — and the order is still
 		// deterministic because the heap breaks time ties by schedule order.
@@ -435,16 +426,16 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 			s.handle(s.pending.pop())
 		}
 		depth := 0
-		for i := range s.machines {
-			depth += s.machines[i].queue.len()
+		for m := range s.machines {
+			depth += s.machines[m].queue.len()
 		}
 		depthSum += float64(depth)
 		if depth > res.MaxQueueDepth {
 			res.MaxQueueDepth = depth
 		}
-		dropped := s.arrive(r)
+		s.arrive(r)
 		s.arrivalsLeft--
-		res.Timeline.arrival(r.arrive, depth, dropped)
+		res.Timeline.arrival(r.arrive, depth)
 	}
 	for len(s.pending) > 0 {
 		s.handle(s.pending.pop())
@@ -453,37 +444,79 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 	// should remain unresolved; if it ever does, account it as failed so
 	// the conservation invariant (which tests assert) still closes.
 	s.sweepUnresolved()
-	res.MeanQueueDepth = depthSum / float64(len(arrivals))
+	res.MeanQueueDepth = depthSum / float64(n)
 	if res.Completed > 0 {
 		// With nothing completed lastDone never moved off 0; the span
 		// stays 0 instead of going negative.
-		res.DurationCycles = s.lastDone - arrivals[0].arrive
+		res.DurationCycles = s.lastDone - first
 	}
 	res.Timeline.finalize()
 	res.publishMetrics(f.Env)
 	return res
 }
 
-// arrive admits, sheds, or places one arriving request. The returned flag
-// reports a legacy at-the-door queue drop (for the timeline's
-// arrival-instant accounting); with the plane on, drops resolve later.
-func (s *fleetSim) arrive(r request) bool {
+// arrive admits, sheds, or places one arriving request.
+func (s *fleetSim) arrive(r request) {
 	rs := s.reqs.alloc()
 	rs.req = r
 	s.unresolved++
-	if s.rp != nil && s.shouldShed(r.wl) {
-		rs.resolved = true
-		s.unresolved--
-		s.res.Resilience.Shed++
-		s.res.Timeline.shed(r.arrive)
-		return false
+	if s.shouldShed(r.wl) {
+		s.resolve(rs, outShed, r.arrive)
+		return
 	}
 	rs.attempts = 1
-	dropped := s.dispatch(s.newAttempt(rs, false), r.arrive)
-	if s.rp != nil && s.rp.hedgeDelay > 0 && !rs.resolved {
-		s.push(event{at: r.arrive + s.rp.hedgeDelay, kind: evHedge, a: &rs.first})
+	s.dispatch(s.newAttempt(rs, false), r.arrive)
+	if s.hedgeDelay > 0 && !rs.resolved {
+		s.push(event{at: r.arrive + s.hedgeDelay, kind: evHedge, a: &rs.first})
 	}
-	return dropped
+}
+
+// resolve settles rs for good with outcome o at fleet time at.
+func (s *fleetSim) resolve(rs *reqState, o outcome, at float64) {
+	rs.resolved = true
+	rs.release()
+	s.unresolved--
+	s.count(o, rs, at)
+}
+
+// count records one outcome of request rs at fleet time at, both in the
+// Result totals and in the Timeline window covering at. Nothing else
+// tallies outcomes, so the windows always sum to the totals.
+func (s *fleetSim) count(o outcome, rs *reqState, at float64) {
+	r, tl := s.res, s.res.Timeline
+	w := &s.noWindow
+	if tl != nil {
+		w = tl.win(at)
+	}
+	switch o {
+	case outCompleted:
+		lat := at - rs.req.arrive
+		r.Completed++
+		w.Completed++
+		r.Latencies.Add(lat)
+		s.perWL[rs.req.wl].Add(lat)
+		if tl != nil {
+			w.lat.Add(lat)
+		}
+	case outDropped:
+		r.Dropped++
+		w.Dropped++
+	case outTimedOut:
+		r.Resilience.TimedOut++
+		w.TimedOut++
+	case outShed:
+		r.Resilience.Shed++
+		w.Shed++
+	case outFailed:
+		r.Resilience.Failed++
+		w.Failed++
+	case outRetry:
+		r.Resilience.Retries++
+		w.Retries++
+	case outHedge:
+		r.Resilience.Hedges++
+		w.Hedges++
+	}
 }
 
 // handle routes one popped event to its handler.
@@ -544,59 +577,48 @@ func (s *fleetSim) service(m int, r request) float64 {
 	return v[r.sample%len(v)]
 }
 
-// expo draws one exponential duration with the given mean from a
-// per-machine storm stream.
-func (s *fleetSim) expo(m int, rngs []*rand.Rand, mean float64) float64 {
-	return rngs[m].ExpFloat64() * mean
-}
-
 // scheduleStorm seeds the initial crash/brownout transitions and the
-// health-probe tick. No-op on the legacy path.
+// health-probe tick, for whichever of them the run has on.
 func (s *fleetSim) scheduleStorm() {
-	if s.rp == nil {
-		return
-	}
-	if s.rp.storm.CrashMeanUpCycles > 0 {
+	if mean := s.storm.CrashMeanUpCycles; mean > 0 {
 		for m := range s.machines {
-			s.push(event{at: s.expo(m, s.rp.crashRng, s.rp.storm.CrashMeanUpCycles), kind: evCrash, m: int32(m)})
+			s.push(event{at: s.crashRng[m].ExpFloat64() * mean, kind: evCrash, m: int32(m)})
 		}
 	}
-	if s.rp.storm.BrownoutMeanUpCycles > 0 {
+	if mean := s.storm.BrownoutMeanUpCycles; mean > 0 {
 		for m := range s.machines {
-			s.push(event{at: s.expo(m, s.rp.brownRng, s.rp.storm.BrownoutMeanUpCycles), kind: evBrownStart, m: int32(m)})
+			s.push(event{at: s.brownRng[m].ExpFloat64() * mean, kind: evBrownStart, m: int32(m)})
 		}
 	}
-	if s.rp.healthEnabled() {
-		s.push(event{at: s.rp.spec.Health.ProbeIntervalCycles, kind: evProbe})
+	if hc := s.spec.Health; hc != nil && hc.Enabled {
+		s.push(event{at: hc.ProbeIntervalCycles, kind: evProbe})
 	}
 }
 
 // dispatch routes one attempt through the LB and places it: start, queue,
-// or fail. Returns true only for a legacy at-the-door drop.
-func (s *fleetSim) dispatch(a *attempt, now float64) bool {
+// or fail.
+func (s *fleetSim) dispatch(a *attempt, now float64) {
 	m, ok := s.route(a, now)
 	if !ok {
 		// No member machine the breakers will admit: the attempt has no
 		// destination and fails immediately.
-		s.attemptFail(a, now, causeFailed)
-		return false
+		s.attemptFail(a, now, outFailed)
+		return
 	}
 	a.m = m
 	st := &s.machines[m]
-	if s.rp != nil {
-		if st.brState == brHalfOpen {
-			st.brHalfOpen++
-		}
-		if !st.up {
-			// The balancer cannot see a crash the health checks have not
-			// caught yet; the placement fails on arrival at the machine.
-			s.recordFailure(m, now)
-			s.attemptFail(a, now, causeFailed)
-			return false
-		}
-		if s.rp.timeoutCyc > 0 {
-			s.push(event{at: now + s.rp.timeoutCyc, kind: evTimeout, m: int32(m), a: a})
-		}
+	if st.brState == brHalfOpen {
+		st.brHalfOpen++
+	}
+	if !st.up {
+		// The balancer cannot see a crash the health checks have not
+		// caught yet; the placement fails on arrival at the machine.
+		s.recordFailure(m, now)
+		s.attemptFail(a, now, outFailed)
+		return
+	}
+	if s.timeoutCyc > 0 {
+		s.push(event{at: now + s.timeoutCyc, kind: evTimeout, m: int32(m), a: a})
 	}
 	switch {
 	case st.free > 0:
@@ -604,42 +626,17 @@ func (s *fleetSim) dispatch(a *attempt, now float64) bool {
 	case st.queue.len() < s.f.Block.QueueCap:
 		st.queue.push(a)
 	default:
-		if s.rp == nil {
-			s.res.Dropped++
-			a.rs.resolved = true
-			s.unresolved--
-			return true
-		}
 		s.recordFailure(m, now)
-		s.attemptFail(a, now, causeDropped)
+		s.attemptFail(a, now, outDropped)
 	}
-	return false
 }
 
-// route picks the destination machine. On the legacy path this is the
-// original policy over all machines; with the plane on, only members the
-// circuit breakers admit are candidates (hash switches from key % n to
-// rendezvous hashing so membership churn does not remap survivors).
+// route picks the destination machine among the members the circuit
+// breakers admit (all machines while health checks and breakers are off).
+// The hash policy uses rendezvous hashing, so membership churn does not
+// remap survivors.
 func (s *fleetSim) route(a *attempt, now float64) (int, bool) {
 	n := len(s.machines)
-	if s.rp == nil {
-		switch s.f.Block.LB {
-		case "rr":
-			m := s.rrNext % n
-			s.rrNext++
-			return m, true
-		case "hash":
-			return int(a.rs.req.hashKey % uint64(n)), true
-		default: // least outstanding, ties to the lowest index
-			best, bestOut := 0, math.MaxInt
-			for i := range s.machines {
-				if out := s.machines[i].outstanding(); out < bestOut {
-					best, bestOut = i, out
-				}
-			}
-			return best, true
-		}
-	}
 	members := s.members[:0]
 	for i := range s.machines {
 		if s.machines[i].member && s.breakerAllows(i, now) {
@@ -666,7 +663,7 @@ func (s *fleetSim) route(a *attempt, now float64) (int, bool) {
 		return members[0], true
 	case "hash":
 		return rendezvousPick(a.rs.req.hashKey, members), true
-	default:
+	default: // least outstanding, ties to the lowest index
 		best, bestOut := -1, math.MaxInt
 		for _, i := range members {
 			if out := s.machines[i].outstanding(); out < bestOut {
@@ -685,12 +682,10 @@ func (s *fleetSim) start(at float64, m int, a *attempt) {
 	st.busy++
 	svc := s.service(m, a.rs.req)
 	if st.browned {
-		svc *= s.rp.brownFactor
+		svc *= s.brownFactor
 	}
 	a.epoch = st.epoch
-	if s.rp != nil {
-		st.inflight = append(st.inflight, a)
-	}
+	st.inflight = append(st.inflight, a)
 	s.push(event{at: at + svc, kind: evComplete, m: int32(m), a: a})
 }
 
@@ -700,31 +695,20 @@ func (s *fleetSim) complete(e event) {
 	m := int(e.m)
 	a := e.a
 	st := &s.machines[m]
-	if s.rp != nil && a.epoch != st.epoch {
+	if a.epoch != st.epoch {
 		return // the machine crashed since; its server pool was reset
 	}
 	st.free++
 	st.busy--
-	if s.rp != nil {
-		s.removeInflight(st, a)
-	}
+	s.removeInflight(st, a)
 	if !a.done {
 		a.done = true
 		rs := a.rs
 		rs.inflight--
 		s.recordSuccess(m)
 		if !rs.resolved {
-			rs.resolved = true
-			s.unresolved--
-			s.res.Completed++
 			s.res.Served[m]++
-			lat := e.at - rs.req.arrive
-			s.res.Latencies.Add(lat)
-			s.res.Timeline.completion(e.at, lat)
-			s.perWL[rs.req.wl].Add(lat)
-			if e.at > s.lastDone {
-				s.lastDone = e.at
-			}
+			s.lastDone = max(s.lastDone, e.at)
 			if rs.attempts > 1 {
 				s.res.Resilience.FailedOver++
 			}
@@ -732,7 +716,7 @@ func (s *fleetSim) complete(e event) {
 				s.res.Resilience.HedgeWins++
 			}
 			s.cancelSiblings(rs, a)
-			rs.release()
+			s.resolve(rs, outCompleted, e.at)
 		}
 	}
 	for st.queue.len() > 0 {
@@ -778,14 +762,12 @@ func (s *fleetSim) timeout(e event) {
 	if a.done || a.rs.resolved {
 		return
 	}
-	a.done = true
-	a.rs.inflight--
 	s.recordFailure(a.m, e.at)
-	s.retryOrResolve(a.rs, e.at, causeTimeout)
+	s.attemptFail(a, e.at, outTimedOut)
 }
 
-// attemptFail marks one attempt dead at issue time and escalates.
-func (s *fleetSim) attemptFail(a *attempt, now float64, cause outcomeCause) {
+// attemptFail marks one live attempt dead and escalates.
+func (s *fleetSim) attemptFail(a *attempt, now float64, cause outcome) {
 	a.done = true
 	a.rs.inflight--
 	s.retryOrResolve(a.rs, now, cause)
@@ -794,38 +776,21 @@ func (s *fleetSim) attemptFail(a *attempt, now float64, cause outcomeCause) {
 // retryOrResolve decides a failed attempt's request fate: schedule a
 // backoff retry while budget remains, wait on still-live siblings, or
 // resolve the request as failed.
-func (s *fleetSim) retryOrResolve(rs *reqState, now float64, cause outcomeCause) {
+func (s *fleetSim) retryOrResolve(rs *reqState, now float64, cause outcome) {
 	rs.lastCause = cause
 	if rs.resolved {
 		return
 	}
-	if !rs.retryPending && rs.attempts < s.rp.retryBudget() {
+	if !rs.retryPending && rs.attempts < s.retryBudget() {
 		rs.retryPending = true
-		s.res.Resilience.Retries++
-		s.res.Timeline.retry(now)
-		s.push(event{at: now + s.rp.backoff(rs.attempts+1), kind: evRetry, a: &rs.first})
+		s.count(outRetry, rs, now)
+		s.push(event{at: now + s.backoff(rs.attempts+1), kind: evRetry, a: &rs.first})
 		return
 	}
 	if rs.inflight > 0 || rs.retryPending {
 		return // a hedge (or an already-scheduled retry) may still win
 	}
-	s.resolveFailure(rs, now, rs.lastCause)
-}
-
-// resolveFailure finalizes a request that will never complete.
-func (s *fleetSim) resolveFailure(rs *reqState, now float64, cause outcomeCause) {
-	rs.resolved = true
-	rs.release()
-	s.unresolved--
-	switch cause {
-	case causeDropped:
-		s.res.Dropped++
-	case causeTimeout:
-		s.res.Resilience.TimedOut++
-	default:
-		s.res.Resilience.Failed++
-	}
-	s.res.Timeline.failure(now, cause)
+	s.resolve(rs, rs.lastCause, now)
 }
 
 // retry re-issues a request through the LB after its backoff.
@@ -845,16 +810,15 @@ func (s *fleetSim) hedge(e event) {
 	if rs.resolved || rs.inflight == 0 {
 		return // already decided, or nothing outstanding to duplicate
 	}
-	h := s.rp.spec.Hedge
+	h := s.spec.Hedge
 	if rs.hedges >= h.MaxHedges {
 		return
 	}
 	rs.hedges++
-	s.res.Resilience.Hedges++
-	s.res.Timeline.hedge(e.at)
+	s.count(outHedge, rs, e.at)
 	s.dispatch(s.newAttempt(rs, true), e.at)
 	if !rs.resolved && rs.hedges < h.MaxHedges {
-		s.push(event{at: e.at + s.rp.hedgeDelay, kind: evHedge, a: &rs.first})
+		s.push(event{at: e.at + s.hedgeDelay, kind: evHedge, a: &rs.first})
 	}
 }
 
@@ -876,26 +840,22 @@ func (s *fleetSim) crash(e event) {
 	// emptied with their buffers kept.
 	for _, a := range st.inflight {
 		if !a.done {
-			a.done = true
-			a.rs.inflight--
 			s.recordFailure(m, e.at)
-			s.retryOrResolve(a.rs, e.at, causeFailed)
+			s.attemptFail(a, e.at, outFailed)
 		}
 	}
 	clear(st.inflight)
 	st.inflight = st.inflight[:0]
 	for _, a := range st.queue.waiting() {
 		if !a.done {
-			a.done = true
-			a.rs.inflight--
-			s.retryOrResolve(a.rs, e.at, causeFailed)
+			s.attemptFail(a, e.at, outFailed)
 		}
 	}
 	st.queue.reset()
 	st.busy = 0
 	st.free = s.cal.machines[m].servers
 	if s.moreWork() {
-		s.push(event{at: e.at + s.expo(m, s.rp.crashRng, s.rp.storm.CrashMeanDownCycles), kind: evRecover, m: e.m})
+		s.push(event{at: e.at + s.crashRng[m].ExpFloat64()*s.storm.CrashMeanDownCycles, kind: evRecover, m: e.m})
 	}
 }
 
@@ -907,7 +867,7 @@ func (s *fleetSim) recover(e event) {
 	st.up = true
 	s.res.DowntimeCycles[m] += e.at - st.downAt
 	if s.moreWork() {
-		s.push(event{at: e.at + s.expo(m, s.rp.crashRng, s.rp.storm.CrashMeanUpCycles), kind: evCrash, m: e.m})
+		s.push(event{at: e.at + s.crashRng[m].ExpFloat64()*s.storm.CrashMeanUpCycles, kind: evCrash, m: e.m})
 	}
 }
 
@@ -918,7 +878,7 @@ func (s *fleetSim) brownStart(e event) {
 	st := &s.machines[m]
 	st.browned = true
 	s.res.Resilience.Brownouts++
-	s.push(event{at: e.at + s.expo(m, s.rp.brownRng, s.rp.storm.BrownoutMeanCycles), kind: evBrownEnd, m: e.m})
+	s.push(event{at: e.at + s.brownRng[m].ExpFloat64()*s.storm.BrownoutMeanCycles, kind: evBrownEnd, m: e.m})
 }
 
 // brownEnd closes the window and schedules the next one.
@@ -926,7 +886,7 @@ func (s *fleetSim) brownEnd(e event) {
 	m := int(e.m)
 	s.machines[m].browned = false
 	if s.moreWork() {
-		s.push(event{at: e.at + s.expo(m, s.rp.brownRng, s.rp.storm.BrownoutMeanUpCycles), kind: evBrownStart, m: e.m})
+		s.push(event{at: e.at + s.brownRng[m].ExpFloat64()*s.storm.BrownoutMeanUpCycles, kind: evBrownStart, m: e.m})
 	}
 }
 
@@ -934,14 +894,14 @@ func (s *fleetSim) brownEnd(e event) {
 // index order, applying the storm's counter-based probe loss and the
 // fail/restore membership thresholds.
 func (s *fleetSim) probe(e event) {
-	hc := s.rp.spec.Health
+	hc := s.spec.Health
 	for m := range s.machines {
 		st := &s.machines[m]
 		st.probeCount++
 		s.res.Resilience.ProbesSent++
 		lost := false
-		if every := s.rp.storm.ProbeLossEvery; every > 0 {
-			lost = (st.probeCount-1)%every == s.rp.probePhase[m]
+		if every := s.storm.ProbeLossEvery; every > 0 {
+			lost = (st.probeCount-1)%every == s.probePhase[m]
 			if lost {
 				s.res.Resilience.ProbesLost++
 			}
@@ -969,11 +929,11 @@ func (s *fleetSim) probe(e event) {
 // overload (busy servers over member capacity at or past the threshold),
 // mix entries below the priority floor are turned away.
 func (s *fleetSim) shouldShed(wl int) bool {
-	sh := s.rp.spec.Shed
+	sh := s.spec.Shed
 	if sh == nil || !sh.Enabled {
 		return false
 	}
-	if s.rp.priorities[wl] >= sh.PriorityFloor {
+	if s.priorities[wl] >= sh.PriorityFloor {
 		return false
 	}
 	busy, capacity := 0, 0
@@ -993,12 +953,9 @@ func (s *fleetSim) shouldShed(wl int) bool {
 // recordFailure feeds the per-machine circuit breaker (and its
 // consecutive-failure counter) after a failed placement or timeout.
 func (s *fleetSim) recordFailure(m int, now float64) {
-	if s.rp == nil {
-		return
-	}
 	st := &s.machines[m]
 	st.consecFails++
-	br := s.rp.spec.Breaker
+	br := s.spec.Breaker
 	if br == nil || !br.Enabled {
 		return
 	}
@@ -1019,9 +976,6 @@ func (s *fleetSim) recordFailure(m int, now float64) {
 
 // recordSuccess resets the failure streak and closes a half-open breaker.
 func (s *fleetSim) recordSuccess(m int) {
-	if s.rp == nil {
-		return
-	}
 	st := &s.machines[m]
 	st.consecFails = 0
 	if st.brState == brHalfOpen {
@@ -1033,7 +987,7 @@ func (s *fleetSim) recordSuccess(m int) {
 // breakerAllows reports whether the machine's breaker admits a request
 // now, transitioning open → half-open once the open window elapses.
 func (s *fleetSim) breakerAllows(m int, now float64) bool {
-	br := s.rp.spec.Breaker
+	br := s.spec.Breaker
 	if br == nil || !br.Enabled {
 		return true
 	}

@@ -22,22 +22,22 @@ type Timeline struct {
 	Clock        stats.Clock
 	Windows      []TimelineWindow
 
-	// Resilience widens the export with the fault-tolerance plane's
-	// per-window outcome columns. Off (and the export byte-identical to
-	// the legacy shape) unless the run's resilience plane was active.
-	Resilience bool
-
 	// SLOViolated reports whether any window's p99 exceeded SLOP99Ms;
 	// FirstViolation is the first such window's index (windows are
 	// checked in time order, so its End is the time-to-first-violation
 	// in cycles). Meaningful only when SLOP99Ms > 0.
 	SLOViolated    bool
 	FirstViolation int
+
+	// run is the Result the timeline belongs to; its ResilienceOn widens
+	// the export with the per-window resilience outcome columns.
+	run *Result
 }
 
-// TimelineWindow is one [Start, End) interval of fleet time. Arrivals,
-// drops, and depth samples are attributed by arrival instant; completions
-// and latency by completion instant.
+// TimelineWindow is one [Start, End) interval of fleet time. Arrivals and
+// depth samples are attributed by arrival instant, completions and latency
+// by completion instant, and the other outcomes by their resolution (or,
+// for retries and hedges, issue) instant.
 type TimelineWindow struct {
 	Index     int
 	Start     float64 // cycles
@@ -47,8 +47,7 @@ type TimelineWindow struct {
 	Dropped   uint64
 	MaxDepth  int
 
-	// Resilience-plane outcomes, attributed by resolution (or issue)
-	// instant; all zero when the plane is off.
+	// Resilience outcomes; all zero unless the run's ResilienceOn.
 	TimedOut uint64
 	Shed     uint64
 	Failed   uint64
@@ -72,9 +71,9 @@ func (w *TimelineWindow) MeanDepth() float64 {
 // PercentileCycles reads the window's completion-latency percentile.
 func (w *TimelineWindow) PercentileCycles(p float64) float64 { return w.lat.Percentile(p) }
 
-// newTimeline builds the accumulator from the spec's Timeline block, or
+// newTimeline builds run's accumulator from the spec's Timeline block, or
 // returns nil when the block is absent or disabled.
-func (f *Fleet) newTimeline() *Timeline {
+func (f *Fleet) newTimeline(run *Result) *Timeline {
 	ts := f.Spec.Timeline
 	if ts == nil || !ts.Enabled {
 		return nil
@@ -83,7 +82,7 @@ func (f *Fleet) newTimeline() *Timeline {
 	if w == 0 {
 		w = timeline.DefaultWindowCycles
 	}
-	return &Timeline{WindowCycles: w, SLOP99Ms: ts.SLOP99Ms, Clock: f.Clock, FirstViolation: -1}
+	return &Timeline{WindowCycles: w, SLOP99Ms: ts.SLOP99Ms, Clock: f.Clock, FirstViolation: -1, run: run}
 }
 
 // win returns the window covering fleet time t, growing the list (and
@@ -105,8 +104,9 @@ func (t *Timeline) win(at float64) *TimelineWindow {
 }
 
 // arrival records an arrival-instant observation (depth sampled before
-// the routing decision, matching the fleet-wide MeanQueueDepth).
-func (t *Timeline) arrival(at float64, depth int, dropped bool) {
+// the routing decision, matching the fleet-wide MeanQueueDepth). The
+// outcome columns are counted by the event loop's fleetSim.count.
+func (t *Timeline) arrival(at float64, depth int) {
 	if t == nil {
 		return
 	}
@@ -117,62 +117,6 @@ func (t *Timeline) arrival(at float64, depth int, dropped bool) {
 	if depth > w.MaxDepth {
 		w.MaxDepth = depth
 	}
-	if dropped {
-		w.Dropped++
-	}
-}
-
-// completion records a served request at its completion instant.
-func (t *Timeline) completion(at, latCycles float64) {
-	if t == nil {
-		return
-	}
-	w := t.win(at)
-	w.Completed++
-	w.lat.Add(latCycles)
-}
-
-// shed records an arrival turned away by admission control.
-func (t *Timeline) shed(at float64) {
-	if t == nil {
-		return
-	}
-	t.win(at).Shed++
-}
-
-// failure records a request resolved without completing, at its
-// resolution instant (queue drops under the resilience plane land here
-// rather than on the arrival-instant Dropped flag, because retries may
-// still have saved them).
-func (t *Timeline) failure(at float64, cause outcomeCause) {
-	if t == nil {
-		return
-	}
-	w := t.win(at)
-	switch cause {
-	case causeDropped:
-		w.Dropped++
-	case causeTimeout:
-		w.TimedOut++
-	default:
-		w.Failed++
-	}
-}
-
-// retry records a scheduled retry attempt.
-func (t *Timeline) retry(at float64) {
-	if t == nil {
-		return
-	}
-	t.win(at).Retries++
-}
-
-// hedge records an issued hedge attempt.
-func (t *Timeline) hedge(at float64) {
-	if t == nil {
-		return
-	}
-	t.win(at).Hedges++
 }
 
 // finalize computes the SLO verdict once the event loop drains.
@@ -227,8 +171,8 @@ type windowView struct {
 	P50Ms       float64 `json:"p50_ms"`
 	P99Ms       float64 `json:"p99_ms"`
 
-	// Resilience-plane columns; omitted from JSON (and absent from CSV)
-	// when the plane was off, so legacy exports are byte-identical.
+	// Resilience columns; omitted from JSON (and absent from CSV) unless
+	// the run's ResilienceOn, so default exports keep their shape.
 	TimedOut uint64 `json:"timed_out,omitempty"`
 	Shed     uint64 `json:"shed,omitempty"`
 	Failed   uint64 `json:"failed,omitempty"`
@@ -244,7 +188,7 @@ func (t *Timeline) view(w *TimelineWindow) windowView {
 		MeanDepth:   w.MeanDepth(), MaxDepth: w.MaxDepth,
 		P50Ms: t.msOf(w.lat.Percentile(50)), P99Ms: t.msOf(w.lat.Percentile(99)),
 	}
-	if t.Resilience {
+	if t.run.ResilienceOn {
 		v.TimedOut, v.Shed, v.Failed = w.TimedOut, w.Shed, w.Failed
 		v.Retries, v.Hedges = w.Retries, w.Hedges
 	}
@@ -273,11 +217,10 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 }
 
 // WriteCSV writes the fleet timeline as flat CSV rows. Resilience runs
-// append the per-window outcome columns; legacy runs keep the exact
-// legacy header and row shape.
+// append the per-window outcome columns.
 func (t *Timeline) WriteCSV(w io.Writer) error {
 	header := "window,start,end,arrivals,completed,dropped,goodput_kops,mean_depth,max_depth,p50_ms,p99_ms"
-	if t.Resilience {
+	if t.run.ResilienceOn {
 		header += ",timed_out,shed,failed,retries,hedges"
 	}
 	if _, err := io.WriteString(w, header+"\n"); err != nil {
@@ -291,7 +234,7 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 			g(v.GoodputKOps), g(v.MeanDepth), v.MaxDepth, g(v.P50Ms), g(v.P99Ms)); err != nil {
 			return err
 		}
-		if t.Resilience {
+		if t.run.ResilienceOn {
 			if _, err := fmt.Fprintf(w, ",%d,%d,%d,%d,%d",
 				v.TimedOut, v.Shed, v.Failed, v.Retries, v.Hedges); err != nil {
 				return err
