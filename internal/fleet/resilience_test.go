@@ -203,15 +203,15 @@ func TestLoadSheddingByPriority(t *testing.T) {
 	}
 	// Only the priority-0 entry may shed; the protected entry's requests
 	// all complete or queue (queue cap is effectively unbounded here).
-	mvccDone := res.PerWorkload["mvcc"].N()
-	kvDone := res.PerWorkload["kvsnap"].N()
+	mvccDone := res.PerWorkload["mvcc"]
+	kvDone := res.PerWorkload["kvsnap"]
 	if kvDone == 0 {
 		t.Fatal("protected workload starved")
 	}
-	if uint64(mvccDone+kvDone) != res.Completed {
+	if mvccDone+kvDone != res.Completed {
 		t.Fatalf("per-workload split %d+%d != completed %d", mvccDone, kvDone, res.Completed)
 	}
-	if uint64(mvccDone)+res.Resilience.Shed+uint64(kvDone) != res.Offered {
+	if mvccDone+res.Resilience.Shed+kvDone != res.Offered {
 		t.Fatalf("shed requests did not come out of the sheddable tier: mvcc %d kv %d shed %d offered %d",
 			mvccDone, kvDone, res.Resilience.Shed, res.Offered)
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 
@@ -23,9 +24,10 @@ type Result struct {
 	Dropped   uint64 // requests rejected by a full queue (after any retries)
 
 	// Latencies is end-to-end request latency in cycles (queueing + service),
-	// in completion order; PerWorkload splits it by mix entry.
+	// in completion order. PerWorkload counts the completions by workload
+	// name (mix entries naming the same workload share one count).
 	Latencies   *stats.Histogram
-	PerWorkload map[string]*stats.Histogram
+	PerWorkload map[string]uint64
 
 	// MeanQueueDepth is the fleet-wide queued-request count averaged over
 	// arrival instants; MaxQueueDepth is its per-arrival maximum. The depth
@@ -104,11 +106,21 @@ type request struct {
 // reqState tracks one request across its attempts. With every
 // mitigation off a request has exactly one attempt that either completes
 // or is dropped at the door, and everything here stays trivial.
+//
+// A request state lives while the request is in flight. refs counts what
+// still names it: scheduled request-scoped events (evComplete, evTimeout,
+// evHedge, evRetry) whose attempt belongs to it, machine-queue slots
+// holding one of its attempts, and the arrival that is placing it. An
+// attempt in service needs no count of its own, because its evComplete
+// is still pending. Once the request is resolved and refs falls to 0,
+// unref hands the state and its retry and hedge attempts back to the
+// slabs' free lists.
 type reqState struct {
 	req          request
 	attempts     int // primary + retry attempts issued
 	hedges       int // hedge attempts issued
 	inflight     int // live (queued or serving) attempts
+	refs         int // pending events, queue slots and the placing arrival
 	retryPending bool
 	resolved     bool
 	lastCause    outcome // why the latest attempt failed
@@ -131,36 +143,38 @@ type attempt struct {
 	done  bool
 }
 
-// release unlinks a resolved request from its retry and hedge attempts.
-// Every attempt is done by then, and handlers read a done attempt's rs
-// no more. The links would otherwise chain slab chunks together: each
-// attempt chunk points into the request chunks of its attempts, and
-// those point into older attempt chunks, so one live chunk would keep
-// every earlier one reachable.
-func (rs *reqState) release() {
-	for a := rs.first.next; a != nil; {
-		next := a.next
-		a.rs, a.next = nil, nil
-		a = next
-	}
-	rs.first.next, rs.last = nil, nil
-}
-
 // slab hands out pointers into chunked backing arrays, so per-request
 // state costs one allocation per slabChunk objects instead of one each.
-// Only the current chunk is referenced from here: a spent chunk is freed
-// once no event or request points into it any more.
-type slab[T any] struct{ free []T }
+// put zeroes an object that is done with and keeps it on a free list,
+// which get drains before carving the current chunk, so the slab grows
+// with the objects live at once, not with every object ever handed out.
+type slab[T any] struct {
+	chunk  []T  // the current chunk's uncarved rest
+	free   []*T // zeroed objects handed back by put
+	carved int  // objects ever carved from chunks
+}
 
 const slabChunk = 1024
 
-func (s *slab[T]) alloc() *T {
-	if len(s.free) == 0 {
-		s.free = make([]T, slabChunk)
+func (s *slab[T]) get() *T {
+	if n := len(s.free) - 1; n >= 0 {
+		p := s.free[n]
+		s.free = s.free[:n]
+		return p
 	}
-	p := &s.free[0]
-	s.free = s.free[1:]
+	if len(s.chunk) == 0 {
+		s.chunk = make([]T, slabChunk)
+	}
+	p := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	s.carved++
 	return p
+}
+
+func (s *slab[T]) put(p *T) {
+	var zero T
+	*p = zero
+	s.free = append(s.free, p)
 }
 
 // evKind orders the event loop's work. With every mitigation off and an
@@ -178,6 +192,10 @@ const (
 	evBrownEnd
 	evProbe
 )
+
+// requestScoped reports whether events of kind k carry an attempt of a
+// request, and so hold a reference to its reqState.
+func (k evKind) requestScoped() bool { return k <= evRetry }
 
 // event is one scheduled occurrence on the fleet timebase. Request-scoped
 // events (evHedge, evRetry) carry the request's primary attempt, so one
@@ -250,53 +268,111 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// attemptFIFO is a machine's wait queue. Dequeue advances a head index and
-// enqueue compacts the live tail to the front once at least half the
+// fifo is a queue that reuses its buffer. Dequeue advances a head index
+// and enqueue compacts the live tail to the front once at least half the
 // buffer is spent, so the backing array is reused instead of regrown.
-type attemptFIFO struct {
-	buf  []*attempt
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (q *attemptFIFO) len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
-func (q *attemptFIFO) push(a *attempt) {
+func (q *fifo[T]) push(v T) {
 	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		clear(q.buf[n:])
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	q.buf = append(q.buf, a)
+	q.buf = append(q.buf, v)
 }
 
-func (q *attemptFIFO) pop() *attempt {
-	a := q.buf[q.head]
-	q.buf[q.head] = nil
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
 	}
-	return a
+	return v
 }
 
-// waiting returns the queued attempts in FIFO order.
-func (q *attemptFIFO) waiting() []*attempt { return q.buf[q.head:] }
+// waiting returns the queued values in FIFO order.
+func (q *fifo[T]) waiting() []T { return q.buf[q.head:] }
 
 // reset empties the queue, keeping its buffer.
-func (q *attemptFIFO) reset() {
+func (q *fifo[T]) reset() {
 	clear(q.buf)
 	q.buf = q.buf[:0]
 	q.head = 0
+}
+
+// eventQueue is the loop's pending events. evTimeout fires at dispatch
+// time plus the run's timeout and evHedge at arrival or hedge time plus
+// the run's hedge delay; both delays are fixed for a run and the loop's
+// clock never goes back, so each kind is scheduled in (at, seq) order and
+// waits in a FIFO of its own. Everything else (completions, retries after
+// their backoff, storm and probe events) goes on the heap. Popping takes
+// the least (at, seq) among the heap root and the two FIFO heads, the
+// order one heap over every event would give.
+type eventQueue struct {
+	heap     eventHeap
+	timeouts fifo[event]
+	hedges   fifo[event]
+}
+
+// push schedules e, which already carries its seq. It panics if e would
+// leave a timer FIFO out of order.
+func (q *eventQueue) push(e event) {
+	switch e.kind {
+	case evTimeout:
+		pushTimer(&q.timeouts, e)
+	case evHedge:
+		pushTimer(&q.hedges, e)
+	default:
+		q.heap.push(e)
+	}
+}
+
+func pushTimer(t *fifo[event], e event) {
+	if w := t.waiting(); len(w) > 0 && e.before(&w[len(w)-1]) {
+		panic(fmt.Sprintf("fleet: kind-%d timer at %v scheduled behind one at %v", e.kind, e.at, w[len(w)-1].at))
+	}
+	t.push(e)
+}
+
+// popDue removes and returns the earliest pending event if it falls at or
+// before limit.
+func (q *eventQueue) popDue(limit float64) (event, bool) {
+	var first *event
+	var from *fifo[event] // nil: the heap
+	if len(q.heap) > 0 {
+		first = &q.heap[0]
+	}
+	if t := &q.timeouts; t.len() > 0 && (first == nil || t.buf[t.head].before(first)) {
+		first, from = &t.buf[t.head], t
+	}
+	if t := &q.hedges; t.len() > 0 && (first == nil || t.buf[t.head].before(first)) {
+		first, from = &t.buf[t.head], t
+	}
+	if first == nil || first.at > limit {
+		return event{}, false
+	}
+	if from != nil {
+		return from.pop(), true
+	}
+	return q.heap.pop(), true
 }
 
 // machineState is one machine's runtime queueing and health state.
 type machineState struct {
 	free     int // idle servers
 	busy     int
-	queue    attemptFIFO // cancelled attempts are skipped at dequeue
-	inflight []*attempt  // attempts currently occupying servers
+	queue    fifo[*attempt] // cancelled attempts are skipped at dequeue
+	inflight []*attempt     // attempts currently occupying servers
 
 	// Health state; only storms and mitigations act on it.
 	up      bool
@@ -326,7 +402,7 @@ type fleetSim struct {
 	resPlane
 
 	machines     []machineState
-	pending      eventHeap
+	pending      eventQueue
 	seq          uint64
 	rrNext       int
 	lastDone     float64
@@ -334,10 +410,10 @@ type fleetSim struct {
 	arrivalsLeft int
 
 	reqs     slab[reqState]
-	attempts slab[attempt]      // retry and hedge attempts
-	members  []int              // route's candidate buffer, reused per dispatch
-	perWL    []*stats.Histogram // res.PerWorkload resolved by mix entry
-	noWindow TimelineWindow     // absorbs window counts when the timeline is off
+	attempts slab[attempt]  // retry and hedge attempts
+	members  []int          // route's candidate buffer, reused per dispatch
+	perWL    []uint64       // completions by mix entry, summed into res.PerWorkload
+	noWindow TimelineWindow // absorbs window counts when the timeline is off
 }
 
 // Simulate drives the calibrated fleet with an open-loop arrival stream at
@@ -348,6 +424,11 @@ type fleetSim struct {
 // fault schedule run inside the same loop; one that is off schedules no
 // event and draws no randomness.
 func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
+	return f.simulate(cal, rate).res
+}
+
+// simulate runs Simulate's loop and returns its drained working state.
+func (f *Fleet) simulate(cal *Calibration, rate float64) *fleetSim {
 	res := &Result{
 		Mechanism:          cal.Mechanism,
 		Machines:           len(f.Specs),
@@ -355,18 +436,13 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 		OfferedReqPerCycle: rate,
 		CapacityKOps:       f.CapacityKOps(cal),
 		Latencies:          &stats.Histogram{},
-		PerWorkload:        map[string]*stats.Histogram{},
+		PerWorkload:        map[string]uint64{},
 		Served:             make([]uint64, len(f.Specs)),
 		DowntimeCycles:     make([]float64, len(f.Specs)),
 	}
-	s := &fleetSim{f: f, cal: cal, res: res, resPlane: f.newResPlane(cal), perWL: make([]*stats.Histogram, len(f.Block.Mix))}
-	for i, mx := range f.Block.Mix {
-		h := res.PerWorkload[mx.Workload]
-		if h == nil {
-			h = &stats.Histogram{}
-			res.PerWorkload[mx.Workload] = h
-		}
-		s.perWL[i] = h
+	s := &fleetSim{f: f, cal: cal, res: res, resPlane: f.newResPlane(cal), perWL: make([]uint64, len(f.Block.Mix))}
+	for _, mx := range f.Block.Mix {
+		res.PerWorkload[mx.Workload] = 0
 	}
 	n := f.Block.Requests
 	if f.Quick {
@@ -377,8 +453,9 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 	// The explicit n guard keeps the mean-depth division safe even if the
 	// quick-scale shrink above ever changes: past this point n > 0.
 	if n <= 0 || rate <= 0 {
-		return res
+		return s
 	}
+	res.Latencies.Grow(n)
 
 	rnd := f.rng()
 	cum := make([]float64, len(cal.weights))
@@ -421,10 +498,8 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 		}
 		// Events scheduled before (or exactly at) this arrival land first,
 		// so balancer state reflects them — and the order is still
-		// deterministic because the heap breaks time ties by schedule order.
-		for len(s.pending) > 0 && s.pending[0].at <= r.arrive {
-			s.handle(s.pending.pop())
-		}
+		// deterministic because the queue breaks time ties by schedule order.
+		s.drain(r.arrive)
 		depth := 0
 		for m := range s.machines {
 			depth += s.machines[m].queue.len()
@@ -437,14 +512,15 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 		s.arrivalsLeft--
 		res.Timeline.arrival(r.arrive, depth)
 	}
-	for len(s.pending) > 0 {
-		s.handle(s.pending.pop())
-	}
+	s.drain(math.Inf(1))
 	// Defensive: the loop above drains every live attempt, so nothing
 	// should remain unresolved; if it ever does, account it as failed so
 	// the conservation invariant (which tests assert) still closes.
 	s.sweepUnresolved()
 	res.MeanQueueDepth = depthSum / float64(n)
+	for i, mx := range f.Block.Mix {
+		res.PerWorkload[mx.Workload] += s.perWL[i]
+	}
 	if res.Completed > 0 {
 		// With nothing completed lastDone never moved off 0; the span
 		// stays 0 instead of going negative.
@@ -452,31 +528,61 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 	}
 	res.Timeline.finalize()
 	res.publishMetrics(f.Env)
-	return res
+	return s
 }
 
-// arrive admits, sheds, or places one arriving request.
+// drain handles every pending event due at or before limit, in order.
+func (s *fleetSim) drain(limit float64) {
+	for {
+		e, ok := s.pending.popDue(limit)
+		if !ok {
+			return
+		}
+		s.handle(e)
+	}
+}
+
+// arrive admits, sheds, or places one arriving request. It holds a
+// reference to the request state while it does.
 func (s *fleetSim) arrive(r request) {
-	rs := s.reqs.alloc()
+	rs := s.reqs.get()
 	rs.req = r
+	rs.refs = 1
 	s.unresolved++
 	if s.shouldShed(r.wl) {
 		s.resolve(rs, outShed, r.arrive)
-		return
+	} else {
+		rs.attempts = 1
+		s.dispatch(s.newAttempt(rs, false), r.arrive)
+		if s.hedgeDelay > 0 && !rs.resolved {
+			s.push(event{at: r.arrive + s.hedgeDelay, kind: evHedge, a: &rs.first})
+		}
 	}
-	rs.attempts = 1
-	s.dispatch(s.newAttempt(rs, false), r.arrive)
-	if s.hedgeDelay > 0 && !rs.resolved {
-		s.push(event{at: r.arrive + s.hedgeDelay, kind: evHedge, a: &rs.first})
-	}
+	s.unref(rs)
 }
 
-// resolve settles rs for good with outcome o at fleet time at.
+// resolve settles rs for good with outcome o at fleet time at. Every
+// caller holds a reference to rs, so its state is recycled by unref.
 func (s *fleetSim) resolve(rs *reqState, o outcome, at float64) {
 	rs.resolved = true
-	rs.release()
 	s.unresolved--
 	s.count(o, rs, at)
+}
+
+// unref drops one reference to rs. A resolved request that nothing names
+// any more goes back on the free list with its retry and hedge attempts;
+// every attempt is done by then, and no event or queue slot holds one.
+func (s *fleetSim) unref(rs *reqState) {
+	rs.refs--
+	if rs.refs > 0 || !rs.resolved {
+		return
+	}
+	for a := rs.first.next; a != nil; {
+		next := a.next
+		s.attempts.put(a)
+		a = next
+	}
+	s.reqs.put(rs)
 }
 
 // count records one outcome of request rs at fleet time at, both in the
@@ -494,7 +600,7 @@ func (s *fleetSim) count(o outcome, rs *reqState, at float64) {
 		r.Completed++
 		w.Completed++
 		r.Latencies.Add(lat)
-		s.perWL[rs.req.wl].Add(lat)
+		s.perWL[rs.req.wl]++
 		if tl != nil {
 			w.lat.Add(lat)
 		}
@@ -519,8 +625,15 @@ func (s *fleetSim) count(o outcome, rs *reqState, at float64) {
 	}
 }
 
-// handle routes one popped event to its handler.
+// handle routes one popped event to its handler, then drops the
+// reference a request-scoped event holds.
 func (s *fleetSim) handle(e event) {
+	var rs *reqState
+	if e.kind.requestScoped() {
+		if rs = e.a.rs; rs == nil || rs.refs <= 0 {
+			panic(fmt.Sprintf("fleet: kind-%d event at %v for a request with no references left", e.kind, e.at))
+		}
+	}
 	switch e.kind {
 	case evComplete:
 		s.complete(e)
@@ -541,12 +654,19 @@ func (s *fleetSim) handle(e event) {
 	case evProbe:
 		s.probe(e)
 	}
+	if rs != nil {
+		s.unref(rs)
+	}
 }
 
-// push schedules an event, stamping the deterministic tie-break sequence.
+// push schedules an event, stamping the deterministic tie-break sequence;
+// a request-scoped event takes a reference to its request.
 func (s *fleetSim) push(e event) {
 	e.seq = s.seq
 	s.seq++
+	if e.kind.requestScoped() {
+		e.a.rs.refs++
+	}
 	s.pending.push(e)
 }
 
@@ -555,7 +675,7 @@ func (s *fleetSim) push(e event) {
 func (s *fleetSim) newAttempt(rs *reqState, hedge bool) *attempt {
 	a := &rs.first
 	if rs.last != nil {
-		a = s.attempts.alloc()
+		a = s.attempts.get()
 		rs.last.next = a
 	}
 	rs.last = a
@@ -625,6 +745,7 @@ func (s *fleetSim) dispatch(a *attempt, now float64) {
 		s.start(now, m, a)
 	case st.queue.len() < s.f.Block.QueueCap:
 		st.queue.push(a)
+		a.rs.refs++
 	default:
 		s.recordFailure(m, now)
 		s.attemptFail(a, now, outDropped)
@@ -722,9 +843,11 @@ func (s *fleetSim) complete(e event) {
 	for st.queue.len() > 0 {
 		next := st.queue.pop()
 		if next.done {
-			continue // cancelled while waiting; skip to the next
+			s.unref(next.rs) // cancelled while waiting; skip to the next
+			continue
 		}
-		s.start(e.at, m, next)
+		s.start(e.at, m, next) // its completion now holds the request
+		s.unref(next.rs)
 		break
 	}
 }
@@ -824,7 +947,7 @@ func (s *fleetSim) hedge(e event) {
 
 // crash takes a machine down: every queued and in-service attempt fails
 // over (or out), the server pool resets, and the epoch bump invalidates
-// the stale completions still in the heap.
+// the stale completions still pending.
 func (s *fleetSim) crash(e event) {
 	m := int(e.m)
 	st := &s.machines[m]
@@ -850,6 +973,7 @@ func (s *fleetSim) crash(e event) {
 		if !a.done {
 			s.attemptFail(a, e.at, outFailed)
 		}
+		s.unref(a.rs)
 	}
 	st.queue.reset()
 	st.busy = 0

@@ -3,7 +3,10 @@ package fleet
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mcsquare/internal/config"
@@ -76,6 +79,93 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
+// TestTimerQueuesMatchHeap schedules a seeded mix of fixed-delay timers
+// (evTimeout and evHedge at the clock plus a constant) and events at
+// arbitrary later times, the way the loop does, with the clock following
+// the pops. The eventQueue (heap plus two timer FIFOs) must pop exactly
+// the sequence a single eventHeap over every event pops, including when a
+// pop is limited to events due by a given time.
+func TestTimerQueuesMatchHeap(t *testing.T) {
+	const timeoutDelay, hedgeDelay = 40, 12.5
+	for _, seed := range []int64{1, 2, 3, 42} {
+		rnd := rand.New(rand.NewSource(seed))
+		var got eventQueue
+		var ref eventHeap
+		var seq uint64
+		now, popped, timers := 0.0, 0, 0
+		for i := 0; i < 20_000; i++ {
+			if len(ref) > 0 && rnd.Intn(5) < 2 {
+				limit := math.Inf(1)
+				if rnd.Intn(2) == 0 {
+					limit = now + float64(rnd.Intn(48))
+				}
+				g, ok := got.popDue(limit)
+				if want := ref[0].at <= limit; ok != want {
+					t.Fatalf("seed %d pop %d: popDue(%v) reported %v, reference head at %v", seed, popped, limit, ok, ref[0].at)
+				}
+				if !ok {
+					continue
+				}
+				w := ref.pop()
+				if g.at != w.at || g.seq != w.seq || g.kind != w.kind {
+					t.Fatalf("seed %d pop %d: got (%v, %d, %d), want (%v, %d, %d)",
+						seed, popped, g.at, g.seq, g.kind, w.at, w.seq, w.kind)
+				}
+				now = g.at
+				popped++
+				continue
+			}
+			e := event{seq: seq, kind: evKind(rnd.Intn(int(evProbe) + 1))}
+			switch e.kind {
+			case evTimeout:
+				e.at = now + timeoutDelay
+				timers++
+			case evHedge:
+				e.at = now + hedgeDelay
+				timers++
+			default:
+				e.at = now + float64(rnd.Intn(64)) // ties with the timers are common
+			}
+			seq++
+			got.push(e)
+			ref.push(e)
+		}
+		for len(ref) > 0 {
+			g, ok := got.popDue(math.Inf(1))
+			w := ref.pop()
+			if !ok || g.seq != w.seq {
+				t.Fatalf("seed %d drain pop %d: got (%v, %d, ok %v), want (%v, %d)", seed, popped, g.at, g.seq, ok, w.at, w.seq)
+			}
+			popped++
+		}
+		if _, ok := got.popDue(math.Inf(1)); ok {
+			t.Fatalf("seed %d: queue still holds events after the reference drained", seed)
+		}
+		if timers < 2000 {
+			t.Fatalf("seed %d: only %d timer events scheduled", seed, timers)
+		}
+	}
+}
+
+// TestTimerFIFORejectsOutOfOrderPush: a fixed-delay timer scheduled
+// before the last one of its kind still waiting would pop out of order,
+// so push panics instead.
+func TestTimerFIFORejectsOutOfOrderPush(t *testing.T) {
+	for _, kind := range []evKind{evTimeout, evHedge} {
+		var q eventQueue
+		q.push(event{at: 100, seq: 0, kind: kind})
+		q.push(event{at: 100, seq: 1, kind: kind}) // equal times keep seq order
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("kind %d: out-of-order timer push did not panic", kind)
+				}
+			}()
+			q.push(event{at: 99, seq: 2, kind: kind})
+		}()
+	}
+}
+
 // stormFleet is a four-machine synthetic fleet with every mitigation on
 // under testStorm, bound for the rest of the test.
 func stormFleet(t *testing.T) (*Fleet, *Calibration) {
@@ -93,13 +183,17 @@ func stormFleet(t *testing.T) (*Fleet, *Calibration) {
 }
 
 // TestSimulateAllocationPin keeps the queueing loop allocation-free per
-// request: events move by value through a typed heap, request and attempt
-// state come from slabs, the machine queues and routing buffer are reused,
-// and each arrival is drawn as the loop reaches it. What remains is per
-// run (the Result, the storm streams) or amortized (histogram and heap
-// growth, one slab chunk per 1024 requests). Boxing events into a container/heap again, or allocating
-// each request's state on its own, costs at least one allocation per
-// request and fails here.
+// request and its heap footprint tied to the requests in flight: events
+// move by value through a typed heap and two timer FIFOs, request and
+// attempt state come from slabs and go back on their free lists, the
+// machine queues and routing buffer are reused, each arrival is drawn as
+// the loop reaches it, and the latency array is reserved once. What
+// remains is per run (the Result, the storm streams, the latency array's
+// 8 bytes per request) or bounded by the requests in flight (slab chunks,
+// heap and queue buffers). Boxing events into a container/heap again, or
+// allocating each request's state on its own, costs at least one
+// allocation per request; a slab that never reuses request state, or a
+// second copy of every latency, costs dozens of bytes per request.
 func TestSimulateAllocationPin(t *testing.T) {
 	const requests = 100_000
 	cases := []struct {
@@ -107,10 +201,12 @@ func TestSimulateAllocationPin(t *testing.T) {
 		fleet func(*testing.T) (*Fleet, *Calibration)
 		limit float64 // allocations per request
 	}{
-		// Measured 0.0019 (plane-off) and 0.0047 (storm) per request.
+		// Measured 0.0005 (plane-off) and 0.0018 (storm) per request.
 		{"plane-off", func(t *testing.T) (*Fleet, *Calibration) { return syntheticFleet(t, "least", 4, 100) }, 0.005},
 		{"storm", stormFleet, 0.01},
 	}
+	// Heap bytes per request, both cases; measured 9.3 and 10.6.
+	const bytesLimit = 16
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, cal := tc.fleet(t)
@@ -126,7 +222,94 @@ func TestSimulateAllocationPin(t *testing.T) {
 			if perReq > tc.limit {
 				t.Fatalf("Simulate allocates %.4f times per request, want at most %v", perReq, tc.limit)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f.Simulate(cal, rate)
+			runtime.ReadMemStats(&after)
+			bytesPerReq := float64(after.TotalAlloc-before.TotalAlloc) / requests
+			t.Logf("%.1f heap bytes per request", bytesPerReq)
+			if bytesPerReq > bytesLimit {
+				t.Fatalf("Simulate allocates %.1f heap bytes per request, want at most %d", bytesPerReq, bytesLimit)
+			}
 		})
+	}
+}
+
+// TestSimulateRecyclesRequestState: once Simulate drains, every request
+// state and attempt the slabs ever carved is back on a free list, and the
+// slabs carved about as many as were in flight at once, not one per
+// request. The storm cases crash machines with attempts in service, and
+// time out, retry and hedge attempts. In stormFleet, shedding and open
+// breakers keep the queues of crashing machines empty; with both off,
+// crashes also flush attempts waiting in machine queues.
+func TestSimulateRecyclesRequestState(t *testing.T) {
+	const requests = 20_000
+	cases := []struct {
+		name  string
+		fleet func(*testing.T) (*Fleet, *Calibration)
+	}{
+		{"plane-off", func(t *testing.T) (*Fleet, *Calibration) { return syntheticFleet(t, "least", 4, 100) }},
+		{"storm", stormFleet},
+		{"storm-queued", func(t *testing.T) (*Fleet, *Calibration) {
+			f, cal := stormFleet(t)
+			f.Block.Resilience.Shed, f.Block.Resilience.Breaker = nil, nil
+			return f, cal
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, cal := tc.fleet(t)
+			f.Block.Requests = requests
+			s := f.simulate(cal, cal.CapacityReqPerCycle()*0.9)
+			res := s.res
+			if res.Offered != requests || res.Completed == 0 {
+				t.Fatalf("degenerate run: offered %d completed %d", res.Offered, res.Completed)
+			}
+			if res.ResilienceOn {
+				rz := res.Resilience
+				if rz.Crashes == 0 || rz.Retries == 0 || rz.Hedges == 0 || rz.HedgeCancels == 0 {
+					t.Fatalf("storm run skipped a path: %+v", rz)
+				}
+				if s.attempts.carved == 0 {
+					t.Fatal("no retry or hedge attempt was carved")
+				}
+			}
+			t.Logf("carved %d request states and %d attempts for %d requests",
+				s.reqs.carved, s.attempts.carved, requests)
+			if n := len(s.reqs.free); n != s.reqs.carved {
+				t.Fatalf("%d of %d request states not recycled", s.reqs.carved-n, s.reqs.carved)
+			}
+			if n := len(s.attempts.free); n != s.attempts.carved {
+				t.Fatalf("%d of %d attempts not recycled", s.attempts.carved-n, s.attempts.carved)
+			}
+			if s.reqs.carved > requests/4 {
+				t.Fatalf("carved %d request states for %d requests: state is not reused", s.reqs.carved, requests)
+			}
+		})
+	}
+}
+
+// TestHandleRejectsUnreferencedRequest: a request-scoped event whose
+// request has no references left names recycled state, so handling it
+// panics instead of acting on whatever request reuses the slot.
+func TestHandleRejectsUnreferencedRequest(t *testing.T) {
+	f, cal := syntheticFleet(t, "least", 2, 100)
+	s := f.simulate(cal, cal.CapacityReqPerCycle()*0.5)
+	for _, kind := range []evKind{evComplete, evTimeout, evHedge, evRetry} {
+		rs := s.reqs.get()
+		rs.first.rs = rs     // a live-looking request, but refs is 0
+		var recycled attempt // a recycled attempt: zeroed, no request
+		for _, a := range []*attempt{&rs.first, &recycled} {
+			func() {
+				defer func() {
+					r := recover()
+					if msg, _ := r.(string); !strings.Contains(msg, "no references left") {
+						t.Fatalf("kind %d: handle recovered %v, want a no-references panic", kind, r)
+					}
+				}()
+				s.handle(event{at: 1, kind: kind, a: a})
+			}()
+		}
 	}
 }
 

@@ -5,6 +5,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -255,13 +256,43 @@ func (m *Machine) AllocPage(size uint64) memdata.Addr {
 	return m.Alloc(size, memdata.PageSize)
 }
 
-// FillRandom writes deterministic pseudorandom bytes over [a, a+n).
+// FillRandom writes deterministic pseudorandom bytes over [a, a+n): the
+// byte stream rand.New(rand.NewSource(seed)).Read gives, which spends the
+// low 7 bytes of each Int63, lowest first. It streams through one page
+// buffer instead of holding all n bytes, and mirrors each page into the
+// invariant shadow; chunks split at page boundaries, which are
+// line-aligned, so the shadow learns the same fully covered lines as from
+// one n-byte write.
 func (m *Machine) FillRandom(a memdata.Addr, n uint64, seed int64) {
-	rnd := rand.New(rand.NewSource(seed))
-	buf := make([]byte, n)
-	rnd.Read(buf)
-	m.Phys.Write(a, buf)
-	m.Inv.ObserveInit(a, buf) // mirror backdoor seeding into the shadow
+	src := rand.NewSource(seed)
+	var buf [memdata.PageSize]byte
+	var val int64 // the current Int63's unwritten bytes, lowest first
+	left := 0     // how many bytes of val are unwritten
+	for n > 0 {
+		chunk := buf[:min(n, memdata.PageSize-memdata.PageOffset(a))]
+		p := chunk
+		for ; left > 0 && len(p) > 0; left-- {
+			p[0] = byte(val)
+			val >>= 8
+			p = p[1:]
+		}
+		for len(p) >= 8 { // whole groups; the 8th byte is the next group's first
+			binary.LittleEndian.PutUint64(p, uint64(src.Int63()))
+			p = p[7:]
+		}
+		if len(p) > 0 {
+			val, left = src.Int63(), 7
+			for ; len(p) > 0; left-- {
+				p[0] = byte(val)
+				val >>= 8
+				p = p[1:]
+			}
+		}
+		m.Phys.Write(a, chunk)
+		m.Inv.ObserveInit(a, chunk) // mirror backdoor seeding into the shadow
+		a += memdata.Addr(len(chunk))
+		n -= uint64(len(chunk))
+	}
 }
 
 // Run executes one workload function per core (fn i on core i) as

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mcsquare/internal/cpu"
+	"mcsquare/internal/invariant"
 	"mcsquare/internal/memdata"
 	"mcsquare/internal/sim"
 	"mcsquare/internal/softmc"
@@ -58,6 +59,89 @@ func TestAllocExhaustionPanics(t *testing.T) {
 	}
 	if next := m.Alloc(100, 64); next < first+100 {
 		t.Fatalf("allocation after failed requests at %#x overlaps the first at %#x", next, first)
+	}
+}
+
+// TestFillRandomStreamMatchesRandRead: FillRandom writes exactly the
+// bytes rand.New(rand.NewSource(seed)).Read gives for the same length,
+// and nothing outside [a, a+n), for line- and page-unaligned starts,
+// lengths that cross one or more pages, and every tail length from 0 to 15
+// after whole pages. With the invariant shadow on, the lines fully inside
+// the range become known with those bytes and the partial edge lines stay
+// unknown, as they would from one n-byte write.
+func TestFillRandomStreamMatchesRandRead(t *testing.T) {
+	var lengths []uint64
+	for tail := uint64(0); tail < 16; tail++ {
+		lengths = append(lengths, tail, memdata.PageSize+tail, 3*memdata.PageSize+tail)
+	}
+	lengths = append(lengths, memdata.PageSize-1, 2*memdata.PageSize-7, 7*memdata.PageSize/2)
+	starts := []uint64{0, 1, 7, 63, 64 + 5, memdata.PageSize - 3, 2*memdata.PageSize - 64}
+	for _, shadow := range []bool{false, true} {
+		p := DefaultParams()
+		p.MemSize = 16 << 20
+		if shadow {
+			p.Env = NewEnv(Env{Invariants: invariant.Config{Shadow: true}})
+		}
+		m := New(p)
+		for i, n := range lengths {
+			for j, off := range starts {
+				// A fresh window per case: never written, never observed.
+				base := m.AllocPage(8 * memdata.PageSize)
+				seed := int64(100*i + j)
+				a := base + memdata.Addr(memdata.PageSize+off)
+				m.FillRandom(a, n, seed)
+
+				want := make([]byte, n)
+				rand.New(rand.NewSource(seed)).Read(want)
+				window := m.Phys.Read(base, 8*memdata.PageSize)
+				lo, hi := a-base, a-base+memdata.Addr(n)
+				if got := window[lo:hi]; !bytes.Equal(got, want) {
+					t.Fatalf("shadow %v, start +%d, n %d: bytes differ from rand.Read", shadow, off, n)
+				}
+				if !allZero(window[:lo]) || !allZero(window[hi:]) {
+					t.Fatalf("shadow %v, start +%d, n %d: wrote outside the range", shadow, off, n)
+				}
+				if shadow {
+					checkShadowLines(t, m, a, n)
+				}
+			}
+		}
+		if vs := m.Inv.Violations(); len(vs) != 0 {
+			t.Fatalf("shadow reported %d violations, first %v", len(vs), vs[0])
+		}
+	}
+}
+
+func allZero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// checkShadowLines reads every line touching [a, a+n) back into the
+// shadow's read check: the fully covered lines must be checked against
+// known bytes, the partial edge lines adopted as first observations.
+func checkShadowLines(t *testing.T, m *Machine, a memdata.Addr, n uint64) {
+	t.Helper()
+	first, end := memdata.LineAlign(a), memdata.LineUp(a+memdata.Addr(n))
+	if n == 0 {
+		end = first
+	}
+	full := uint64(0)
+	if lo, hi := memdata.LineUp(a), memdata.LineAlign(a+memdata.Addr(n)); hi > lo {
+		full = uint64(hi-lo) / memdata.LineSize
+	}
+	checks0, _, adopted0 := m.Inv.Checks()
+	for l := first; l < end; l += memdata.LineSize {
+		m.Inv.CheckRead(l, m.Phys.ReadLine(l), 1)
+	}
+	checks, _, adopted := m.Inv.Checks()
+	if checks-checks0 != full || adopted-adopted0 != uint64(end-first)/memdata.LineSize-full {
+		t.Fatalf("start %#x, n %d: %d lines checked and %d adopted, want %d fully covered lines checked",
+			a, n, checks-checks0, adopted-adopted0, full)
 	}
 }
 

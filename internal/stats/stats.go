@@ -32,6 +32,16 @@ func (h *Histogram) Add(v float64) {
 	h.sorted = nil
 }
 
+// Grow reserves room for n more samples, so that many Adds do not
+// reallocate.
+func (h *Histogram) Grow(n int) {
+	if cap(h.samples)-len(h.samples) < n {
+		s := make([]float64, len(h.samples), len(h.samples)+n)
+		copy(s, h.samples)
+		h.samples = s
+	}
+}
+
 // N returns the number of samples.
 func (h *Histogram) N() int { return len(h.samples) }
 

@@ -33,6 +33,29 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
+// TestHistogramGrow: Grow keeps the samples and their order, and the n
+// Adds after it land in the same backing array.
+func TestHistogramGrow(t *testing.T) {
+	var h Histogram
+	h.Add(3)
+	h.Add(1)
+	h.Grow(100)
+	base := &h.samples[0]
+	for i := 0; i < 100; i++ {
+		h.Add(float64(i))
+	}
+	if &h.samples[0] != base {
+		t.Fatal("Adds after Grow(100) reallocated the samples")
+	}
+	if got := h.Samples()[:3]; !reflect.DeepEqual(got, []float64{3, 1, 0}) {
+		t.Fatalf("samples after Grow start %v, want [3 1 0]", got)
+	}
+	h.Grow(0) // enough room already: nothing moves
+	if &h.samples[0] != base || h.N() != 102 {
+		t.Fatal("Grow(0) moved or changed the samples")
+	}
+}
+
 func TestPercentileMonotoneQuick(t *testing.T) {
 	f := func(vals []float64, a, b uint8) bool {
 		var h Histogram
