@@ -139,7 +139,9 @@ func TestCancelledFillCountedOnce(t *testing.T) {
 	// Make the line present in the caches, then start a second miss to it
 	// from a state where it is cached nowhere but the L2.
 	r.read(0, a)
-	r.h.l1s[0].lookup(a).valid = false
+	l1 := r.h.l1s[0]
+	_, i := l1.lookup(a)
+	l1.invalidate(i)
 	var got []byte
 	r.h.Read(0, a, 0, func(d []byte) { got = append([]byte(nil), d...) })
 	if n := r.h.InvalidateRange(memdata.Range{Start: a, Size: memdata.LineSize}); n != 1 {

@@ -67,10 +67,9 @@ func DefaultConfig(cores int) Config {
 }
 
 // cacheLine is one way of a set. The line's bytes are inline, so an array
-// of lines holds no pointers for the garbage collector to scan.
+// of lines holds no pointers for the garbage collector to scan. Its tag and
+// validity live in the array's keys.
 type cacheLine struct {
-	tag    memdata.Addr // line address
-	valid  bool
 	dirty  bool
 	owner  int8   // L2 only: core whose L1 holds it dirty, or -1
 	shared uint32 // L2 only: bitmask of L1s holding the line
@@ -79,10 +78,15 @@ type cacheLine struct {
 }
 
 // array is one set-associative cache array: sets*ways lines in one flat
-// slice, set s occupying lines[s*ways : (s+1)*ways].
+// slice, set s occupying lines[s*ways : (s+1)*ways]. keys runs parallel
+// to lines and is the only record of what a way holds: tag|1 for a valid
+// line (tags are line-aligned, so bit 0 is free), 0 for an invalid one. A
+// lookup scans a set's keys, one word per way, without touching the
+// lines' data.
 type array struct {
-	sets    int
+	setMask uint64 // sets-1; the set count is a power of two
 	ways    int
+	keys    []memdata.Addr
 	lines   []cacheLine
 	lruTick uint64
 }
@@ -92,26 +96,68 @@ func newArray(size, ways int) *array {
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a positive power of two", sets))
 	}
-	a := &array{sets: sets, ways: ways, lines: make([]cacheLine, sets*ways)}
+	a := &array{
+		setMask: uint64(sets - 1),
+		ways:    ways,
+		keys:    make([]memdata.Addr, sets*ways),
+		lines:   make([]cacheLine, sets*ways),
+	}
 	for i := range a.lines {
 		a.lines[i].owner = -1
 	}
 	return a
 }
 
-func (a *array) set(line memdata.Addr) []cacheLine {
-	s := int((uint64(line) >> memdata.LineShift) % uint64(a.sets))
-	return a.lines[s*a.ways : (s+1)*a.ways]
+// setBase returns the index of the first way of line's set.
+func (a *array) setBase(line memdata.Addr) int {
+	return int((uint64(line)>>memdata.LineShift)&a.setMask) * a.ways
 }
 
-func (a *array) lookup(line memdata.Addr) *cacheLine {
-	set := a.set(line)
-	for i := range set {
-		if cl := &set[i]; cl.valid && cl.tag == line {
-			return cl
+// lookup returns the way holding line and its index, or nil and -1.
+func (a *array) lookup(line memdata.Addr) (*cacheLine, int) {
+	base := a.setBase(line)
+	key := line | 1
+	for w, k := range a.keys[base : base+a.ways] {
+		if k == key {
+			return &a.lines[base+w], base + w
 		}
 	}
-	return nil
+	return nil, -1
+}
+
+// has reports whether line is cached.
+func (a *array) has(line memdata.Addr) bool {
+	_, i := a.lookup(line)
+	return i >= 0
+}
+
+// tag returns the line address way i holds; the way must be valid.
+func (a *array) tag(i int) memdata.Addr { return a.keys[i] &^ 1 }
+
+// valid reports whether way i holds a line.
+func (a *array) valid(i int) bool { return a.keys[i] != 0 }
+
+// install makes way i hold line, clean and unshared. The data is the
+// caller's to fill.
+func (a *array) install(i int, line memdata.Addr) {
+	if !memdata.IsLineAligned(line) {
+		panic(fmt.Sprintf("cache: installing unaligned tag %#x", line))
+	}
+	a.keys[i] = line | 1
+	cl := &a.lines[i]
+	cl.dirty = false
+	cl.shared = 0
+	cl.owner = -1
+}
+
+// invalidate drops whatever way i holds.
+func (a *array) invalidate(i int) { a.keys[i] = 0 }
+
+// drop invalidates line's way, if it is cached.
+func (a *array) drop(line memdata.Addr) {
+	if _, i := a.lookup(line); i >= 0 {
+		a.invalidate(i)
+	}
 }
 
 func (a *array) touch(cl *cacheLine) {
@@ -119,18 +165,17 @@ func (a *array) touch(cl *cacheLine) {
 	cl.lru = a.lruTick
 }
 
-// victim returns the line to evict for a fill of `line`: an invalid way if
+// victim returns the way to evict for a fill of `line`: an invalid way if
 // any, else the least recently used.
-func (a *array) victim(line memdata.Addr) *cacheLine {
-	set := a.set(line)
-	var v *cacheLine
-	for i := range set {
-		cl := &set[i]
-		if !cl.valid {
-			return cl
+func (a *array) victim(line memdata.Addr) int {
+	base := a.setBase(line)
+	v := base
+	for i := base; i < base+a.ways; i++ {
+		if !a.valid(i) {
+			return i
 		}
-		if v == nil || cl.lru < v.lru {
-			v = cl
+		if a.lines[i].lru < a.lines[v].lru {
+			v = i
 		}
 	}
 	return v
@@ -299,7 +344,7 @@ func (r *hitReq) fire() {
 func (h *Hierarchy) Read(core int, a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
 	checkLine(a)
 	l1 := h.l1s[core]
-	if cl := l1.lookup(a); cl != nil {
+	if cl, _ := l1.lookup(a); cl != nil {
 		h.Stats.L1Hits++
 		if tx != 0 {
 			now := uint64(h.eng.Now())
@@ -421,13 +466,13 @@ func (h *Hierarchy) missToL2(core int, a memdata.Addr, tx txtrace.Tx, done func(
 // another L1 if needed) or miss to the memory controller.
 func (m *mshr) access() {
 	h, a := m.h, m.a
-	if cl := h.l2.lookup(a); cl != nil {
+	if cl, _ := h.l2.lookup(a); cl != nil {
 		h.Stats.L2Hits++
 		h.l2.touch(cl)
 		if cl.owner >= 0 && int(cl.owner) != m.core {
 			// Another core's L1 holds the dirty copy: pull it into L2.
 			h.Stats.CrossCorePulls++
-			h.pullDirty(cl)
+			h.pullDirty(cl, a)
 			if m.tx != 0 {
 				now := uint64(h.eng.Now())
 				h.tr.Complete(m.tx, txtrace.StageL2Hit, uint64(a), now, now+uint64(h.cfg.L1Latency), 0)
@@ -499,11 +544,11 @@ func (m *mshr) fill() {
 	h.putMSHR(m)
 }
 
-// pullDirty copies the owner L1's dirty data into the L2 line and marks the
-// L1 copy clean (ownership returns to the L2).
-func (h *Hierarchy) pullDirty(l2cl *cacheLine) {
+// pullDirty copies the owner L1's dirty data into l2cl, the L2 line of a,
+// and marks the L1 copy clean (ownership returns to the L2).
+func (h *Hierarchy) pullDirty(l2cl *cacheLine, a memdata.Addr) {
 	ownerL1 := h.l1s[l2cl.owner]
-	if cl := ownerL1.lookup(l2cl.tag); cl != nil && cl.dirty {
+	if cl, _ := ownerL1.lookup(a); cl != nil && cl.dirty {
 		l2cl.data = cl.data
 		cl.dirty = false
 	}
@@ -517,22 +562,21 @@ func (h *Hierarchy) pullDirty(l2cl *cacheLine) {
 
 func (h *Hierarchy) fillL1(core int, a memdata.Addr, data []byte, dirty bool) {
 	l1 := h.l1s[core]
-	cl := l1.lookup(a)
+	cl, _ := l1.lookup(a)
 	if cl == nil {
-		cl = l1.victim(a)
-		if cl.valid {
-			h.evictL1(core, cl)
+		i := l1.victim(a)
+		if l1.valid(i) {
+			h.evictL1(core, i)
 		}
-		cl.tag = a
-		cl.valid = true
-		cl.dirty = false
+		l1.install(i, a)
+		cl = &l1.lines[i]
 	}
 	copy(cl.data[:], data)
 	if dirty {
 		cl.dirty = true
 	}
 	l1.touch(cl)
-	if l2cl := h.l2.lookup(a); l2cl != nil {
+	if l2cl, _ := h.l2.lookup(a); l2cl != nil {
 		l2cl.shared |= 1 << uint(core)
 		if dirty {
 			l2cl.owner = int8(core)
@@ -540,13 +584,16 @@ func (h *Hierarchy) fillL1(core int, a memdata.Addr, data []byte, dirty bool) {
 	}
 }
 
-func (h *Hierarchy) evictL1(core int, cl *cacheLine) {
+// evictL1 evicts way i of the core's L1.
+func (h *Hierarchy) evictL1(core, i int) {
 	h.Stats.L1Evictions++
-	l2cl := h.l2.lookup(cl.tag)
+	l1 := h.l1s[core]
+	cl, a := &l1.lines[i], l1.tag(i)
+	l2cl, _ := h.l2.lookup(a)
 	if cl.dirty {
 		if l2cl == nil {
 			// Inclusive L2 lost the line (should not happen): write through.
-			h.writebackToMemory(cl.tag, cl.data[:])
+			h.writebackToMemory(a, cl.data[:])
 		} else {
 			l2cl.data = cl.data
 			l2cl.dirty = true
@@ -558,21 +605,18 @@ func (h *Hierarchy) evictL1(core int, cl *cacheLine) {
 			l2cl.owner = -1
 		}
 	}
-	cl.valid = false
+	l1.invalidate(i)
 }
 
 func (h *Hierarchy) fillL2(a memdata.Addr, data []byte, dirty bool) {
-	cl := h.l2.lookup(a)
+	cl, _ := h.l2.lookup(a)
 	if cl == nil {
-		cl = h.l2.victim(a)
-		if cl.valid {
-			h.evictL2(cl)
+		i := h.l2.victim(a)
+		if h.l2.valid(i) {
+			h.evictL2(i)
 		}
-		cl.tag = a
-		cl.valid = true
-		cl.dirty = false
-		cl.shared = 0
-		cl.owner = -1
+		h.l2.install(i, a)
+		cl = &h.l2.lines[i]
 	}
 	copy(cl.data[:], data)
 	if dirty {
@@ -581,25 +625,25 @@ func (h *Hierarchy) fillL2(a memdata.Addr, data []byte, dirty bool) {
 	h.l2.touch(cl)
 }
 
-// evictL2 enforces inclusion: L1 copies are invalidated (collecting a dirty
-// copy first) and dirty data is written back to the controller.
-func (h *Hierarchy) evictL2(cl *cacheLine) {
+// evictL2 evicts way i of the L2, enforcing inclusion: L1 copies are
+// invalidated (collecting a dirty copy first) and dirty data is written
+// back to the controller.
+func (h *Hierarchy) evictL2(i int) {
 	h.Stats.L2Evictions++
+	cl, a := &h.l2.lines[i], h.l2.tag(i)
 	if cl.owner >= 0 {
-		h.pullDirty(cl)
+		h.pullDirty(cl, a)
 	}
 	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
 		if cl.shared&(1<<uint(coreID)) != 0 {
-			if l1cl := h.l1s[coreID].lookup(cl.tag); l1cl != nil {
-				l1cl.valid = false
-			}
+			h.l1s[coreID].drop(a)
 		}
 	}
 	if cl.dirty {
 		h.Stats.L2Writebacks++
-		h.writebackToMemory(cl.tag, cl.data[:])
+		h.writebackToMemory(a, cl.data[:])
 	}
-	cl.valid = false
+	h.l2.invalidate(i)
 }
 
 // lineWrite is one full-line write on its way from the hierarchy to a
@@ -672,15 +716,15 @@ type rfo struct {
 func (r *rfo) arrive(lineData []byte) {
 	h, core, a := r.h, r.core, r.a
 	h.invalidateOtherSharers(core, a)
-	cl := h.l1s[core].lookup(a)
+	cl, _ := h.l1s[core].lookup(a)
 	if cl == nil {
 		// Evicted between fill and store (tiny cache): refill.
 		h.fillL1(core, a, lineData, false)
-		cl = h.l1s[core].lookup(a)
+		cl, _ = h.l1s[core].lookup(a)
 	}
 	copy(cl.data[r.off:], r.data)
 	cl.dirty = true
-	if l2cl := h.l2.lookup(a); l2cl != nil {
+	if l2cl, _ := h.l2.lookup(a); l2cl != nil {
 		l2cl.owner = int8(core)
 	}
 	h.tr.EndFlags(r.sp, uint64(h.eng.Now()), txtrace.FlagWrite)
@@ -702,7 +746,7 @@ func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx 
 		panic("cache: write crosses a line boundary")
 	}
 	l1 := h.l1s[core]
-	if cl := l1.lookup(a); cl != nil {
+	if cl, _ := l1.lookup(a); cl != nil {
 		h.Stats.L1Hits++
 		if tx != 0 {
 			now := uint64(h.eng.Now())
@@ -712,7 +756,7 @@ func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx 
 		copy(cl.data[off:], data)
 		cl.dirty = true
 		l1.touch(cl)
-		if l2cl := h.l2.lookup(a); l2cl != nil {
+		if l2cl, _ := h.l2.lookup(a); l2cl != nil {
 			l2cl.owner = int8(core)
 		}
 		h.eng.After(h.cfg.L1Latency, done)
@@ -735,21 +779,19 @@ func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx 
 }
 
 func (h *Hierarchy) invalidateOtherSharers(core int, a memdata.Addr) {
-	l2cl := h.l2.lookup(a)
+	l2cl, _ := h.l2.lookup(a)
 	if l2cl == nil {
 		return
 	}
 	if l2cl.owner >= 0 && int(l2cl.owner) != core {
-		h.pullDirty(l2cl)
+		h.pullDirty(l2cl, a)
 	}
 	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
 		if coreID == core {
 			continue
 		}
 		if l2cl.shared&(1<<uint(coreID)) != 0 {
-			if l1cl := h.l1s[coreID].lookup(a); l1cl != nil {
-				l1cl.valid = false
-			}
+			h.l1s[coreID].drop(a)
 			l2cl.shared &^= 1 << uint(coreID)
 		}
 	}
@@ -805,13 +847,9 @@ func (h *Hierarchy) cancelInflightFills(a memdata.Addr) {
 func (h *Hierarchy) dropLine(a memdata.Addr) {
 	h.cancelInflightFills(a)
 	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if l1cl := h.l1s[coreID].lookup(a); l1cl != nil {
-			l1cl.valid = false
-		}
+		h.l1s[coreID].drop(a)
 	}
-	if l2cl := h.l2.lookup(a); l2cl != nil {
-		l2cl.valid = false
-	}
+	h.l2.drop(a)
 }
 
 // ---------------------------------------------------------------------------
@@ -825,14 +863,14 @@ func (h *Hierarchy) dropLine(a memdata.Addr) {
 func (h *Hierarchy) takeDirty(a memdata.Addr, tx txtrace.Tx, done func()) *lineWrite {
 	var w *lineWrite
 	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if cl := h.l1s[coreID].lookup(a); cl != nil && cl.dirty {
+		if cl, _ := h.l1s[coreID].lookup(a); cl != nil && cl.dirty {
 			w = h.newLineWrite(a, tx, done)
 			w.data = cl.data
 			cl.dirty = false
 			break
 		}
 	}
-	l2cl := h.l2.lookup(a)
+	l2cl, _ := h.l2.lookup(a)
 	if w == nil && l2cl != nil && l2cl.dirty {
 		w = h.newLineWrite(a, tx, done)
 		w.data = l2cl.data
@@ -876,11 +914,9 @@ func (h *Hierarchy) InvalidateRange(r memdata.Range) int {
 		// Fills racing this invalidation must not install stale data, even
 		// when the line is not cached yet (e.g. a prefetch in flight).
 		h.cancelInflightFills(l)
-		present := h.l2.lookup(l) != nil
+		present := h.l2.has(l)
 		for coreID := 0; coreID < h.cfg.Cores && !present; coreID++ {
-			if h.l1s[coreID].lookup(l) != nil {
-				present = true
-			}
+			present = h.l1s[coreID].has(l)
 		}
 		if present {
 			h.dropLine(l)
@@ -965,7 +1001,7 @@ func (h *Hierarchy) issuePrefetch(a memdata.Addr) {
 	if h.pfInflight >= h.cfg.Prefetch.MaxInflight {
 		return
 	}
-	if h.l2.lookup(a) != nil || h.pfPending[a] != nil {
+	if h.l2.has(a) || h.pfPending[a] != nil {
 		h.Stats.PrefetchesDuplicate++
 		return
 	}
@@ -1012,15 +1048,15 @@ func (f *pfFlight) arrive() {
 // no timing effect.
 func (h *Hierarchy) Peek(a memdata.Addr) ([]byte, string) {
 	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if cl := h.l1s[coreID].lookup(a); cl != nil && cl.dirty {
+		if cl, _ := h.l1s[coreID].lookup(a); cl != nil && cl.dirty {
 			return append([]byte(nil), cl.data[:]...), "l1"
 		}
 	}
-	if cl := h.l2.lookup(a); cl != nil {
+	if cl, _ := h.l2.lookup(a); cl != nil {
 		return append([]byte(nil), cl.data[:]...), "l2"
 	}
 	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if cl := h.l1s[coreID].lookup(a); cl != nil {
+		if cl, _ := h.l1s[coreID].lookup(a); cl != nil {
 			return append([]byte(nil), cl.data[:]...), "l1"
 		}
 	}
@@ -1030,11 +1066,10 @@ func (h *Hierarchy) Peek(a memdata.Addr) ([]byte, string) {
 // CheckInclusion verifies that every valid L1 line is present in the L2.
 // Test-only invariant check.
 func (h *Hierarchy) CheckInclusion() error {
-	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		for i := range h.l1s[coreID].lines {
-			cl := &h.l1s[coreID].lines[i]
-			if cl.valid && h.l2.lookup(cl.tag) == nil {
-				return fmt.Errorf("cache: L1[%d] line %#x not in L2", coreID, cl.tag)
+	for coreID, l1 := range h.l1s {
+		for i := range l1.keys {
+			if l1.valid(i) && !h.l2.has(l1.tag(i)) {
+				return fmt.Errorf("cache: L1[%d] line %#x not in L2", coreID, l1.tag(i))
 			}
 		}
 	}

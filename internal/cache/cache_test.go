@@ -111,7 +111,7 @@ func TestEvictionWritesBack(t *testing.T) {
 	// evict it. L2: 2MB/16 ways -> 2048 sets; same set stride = 2048*64 = 128KB.
 	a := memdata.Addr(0)
 	r.write(0, a, 0, []byte{0xCC})
-	setStride := uint64(r.h.l2.sets * memdata.LineSize)
+	setStride := (r.h.l2.setMask + 1) * memdata.LineSize
 	for i := uint64(1); i <= uint64(r.h.cfg.L2Ways)+2; i++ {
 		r.read(0, memdata.Addr(i*setStride))
 	}

@@ -18,7 +18,7 @@ func TestOnAdvanceFiresOnTimeMoves(t *testing.T) {
 	e.At(10, func() { order = append(order, 10) }) // same cycle: no extra hop
 	e.At(25, func() {
 		order = append(order, 25)
-		e.After(0, func() { order = append(order, 25) }) // fifo path: time unchanged
+		e.After(0, func() { order = append(order, 25) }) // same cycle: time unchanged
 	})
 	e.Drain()
 

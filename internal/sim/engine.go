@@ -7,16 +7,17 @@
 // at any moment, so simulations are fully reproducible: the same inputs
 // always produce the same event ordering and timings.
 //
-// The queue is split for speed: a monomorphic binary heap holds future
-// events, and a plain FIFO holds events scheduled for the current cycle —
-// the very common After(0, …) pattern (process wakeups, controller queue
-// handoffs, hook completions) therefore skips heap churn entirely. Both
-// structures order events by the same (cycle, seq) key, so the split is
-// invisible: dispatch order is byte-identical to a single heap.
+// The queue is split for speed: a 64-slot timing wheel holds the events
+// due within the next 64 cycles — the hot same-cycle handoffs, cache and
+// interconnect latencies and short process waits — and a monomorphic
+// binary heap holds everything later. Both order events by the same
+// (cycle, seq) key, so the split is invisible: dispatch order is
+// byte-identical to a single heap.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -69,22 +70,45 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
+// wheelSlots is the timing wheel's span: At sends an event due less than
+// wheelSlots cycles from now to the wheel, anything later to the heap. It
+// is the width of the occupancy word.
+const (
+	wheelSlots = 64
+	wheelMask  = wheelSlots - 1
+	nilNode    = -1
+)
+
+// wheelNode is one wheel event, linked into its slot's list or, once
+// run, into the free list. The slot gives its cycle, and the list its
+// place in seq order.
+type wheelNode struct {
+	fn   func()
+	next int32
+}
+
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
 	now Cycle
 	seq uint64
 
-	// heap holds events strictly ordered after the current cycle's FIFO
-	// tail at insert time: At routes when == now to fifo, everything later
-	// here. It is a plain binary min-heap on (when, seq) with inlined
-	// sift operations — no interfaces, no boxing.
+	// heap holds the events due wheelSlots or more cycles after the cycle
+	// they were scheduled in. It is a plain binary min-heap on (when, seq)
+	// with inlined sift operations — no interfaces, no boxing.
 	heap []event
-	// fifo holds events scheduled for the current cycle, in seq order by
-	// construction (seq is monotone and only At(now) appends). fifoHead
-	// avoids reslicing on pop; the backing array is reused once drained.
-	fifo     []event
-	fifoHead int
+	// The timing wheel holds every other event. A pending wheel event is
+	// due in [now, now+wheelSlots), so slot when&wheelMask holds exactly
+	// one cycle; appends come in seq order, so each slot's list is in
+	// (when, seq) order by construction. Bit s of occupied marks slot s
+	// non-empty (its head and tail are meaningful only then). The lists
+	// live in one slab, nodes, whose freed entries chain from free: the
+	// slab grows only to the peak number of pending wheel events.
+	slots    [wheelSlots]struct{ head, tail int32 }
+	occupied uint64
+	nodes    []wheelNode
+	free     int32
+	inWheel  int
 
 	procs    []*Proc // live processes, for deadlock diagnostics and Close
 	running  *Proc   // process being resumed, nil while the engine runs
@@ -105,7 +129,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with simulated time at cycle 0.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{free: nilNode} }
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -141,21 +165,45 @@ func (e *Engine) At(when Cycle, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d, before now (%d)", when, e.now))
 	}
 	e.seq++
-	if when == e.now {
-		e.fifo = append(e.fifo, event{when: when, seq: e.seq, fn: fn})
+	if when-e.now >= wheelSlots {
+		e.push(event{when: when, seq: e.seq, fn: fn})
 		return
 	}
-	e.push(event{when: when, seq: e.seq, fn: fn})
+	i := e.free
+	if i == nilNode {
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, wheelNode{fn: fn, next: nilNode})
+	} else {
+		n := &e.nodes[i]
+		e.free = n.next
+		n.fn, n.next = fn, nilNode
+	}
+	s := &e.slots[when&wheelMask]
+	if bit := uint64(1) << (when & wheelMask); e.occupied&bit == 0 {
+		e.occupied |= bit
+		s.head = i
+	} else {
+		e.nodes[s.tail].next = i
+	}
+	s.tail = i
+	e.inWheel++
 }
 
 // After schedules fn to run delay cycles from now.
 func (e *Engine) After(delay Cycle, fn func()) { e.At(e.now+delay, fn) }
 
 // Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.fifo) - e.fifoHead }
+func (e *Engine) Pending() int { return len(e.heap) + e.inWheel }
 
 // Executed reports the number of events this engine has run.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// wheelNext returns the cycle of the wheel's earliest event. The wheel
+// must be non-empty: rotating the occupancy word so that bit 0 is now's
+// slot makes the trailing-zero count the distance to the first due slot.
+func (e *Engine) wheelNext() Cycle {
+	return e.now + Cycle(bits.TrailingZeros64(bits.RotateLeft64(e.occupied, -int(e.now&wheelMask))))
+}
 
 // Step runs the next event, advancing simulated time to its cycle. It
 // reports whether an event was run.
@@ -163,43 +211,51 @@ func (e *Engine) Step() bool {
 	if e.running != nil {
 		e.inProcPanic("Step")
 	}
-	// Same-cycle fast path. A heap event can still be due first: it was
-	// scheduled for this cycle before time advanced here, so its seq is
-	// smaller. fifo[fifoHead] has the smallest seq in the FIFO, so one
-	// (when, seq) comparison against the heap root decides.
-	if e.fifoHead < len(e.fifo) {
-		ev := &e.fifo[e.fifoHead]
-		if len(e.heap) == 0 || e.heap[0].when > e.now || e.heap[0].seq > ev.seq {
-			fn := ev.fn
-			ev.fn = nil
-			e.fifoHead++
-			if e.fifoHead == len(e.fifo) {
-				e.fifo = e.fifo[:0]
-				e.fifoHead = 0
-			}
-			e.executed++
-			fn()
-			return true
-		}
+	// The head of the wheel's earliest slot is its least (when, seq). A
+	// heap event due in the same cycle has a smaller seq: it was scheduled
+	// wheelSlots or more cycles before it is due, the wheel event fewer,
+	// and time never goes back. So the heap wins ties.
+	var when Cycle
+	var fn func()
+	wheel := e.occupied != 0
+	if wheel {
+		when = e.wheelNext()
+		wheel = len(e.heap) == 0 || e.heap[0].when > when
 	}
-	if len(e.heap) == 0 {
+	if wheel {
+		s := &e.slots[when&wheelMask]
+		i := s.head
+		n := &e.nodes[i]
+		fn = n.fn
+		s.head = n.next
+		if n.next == nilNode {
+			e.occupied &^= 1 << (when & wheelMask)
+		}
+		*n = wheelNode{next: e.free}
+		e.free = i
+		e.inWheel--
+	} else if len(e.heap) > 0 {
+		ev := e.pop()
+		when, fn = ev.when, ev.fn
+	} else {
 		return false
 	}
-	ev := e.pop()
-	prev := e.now
-	e.now = ev.when
-	if e.limit != 0 && e.now > e.limit {
-		e.flushCycles()
-		panic(&CycleLimitError{Limit: e.limit, Now: e.now})
+	if when != e.now {
+		prev := e.now
+		e.now = when
+		if e.limit != 0 && when > e.limit {
+			e.flushCycles()
+			panic(&CycleLimitError{Limit: e.limit, Now: when})
+		}
+		if when-e.reported >= cycleFlushPeriod {
+			e.flushCycles()
+		}
+		if e.advance != nil {
+			e.advance(prev, when)
+		}
 	}
 	e.executed++
-	if e.now-e.reported >= cycleFlushPeriod {
-		e.flushCycles()
-	}
-	if e.advance != nil && e.now > prev {
-		e.advance(prev, e.now)
-	}
-	ev.fn()
+	fn()
 	return true
 }
 
@@ -263,8 +319,12 @@ func (e *Engine) pop() event {
 
 // nextWhen returns the cycle of the next due event, if any.
 func (e *Engine) nextWhen() (Cycle, bool) {
-	if e.fifoHead < len(e.fifo) {
-		return e.now, true
+	if e.occupied != 0 {
+		when := e.wheelNext()
+		if len(e.heap) > 0 && e.heap[0].when < when {
+			when = e.heap[0].when
+		}
+		return when, true
 	}
 	if len(e.heap) > 0 {
 		return e.heap[0].when, true
@@ -333,7 +393,8 @@ func (e *Engine) Close() {
 	e.flushCycles()
 	// Drop the queue first: nothing an unwinding process does runs an event.
 	procs := e.procs
-	e.heap, e.fifo, e.fifoHead, e.procs = nil, nil, 0, nil
+	e.heap, e.nodes, e.procs = nil, nil, nil
+	e.occupied, e.free, e.inWheel = 0, nilNode, 0
 	for _, p := range procs {
 		if !p.finished {
 			p.stop()

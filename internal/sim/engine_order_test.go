@@ -1,20 +1,22 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 )
 
 // refSched is a trivially-correct reference scheduler: a flat slice
-// scanned for the minimum (when, seq) on every pop. The randomized test
-// below drives it and the real engine with identical programs and
-// requires identical dispatch orders — pinning the split-queue engine
-// (heap + same-cycle FIFO) to the semantics of a single priority queue.
+// scanned for the minimum (when, seq) on every pop. The randomized tests
+// below drive it and the real engine with identical programs and require
+// identical dispatch orders — pinning the split-queue engine (timing wheel
+// + heap) to the semantics of a single priority queue.
 type refSched struct {
-	now    Cycle
-	seq    uint64
-	events []event
+	now     Cycle
+	seq     uint64
+	events  []event
+	advance func(from, to Cycle) // mirrors Engine.OnAdvance when set
 }
 
 func (r *refSched) at(when Cycle, fn func()) {
@@ -25,7 +27,16 @@ func (r *refSched) at(when Cycle, fn func()) {
 	r.events = append(r.events, event{when: when, seq: r.seq, fn: fn})
 }
 
-func (r *refSched) run() {
+// advanceTo moves time forward to when, reporting the step.
+func (r *refSched) advanceTo(when Cycle) {
+	if when > r.now && r.advance != nil {
+		r.advance(r.now, when)
+	}
+	r.now = when
+}
+
+// dispatch runs every event due at or before limit.
+func (r *refSched) dispatch(limit Cycle) {
 	for len(r.events) > 0 {
 		best := 0
 		for i := 1; i < len(r.events); i++ {
@@ -34,11 +45,23 @@ func (r *refSched) run() {
 			}
 		}
 		ev := r.events[best]
+		if ev.when > limit {
+			return
+		}
 		r.events = append(r.events[:best], r.events[best+1:]...)
-		r.now = ev.when
+		r.advanceTo(ev.when)
 		ev.fn()
 	}
 }
+
+// runUntil is Engine.RunUntil's contract: run every event due at or
+// before limit, then move time to limit.
+func (r *refSched) runUntil(limit Cycle) {
+	r.dispatch(limit)
+	r.advanceTo(limit)
+}
+
+func (r *refSched) run() { r.dispatch(math.MaxUint64) }
 
 // scheduler abstracts the engine vs the reference for the fuzz driver.
 type scheduler interface {
@@ -46,9 +69,17 @@ type scheduler interface {
 	log() []int
 }
 
+// program is what a randomized test varies: how far ahead a fired event
+// schedules its children, and how many events a trial may create.
+type program struct {
+	offset func(rng *rand.Rand) Cycle
+	limit  int
+}
+
 type engineSched struct {
 	e     *Engine
 	rng   *rand.Rand
+	prog  program
 	order []int
 	next  *int
 }
@@ -59,7 +90,7 @@ func (s *engineSched) schedule(when Cycle, id int) {
 
 func (s *engineSched) fire(id int) {
 	s.order = append(s.order, id)
-	spawnChildren(s, s.rng, s.e.Now(), s.next)
+	spawnChildren(s, s.rng, s.prog, s.e.Now(), s.next)
 }
 
 func (s *engineSched) log() []int { return s.order }
@@ -67,48 +98,87 @@ func (s *engineSched) log() []int { return s.order }
 type refSchedDriver struct {
 	r     *refSched
 	rng   *rand.Rand
+	prog  program
 	order []int
 	next  *int
+
+	// heapFirst, when non-nil, maps a cycle to whether an event routed to
+	// the engine's heap (scheduled a wheel span or more ahead) is due then;
+	// ties counts the events scheduled later for the same future cycle
+	// within the span, which the engine's wheel and heap must order by seq.
+	heapFirst map[Cycle]bool
+	ties      int
 }
 
 func (s *refSchedDriver) schedule(when Cycle, id int) {
 	s.r.at(when, func() { s.fire(id) })
+	if s.heapFirst == nil || when == s.r.now {
+		return
+	}
+	if when-s.r.now >= wheelSlots {
+		s.heapFirst[when] = true
+	} else if s.heapFirst[when] {
+		s.ties++
+	}
 }
 
 func (s *refSchedDriver) fire(id int) {
 	s.order = append(s.order, id)
-	spawnChildren(s, s.rng, s.r.now, s.next)
+	spawnChildren(s, s.rng, s.prog, s.r.now, s.next)
 }
 
 func (s *refSchedDriver) log() []int { return s.order }
 
-// spawnChildren schedules 0–3 children per fired event, biased heavily
-// toward same-cycle offsets to stress the FIFO fast path and its
-// interleaving with heap events already due at the same cycle.
-func spawnChildren(s scheduler, rng *rand.Rand, now Cycle, next *int) {
-	if *next > 4000 {
+// spawnChildren schedules 0–3 children per fired event at offsets drawn
+// by the program, until the program's event budget is spent.
+func spawnChildren(s scheduler, rng *rand.Rand, prog program, now Cycle, next *int) {
+	if *next > prog.limit {
 		return
 	}
 	n := rng.Intn(4)
 	for i := 0; i < n; i++ {
-		var off Cycle
-		switch rng.Intn(8) {
-		case 0, 1, 2, 3: // same cycle: the hot After(0) pattern
-			off = 0
-		case 4, 5:
-			off = 1
-		default:
-			off = Cycle(rng.Intn(50))
-		}
+		off := prog.offset(rng)
 		*next++
 		s.schedule(now+off, *next)
 	}
 }
 
+// sameCycleProgram biases offsets heavily toward the same cycle, the hot
+// After(0) pattern, so wheel slots fill with long same-cycle chains.
+var sameCycleProgram = program{
+	limit: 4000,
+	offset: func(rng *rand.Rand) Cycle {
+		switch rng.Intn(8) {
+		case 0, 1, 2, 3:
+			return 0
+		case 4, 5:
+			return 1
+		default:
+			return Cycle(rng.Intn(50))
+		}
+	},
+}
+
+// checkSameOrder fails the test if the two dispatch logs differ.
+func checkSameOrder(t *testing.T, trial int, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("trial %d: engine fired %d events, reference %d", trial, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("trial %d: dispatch order diverges at %d: engine %d, reference %d",
+				trial, i, got[i], want[i])
+		}
+	}
+}
+
 // TestSameCycleOrderingMatchesReference cross-checks the engine's
 // dispatch order against the reference scheduler over randomized
-// programs: same seed, same spawning decisions, same (cycle, seq) FIFO
-// order required. Run under -race in CI like the rest of the suite.
+// programs: same seed, same spawning decisions, same (cycle, seq) order
+// required. Every offset it draws is below the wheel's span, so it pins
+// the wheel's slot lists; TestWheelMatchesReference covers the heap
+// boundary. Run under -race in CI like the rest of the suite.
 func TestSameCycleOrderingMatchesReference(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		seedRoots := func(s scheduler, rng *rand.Rand, next *int) {
@@ -120,27 +190,18 @@ func TestSameCycleOrderingMatchesReference(t *testing.T) {
 		}
 
 		var nextA int
-		es := &engineSched{e: NewEngine(), rng: rand.New(rand.NewSource(int64(trial)))}
+		es := &engineSched{e: NewEngine(), rng: rand.New(rand.NewSource(int64(trial))), prog: sameCycleProgram}
 		es.next = &nextA
 		seedRoots(es, es.rng, &nextA)
 		es.e.Drain()
 
 		var nextB int
-		rs := &refSchedDriver{r: &refSched{}, rng: rand.New(rand.NewSource(int64(trial)))}
+		rs := &refSchedDriver{r: &refSched{}, rng: rand.New(rand.NewSource(int64(trial))), prog: sameCycleProgram}
 		rs.next = &nextB
 		seedRoots(rs, rs.rng, &nextB)
 		rs.r.run()
 
-		got, want := es.log(), rs.log()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: engine fired %d events, reference %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: dispatch order diverges at %d: engine %d, reference %d",
-					trial, i, got[i], want[i])
-			}
-		}
+		checkSameOrder(t, trial, es.log(), rs.log())
 	}
 }
 
