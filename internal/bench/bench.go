@@ -1,92 +1,33 @@
-// Package bench is the repository's performance harness. It measures two
-// things and emits them as one JSON report (BENCH_sim.json):
-//
-//   - engine microbenchmarks: host-side cost of the discrete-event core's
-//     hot operations (heap churn, the same-cycle fast path, process
-//     wakeups), via testing.Benchmark, with ns/op and allocs/op;
-//   - a fixed figure-workload suite: wall-clock, simulated events/sec and
-//     cycles/sec for a subset of the paper's figure generators.
-//
-// The report is the baseline future optimization PRs regress against:
-// results/BENCH_sim_pre.json pins the numbers recorded before the event-
-// core overhaul, and CI runs a quick sweep on every push. Host-absolute
-// numbers vary by machine; the allocs/op columns and the relative deltas
-// between runs on one machine are the signal.
+// Package bench holds the engine, proc, trace, invariants and timeline
+// microbenchmarks: the host-side cost of the discrete-event core's hot
+// operations (heap churn, the same-cycle fast path, process wakeups) and of
+// the instrumentation planes' disabled and enabled paths. mcperf's traced
+// runs time each one as a probe, probe.<name>.ns_op and .allocs_op, with the
+// "/" of a name written as ".".
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"regexp"
-	"runtime"
 	"testing"
-	"time"
 
-	"mcsquare/internal/figures"
 	"mcsquare/internal/invariant"
 	"mcsquare/internal/memdata"
 	"mcsquare/internal/metrics"
 	"mcsquare/internal/sim"
-	"mcsquare/internal/stats"
 	"mcsquare/internal/timeline"
 	"mcsquare/internal/txtrace"
 )
 
-// Result is one benchmark measurement. Microbenchmarks fill the per-op
-// fields; workload runs are one-shot (Iterations == 1) and additionally
-// report simulator throughput.
+// Result is one microbenchmark measurement.
 type Result struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	WallSeconds float64 `json:"wall_seconds"`
-
-	SimEvents    uint64  `json:"sim_events,omitempty"`
-	SimCycles    uint64  `json:"sim_cycles,omitempty"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
+	Name        string
+	Iterations  int
+	NsPerOp     float64
+	AllocsPerOp float64
+	BytesPerOp  float64
 }
-
-// Report is the BENCH_sim.json document.
-type Report struct {
-	Schema    int      `json:"schema"`
-	GoVersion string   `json:"go_version"`
-	GOOS      string   `json:"goos"`
-	GOARCH    string   `json:"goarch"`
-	NumCPU    int      `json:"num_cpu"`
-	Quick     bool     `json:"quick"`
-	Results   []Result `json:"results"`
-}
-
-// WriteJSON writes the report, indented, to path.
-func WriteJSON(path string, r *Report) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadJSON loads a report written by WriteJSON.
-func ReadJSON(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// ---------------------------------------------------------------------------
-// Engine microbenchmarks
-// ---------------------------------------------------------------------------
 
 func nop() {}
 
@@ -152,8 +93,8 @@ func benchMixedQueue(b *testing.B) {
 }
 
 // benchProcWait measures the process wakeup path: one op = one
-// Wait(1) park + resume round trip (event schedule, two channel
-// handoffs, closure or pooled resume).
+// Wait(1) park + resume round trip (an event schedule and one coroutine
+// switch each way).
 func benchProcWait(b *testing.B) {
 	b.ReportAllocs()
 	n := b.N
@@ -368,15 +309,14 @@ var microBenches = []microBench{
 	{"timeline/on-32cyc", benchTimelineOn},
 }
 
-// EngineMicro runs the engine microbenchmark suite, filtered by the
-// optional regexp, logging one line per result to log (if non-nil).
+// EngineMicro runs the microbenchmarks, filtered by the optional regexp,
+// logging one line per result to log (if non-nil).
 func EngineMicro(filter *regexp.Regexp, log io.Writer) []Result {
 	var out []Result
 	for _, mb := range microBenches {
 		if filter != nil && !filter.MatchString(mb.name) {
 			continue
 		}
-		start := time.Now()
 		br := testing.Benchmark(mb.fn)
 		r := Result{
 			Name:        mb.name,
@@ -384,93 +324,12 @@ func EngineMicro(filter *regexp.Regexp, log io.Writer) []Result {
 			NsPerOp:     float64(br.NsPerOp()),
 			AllocsPerOp: float64(br.AllocsPerOp()),
 			BytesPerOp:  float64(br.AllocedBytesPerOp()),
-			WallSeconds: time.Since(start).Seconds(),
 		}
-		logResult(log, r)
+		if log != nil {
+			fmt.Fprintf(log, "%-28s %12.1f ns/op %10.1f allocs/op %12.0f B/op\n",
+				r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
+		}
 		out = append(out, r)
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Figure-workload suite
-// ---------------------------------------------------------------------------
-
-type workloadBench struct {
-	name string
-	gen  func(figures.Options) []*stats.Table
-}
-
-// The fixed suite: one bandwidth-bound microbenchmark figure, one
-// sequential-access sweep, and two application workloads — a spread of
-// event mixes without re-running the whole evaluation.
-var workloadBenches = []workloadBench{
-	{"fig10/copy-latency", figures.Figure10},
-	{"fig12/seq-access", figures.Figure12},
-	{"fig14/protobuf", figures.Figure14},
-	{"fig19/pipe", figures.Figure19},
-}
-
-// Workloads runs the figure-workload suite once each (they are full
-// simulations; wall-clock and simulated events/sec are the metrics, not
-// ns/op), filtered by the optional regexp.
-func Workloads(quick bool, filter *regexp.Regexp, log io.Writer) []Result {
-	o := figures.Options{Quick: quick}
-	var out []Result
-	for _, wb := range workloadBenches {
-		if filter != nil && !filter.MatchString(wb.name) {
-			continue
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		ev0, cy0 := sim.SimulatedEvents(), sim.SimulatedCycles()
-		start := time.Now()
-		wb.gen(o)
-		wall := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		ev, cy := sim.SimulatedEvents()-ev0, sim.SimulatedCycles()-cy0
-		r := Result{
-			Name:        wb.name,
-			Iterations:  1,
-			NsPerOp:     float64(wall.Nanoseconds()),
-			AllocsPerOp: float64(ms1.Mallocs - ms0.Mallocs),
-			BytesPerOp:  float64(ms1.TotalAlloc - ms0.TotalAlloc),
-			WallSeconds: wall.Seconds(),
-			SimEvents:   ev,
-			SimCycles:   cy,
-		}
-		if s := wall.Seconds(); s > 0 {
-			r.EventsPerSec = float64(ev) / s
-			r.CyclesPerSec = float64(cy) / s
-		}
-		logResult(log, r)
-		out = append(out, r)
-	}
-	return out
-}
-
-func logResult(w io.Writer, r Result) {
-	if w == nil {
-		return
-	}
-	line := fmt.Sprintf("%-28s %12.1f ns/op %10.1f allocs/op %12.0f B/op",
-		r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-	if r.EventsPerSec > 0 {
-		line += fmt.Sprintf("  %8.2f Mev/s  %8.2f Mcyc/s", r.EventsPerSec/1e6, r.CyclesPerSec/1e6)
-	}
-	fmt.Fprintln(w, line)
-}
-
-// NewReport assembles a report with host metadata filled in.
-func NewReport(quick bool, results []Result) *Report {
-	return &Report{
-		Schema:    1,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Quick:     quick,
-		Results:   results,
-	}
 }

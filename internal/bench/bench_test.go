@@ -1,37 +1,42 @@
 package bench
 
 import (
-	"path/filepath"
+	"encoding/json"
+	"os"
 	"regexp"
+	"strings"
 	"testing"
 
 	"mcsquare/internal/sim"
 	"mcsquare/internal/timeline"
 )
 
-func TestReportJSONRoundTrip(t *testing.T) {
-	rep := NewReport(true, []Result{
-		{Name: "engine/heap-churn", NsPerOp: 812.5, Iterations: 1000000},
-		{Name: "workload/fig10", WallSeconds: 1.25, SimEvents: 123456, SimCycles: 654321, EventsPerSec: 98765.4},
-	})
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteJSON(path, rep); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	got, err := ReadJSON(path)
+// TestProbeNamesInBenchmark pins mcperf's per-layer probe metrics to the
+// microbenchmark names: mcperf reports each microbenchmark as
+// probe.<name>.ns_op and .allocs_op (with "/" written as "."), so renaming
+// one without BENCHMARK.json would silently drop its metrics.
+func TestProbeNamesInBenchmark(t *testing.T) {
+	data, err := os.ReadFile("../../BENCHMARK.json")
 	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
+		t.Fatal(err)
 	}
-	if len(got.Results) != len(rep.Results) {
-		t.Fatalf("round trip lost results: %d != %d", len(got.Results), len(rep.Results))
+	var spec struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
 	}
-	for i := range rep.Results {
-		if got.Results[i] != rep.Results[i] {
-			t.Fatalf("result %d mismatch: %+v != %+v", i, got.Results[i], rep.Results[i])
+	if err := json.Unmarshal(data, &spec); err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, m := range spec.PerLayer {
+		listed[m.Name] = true
+	}
+	for _, mb := range microBenches {
+		for _, unit := range []string{"ns_op", "allocs_op"} {
+			key := "probe." + strings.ReplaceAll(mb.name, "/", ".") + "." + unit
+			if !listed[key] {
+				t.Errorf("BENCHMARK.json per_layer does not list %s for microbenchmark %s", key, mb.name)
+			}
 		}
-	}
-	if got.GoVersion == "" || got.NumCPU == 0 || !got.Quick {
-		t.Fatal("report metadata missing after round trip")
 	}
 }
 

@@ -21,31 +21,21 @@ import (
 	"sync/atomic"
 )
 
-// totalCycles accumulates simulated cycles across every engine in the
-// process, backing the SimulatedCycles compatibility shim. Engines flush
-// their progress when they finish running (Drain, RunUntil, Close) and on
-// a cheap cadence from Step, so the counter stays fresh even for callers
-// driving the engine with bare Step() loops.
-var totalCycles atomic.Uint64
-
-// totalEvents accumulates executed events across every engine, for
-// throughput reporting (events/sec) in the benchmark harness.
+// totalEvents accumulates executed events across every engine in the
+// process. Engines flush their progress when they finish running (Drain,
+// RunUntil, Close, a CycleLimit panic) and on a cheap cadence from Step, so
+// the counter stays fresh even for callers driving the engine with bare
+// Step() loops.
 var totalEvents atomic.Uint64
 
-// SimulatedCycles returns the total simulated cycles executed by all
-// engines so far. It is a compatibility shim for coarse progress
-// reporting only: per-engine counts are published as the "sim.cycles"
-// metric in each machine's metrics registry, which is what the
-// experiment runner sums for exact per-job attribution.
-func SimulatedCycles() uint64 { return totalCycles.Load() }
-
-// SimulatedEvents returns the total events executed by all engines so
-// far. Like SimulatedCycles it is a process-wide aggregate for coarse
-// throughput reporting (internal/bench), flushed on the same cadence.
+// SimulatedEvents returns the total events executed by all engines so far.
+// It is a process-wide aggregate: mcperf reads it around a child's one
+// round as that round's sim.events. Per-engine cycles are published as the
+// "sim.cycles" metric in each machine's metrics registry instead.
 func SimulatedEvents() uint64 { return totalEvents.Load() }
 
 // cycleFlushPeriod is how far simulated time may advance before Step
-// flushes the process-wide counters. One comparison per time-advancing
+// flushes the process-wide event counter. One comparison per time-advancing
 // event buys bounded staleness for Step-driven loops.
 const cycleFlushPeriod = 1 << 12
 
@@ -114,7 +104,7 @@ type Engine struct {
 	running  *Proc   // process being resumed, nil while the engine runs
 	limit    Cycle   // cycle budget; Step panics past it (0 = unlimited)
 	closed   bool
-	reported Cycle  // cycles already flushed into totalCycles
+	reported Cycle  // cycle of the last flush into totalEvents
 	executed uint64 // events run by this engine
 	repEv    uint64 // events already flushed into totalEvents
 
@@ -244,11 +234,11 @@ func (e *Engine) Step() bool {
 		prev := e.now
 		e.now = when
 		if e.limit != 0 && when > e.limit {
-			e.flushCycles()
+			e.flushEvents()
 			panic(&CycleLimitError{Limit: e.limit, Now: when})
 		}
 		if when-e.reported >= cycleFlushPeriod {
-			e.flushCycles()
+			e.flushEvents()
 		}
 		if e.advance != nil {
 			e.advance(prev, when)
@@ -354,7 +344,7 @@ func (e *Engine) RunUntil(limit Cycle) {
 			e.advance(prev, limit)
 		}
 	}
-	e.flushCycles()
+	e.flushEvents()
 }
 
 // Drain runs events until none remain. If a process is still blocked when
@@ -365,7 +355,7 @@ func (e *Engine) Drain() {
 	}
 	for e.Step() {
 	}
-	e.flushCycles()
+	e.flushEvents()
 	for _, p := range e.procs {
 		if !p.finished {
 			panic("sim: Drain with blocked process(es): " + p.name)
@@ -390,7 +380,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	e.flushCycles()
+	e.flushEvents()
 	// Drop the queue first: nothing an unwinding process does runs an event.
 	procs := e.procs
 	e.heap, e.nodes, e.procs = nil, nil, nil
@@ -409,13 +399,11 @@ func (e *Engine) inProcPanic(op string) {
 	panic(fmt.Sprintf("sim: %s called from process %q", op, e.running.name))
 }
 
-// flushCycles publishes this engine's progress into the process-wide
-// counters. Idempotent: only the progress since the last flush is added.
-func (e *Engine) flushCycles() {
-	if e.now > e.reported {
-		totalCycles.Add(uint64(e.now - e.reported))
-		e.reported = e.now
-	}
+// flushEvents publishes this engine's executed events into the
+// process-wide counter. Idempotent: only the events since the last flush
+// are added.
+func (e *Engine) flushEvents() {
+	e.reported = e.now
 	if e.executed > e.repEv {
 		totalEvents.Add(e.executed - e.repEv)
 		e.repEv = e.executed

@@ -242,19 +242,26 @@ func TestEngineCloseSemantics(t *testing.T) {
 	e.Go("late", func(p *Proc) {})
 }
 
-// TestStepDrivenRunFlushesCycles pins the fix for bare Step() loops:
-// progress must reach the SimulatedCycles shim on a cadence even though
-// the caller never invokes Drain or RunUntil.
-func TestStepDrivenRunFlushesCycles(t *testing.T) {
+// TestStepDrivenRunFlushesEvents pins the flush cadence of bare Step()
+// loops: executed events must reach SimulatedEvents while the loop runs,
+// never more than cycleFlushPeriod cycles behind, even though the caller
+// never invokes Drain or RunUntil.
+func TestStepDrivenRunFlushesEvents(t *testing.T) {
 	e := NewEngine()
-	const span = 4 * cycleFlushPeriod
-	for c := Cycle(0); c <= span; c += 64 {
+	const span, gap = 4 * cycleFlushPeriod, 64
+	for c := Cycle(0); c <= span; c += gap {
 		e.At(c, func() {})
 	}
-	before := SimulatedCycles()
+	before := SimulatedEvents()
 	for e.Step() {
-	}
-	if got := SimulatedCycles() - before; got < span-cycleFlushPeriod {
-		t.Fatalf("Step-driven run flushed %d cycles, want at least %d", got, span-cycleFlushPeriod)
+		if e.Now() < cycleFlushPeriod {
+			continue
+		}
+		// Every event at or before Now()-cycleFlushPeriod has been published.
+		want := uint64((e.Now()-cycleFlushPeriod)/gap + 1)
+		if got := SimulatedEvents() - before; got < want {
+			t.Fatalf("at cycle %d a Step-driven run had published %d events, want at least %d",
+				e.Now(), got, want)
+		}
 	}
 }
