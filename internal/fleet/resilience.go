@@ -146,6 +146,13 @@ func (f *Fleet) newResPlane(cal *Calibration) resPlane {
 // unit of the timeout and hedge delays a spec gives as multiples.
 func (c *Calibration) p99Service() float64 {
 	var all stats.Histogram
+	n := 0
+	for _, mc := range c.machines {
+		for _, v := range mc.samples {
+			n += len(v)
+		}
+	}
+	all.Grow(n)
 	for _, mc := range c.machines {
 		for _, v := range mc.samples {
 			for _, x := range v {

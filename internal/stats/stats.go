@@ -5,31 +5,43 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Histogram accumulates individual samples (e.g. per-operation latencies in
 // cycles). The zero value is ready to use.
 //
-// The sample slice is kept in insertion order forever; order statistics
-// (Percentile, Min, Max, CDF) work on a lazily maintained sorted copy. An
-// earlier implementation sorted h.samples in place, so any Percentile call
-// silently reordered what Samples() returned afterwards — a contract
-// violation consumers (access-order figures, fleet service-time replay)
-// could not detect.
+// The sample slice is kept in insertion order forever, so Samples() is the
+// same whatever order statistics were read in between; Min and Max scan
+// it. Percentile works on one scratch copy, built on the first read after
+// an Add, and partitions it only as far as the ranks read so far need: it
+// selects rank k inside the bracket between the nearest already-selected
+// ("pinned") ranks on either side, then pins k. Reading p50, p99 and p99.9
+// from n samples moves about 3n values in all, where a full sort makes
+// n log n comparisons. CDF sorts the scratch copy fully, after which a
+// Percentile is an index. Values are ordered as sort.Float64s orders them,
+// NaN first.
 type Histogram struct {
 	samples []float64 // insertion order, never reordered
-	sorted  []float64 // lazily built sorted copy; nil when stale
+	scratch []float64 // partitioned copy of samples; stale once shorter
+	nans    int       // scratch[:nans] holds the NaNs
+	// pins are ascending ranks r whose scratch[r] is final: nothing
+	// before it is larger and nothing after it smaller.
+	pins   []int
+	sorted bool // scratch is fully sorted
 }
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.samples = append(h.samples, v)
-	h.sorted = nil
 }
 
 // Grow reserves room for n more samples, so that many Adds do not
@@ -66,40 +78,47 @@ func (h *Histogram) Mean() float64 {
 	return sum / float64(len(h.samples))
 }
 
-// Min returns the smallest sample (0 with no samples).
+// Min returns the smallest sample (0 with no samples), NaN if any sample
+// is NaN.
 func (h *Histogram) Min() float64 {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	return h.sortedView()[0]
+	return slices.Min(h.samples)
 }
 
-// Max returns the largest sample (0 with no samples).
+// Max returns the largest sample (0 with no samples), NaN only if every
+// sample is NaN.
 func (h *Histogram) Max() float64 {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	s := h.sortedView()
-	return s[len(s)-1]
+	m := h.samples[0]
+	for _, v := range h.samples[1:] {
+		if cmp.Less(m, v) {
+			m = v
+		}
+	}
+	return m
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) by nearest-rank.
 func (h *Histogram) Percentile(p float64) float64 {
-	if len(h.samples) == 0 {
+	n := len(h.samples)
+	if n == 0 {
 		return 0
 	}
-	s := h.sortedView()
 	if p <= 0 {
-		return s[0]
+		return h.at(0)
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		return h.at(n - 1)
 	}
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
+	rank := int(math.Ceil(p/100*float64(n))) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	return s[rank]
+	return h.at(rank)
 }
 
 // Samples returns a copy of the raw samples in insertion order, regardless
@@ -110,21 +129,142 @@ func (h *Histogram) Samples() []float64 {
 	return out
 }
 
-// sortedView returns the sorted copy of the samples, (re)building it only
-// when samples were added since the last order statistic.
-func (h *Histogram) sortedView() []float64 {
-	if h.sorted == nil {
-		h.sorted = make([]float64, len(h.samples))
-		copy(h.sorted, h.samples)
-		sort.Float64s(h.sorted)
+// at returns the sample of sorted rank k, selecting it within its bracket
+// unless it is already in place.
+func (h *Histogram) at(k int) float64 {
+	s := h.view()
+	if h.sorted || k < h.nans {
+		return s[k]
 	}
-	return h.sorted
+	i, pinned := slices.BinarySearch(h.pins, k)
+	if !pinned {
+		lo, hi := h.nans, len(s)
+		if i > 0 {
+			lo = h.pins[i-1] + 1
+		}
+		if i < len(h.pins) {
+			hi = h.pins[i]
+		}
+		selectRank(s[lo:hi], k-lo)
+		if h.pins == nil {
+			h.pins = make([]int, 0, 4) // a fleet run reads up to four ranks
+		}
+		h.pins = slices.Insert(h.pins, i, k)
+	}
+	return s[k]
+}
+
+// view returns the scratch copy, rebuilding it, in the buffer it already
+// has when that is large enough, if samples were added since it was built.
+// The NaNs go to the front, where they sort, so selection compares numbers
+// only.
+func (h *Histogram) view() []float64 {
+	n := len(h.samples)
+	if len(h.scratch) == n {
+		return h.scratch
+	}
+	s := h.scratch[:0]
+	if cap(s) < n {
+		s = nil // append sizes a new buffer to n and does not zero it first
+	}
+	s = append(s, h.samples...)
+	h.nans = 0
+	for i, v := range s {
+		if v != v {
+			s[i], s[h.nans] = s[h.nans], v
+			h.nans++
+		}
+	}
+	h.scratch, h.pins, h.sorted = s, h.pins[:0], false
+	return s
+}
+
+// sortFallbacks counts the selections that ran out of rounds and sorted
+// what was left.
+var sortFallbacks atomic.Int64
+
+// selectRank reorders a, which holds no NaN, so that a[k] is the value of
+// sorted rank k, with nothing larger before it and nothing smaller after.
+// It is introselect: each round splits the bracket holding k around a
+// median-of-three pivot and keeps k's side. If 2·log2(len(a)) rounds leave
+// more than a few values, it sorts them, so the worst case stays
+// O(n log n).
+func selectRank(a []float64, k int) {
+	lo, hi := 0, len(a)
+	for rounds := 2 * bits.Len(uint(len(a))); hi-lo > 16; rounds-- {
+		if rounds == 0 {
+			sortFallbacks.Add(1)
+			break
+		}
+		p := pivot(a[lo:hi])
+		if j := lo + partitionBelow(a[lo:hi], p); k < j {
+			hi = j
+		} else if j > lo {
+			lo = j
+		} else if e := lo + partitionAtMost(a[lo:hi], p); k < e {
+			return // p is the bracket's smallest value and a[lo:e] its copies
+		} else {
+			lo = e
+		}
+	}
+	slices.Sort(a[lo:hi])
+}
+
+// pivot returns the median of a's first, middle and last values or, when
+// a is long, Tukey's ninther: the median of three such medians taken near
+// its start, middle and end. The ninther keeps inputs that defeat a plain
+// median of three, such as an organ pipe, from running out of rounds.
+func pivot(a []float64) float64 {
+	n, m, d := len(a), len(a)/2, len(a)/8
+	if n > 128 {
+		return median(median(a[0], a[d], a[2*d]), median(a[m-d], a[m], a[m+d]),
+			median(a[n-1-2*d], a[n-1-d], a[n-1]))
+	}
+	return median(a[0], a[m], a[n-1])
+}
+
+func median(x, y, z float64) float64 { return max(min(x, y), min(max(x, y), z)) }
+
+// partitionBelow moves the values of a below p to its front and returns
+// their count. It does not branch on the comparison, which data in random
+// order would mispredict half the time: every value is swapped into place
+// and the count grows by the comparison's 0 or 1.
+func partitionBelow(a []float64, p float64) int {
+	j := 0
+	for i, x := range a {
+		a[i] = a[j]
+		a[j] = x
+		j += b2i(x < p)
+	}
+	return j
+}
+
+// partitionAtMost is partitionBelow for the values not above p.
+func partitionAtMost(a []float64, p float64) int {
+	j := 0
+	for i, x := range a {
+		a[i] = a[j]
+		a[j] = x
+		j += b2i(x <= p)
+	}
+	return j
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // CDF returns, for each of the given thresholds, the fraction of samples
 // less than or equal to it (the paper's Fig 4 shape).
 func (h *Histogram) CDF(thresholds []float64) []float64 {
-	s := h.sortedView()
+	s := h.view()
+	if !h.sorted {
+		slices.Sort(s[h.nans:])
+		h.sorted = true
+	}
 	out := make([]float64, len(thresholds))
 	for i, t := range thresholds {
 		idx := sort.SearchFloat64s(s, math.Nextafter(t, math.Inf(1)))

@@ -1,10 +1,14 @@
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -77,15 +81,19 @@ func TestPercentileMonotoneQuick(t *testing.T) {
 
 func TestCDF(t *testing.T) {
 	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Add(float64(i))
+	for _, i := range rand.New(rand.NewSource(1)).Perm(100) {
+		h.Add(float64(i + 1))
 	}
+	h.Percentile(50) // a partly partitioned scratch copy must not confuse CDF
 	cdf := h.CDF([]float64{0, 50, 100, 200})
 	want := []float64{0, 0.5, 1, 1}
 	for i := range want {
 		if math.Abs(cdf[i]-want[i]) > 1e-9 {
 			t.Fatalf("CDF = %v, want %v", cdf, want)
 		}
+	}
+	if p := h.Percentile(99); p != 99 {
+		t.Fatalf("p99 after CDF = %v, want 99", p)
 	}
 }
 
@@ -321,3 +329,244 @@ func TestFormatFloatStability(t *testing.T) {
 		}
 	}
 }
+
+// sameValue is == that also matches NaN with NaN.
+func sameValue(a, b float64) bool { return a == b || (a != a && b != b) }
+
+// TestPercentileSelectionMatchesSort pins selection against the sorted-copy
+// reference it replaced, value for value: every n up to 2,000 and a
+// fleet-sized 375,000, inputs that are random, sorted, reversed, constant,
+// three-valued or laced with NaN, ±Inf and ±0, percentiles read in a
+// shuffled order so later reads select inside brackets pinned by earlier
+// ones, and an Add between two rounds of reads to show it drops the pins.
+func TestPercentileSelectionMatchesSort(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	inputs := []struct {
+		name string
+		gen  func(i, n int) float64
+	}{
+		{"uniform", func(int, int) float64 { return rnd.Float64() * 1000 }},
+		{"sorted", func(i, _ int) float64 { return float64(i) }},
+		{"reversed", func(i, n int) float64 { return float64(n - i) }},
+		{"equal", func(int, int) float64 { return 7 }},
+		{"three", func(int, int) float64 { return float64(rnd.Intn(3)) }},
+		{"special", func(int, int) float64 {
+			if rnd.Intn(4) == 0 {
+				return specials[rnd.Intn(len(specials))]
+			}
+			return rnd.NormFloat64()
+		}},
+	}
+	ps := []float64{0, 0.1, 1, 25, 50, 95, 99, 99.9, 100}
+	sizes := make([]int, 0, 2001)
+	for n := 1; n <= 2000; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 375000)
+
+	check := func(name string, h *Histogram, ref []float64) {
+		n := len(ref)
+		rnd.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+		for _, p := range ps {
+			rank := max(int(math.Ceil(p/100*float64(n)))-1, 0)
+			if got := h.Percentile(p); !sameValue(got, ref[rank]) {
+				t.Fatalf("%s n=%d: p%v = %v, want %v (reads %v)", name, n, p, got, ref[rank], ps)
+			}
+		}
+		if got := h.Min(); !sameValue(got, ref[0]) {
+			t.Fatalf("%s n=%d: Min = %v, want %v", name, n, got, ref[0])
+		}
+		if got := h.Max(); !sameValue(got, ref[n-1]) {
+			t.Fatalf("%s n=%d: Max = %v, want %v", name, n, got, ref[n-1])
+		}
+	}
+	for _, in := range inputs {
+		for _, n := range sizes {
+			var h Histogram
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = in.gen(i, n)
+				h.Add(vals[i])
+			}
+			ref := slices.Clone(vals)
+			sort.Float64s(ref)
+			check(in.name, &h, ref)
+			// cmp.Compare orders NaN first, as sort.Float64s does.
+			extra := in.gen(n, n+1)
+			vals = append(vals, extra)
+			h.Add(extra)
+			at, _ := slices.BinarySearchFunc(ref, extra, cmp.Compare[float64])
+			check(in.name+"+Add", &h, slices.Insert(ref, at, extra))
+			if got := h.Samples(); !slices.EqualFunc(got, vals, sameValue) {
+				t.Fatalf("%s n=%d: Samples() lost insertion order", in.name, n)
+			}
+		}
+	}
+}
+
+// medianOfThreeKiller returns n values on which each of selectRank's
+// 2·log2(n) rounds, selecting a rank past the first few hundred, drops a
+// handful of values at most, so it must fall back to sorting. It replays
+// those rounds with the real pivot and partition on stand-ins: unset+i is
+// sample i while its value is unset, larger than every value set. Each
+// round sets the next smallest values on the slots the pivot reads, until
+// two of each three are set, which makes the pivot one of the smallest
+// values left in the bracket.
+func medianOfThreeKiller(n int) []float64 {
+	const unset = 1 << 40
+	slots := make([]float64, n)
+	for i := range slots {
+		slots[i] = unset + float64(i)
+	}
+	vals := make([]float64, n)
+	next := 0.0
+	set := func(slot int) {
+		vals[int(slots[slot]-unset)] = next
+		slots[slot] = next
+		next++
+	}
+	lo, hi := 0, n
+	for rounds := 2 * bits.Len(uint(n)); rounds > 0; rounds-- {
+		// The ninther's slots, as pivot reads them (n stays above 128).
+		w, m, d := hi-lo, lo+(hi-lo)/2, (hi-lo)/8
+		for _, three := range [][3]int{{lo, lo + d, lo + 2*d}, {m - d, m, m + d}, {lo + w - 1 - 2*d, lo + w - 1 - d, hi - 1}} {
+			isSet := 0
+			for _, s := range three {
+				if slots[s] < unset {
+					isSet++
+				}
+			}
+			for _, s := range three {
+				if isSet < 2 && slots[s] >= unset {
+					set(s)
+					isSet++
+				}
+			}
+		}
+		lo += partitionBelow(slots[lo:hi], pivot(slots[lo:hi]))
+	}
+	for s := range slots {
+		if slots[s] >= unset {
+			set(s)
+		}
+	}
+	return vals
+}
+
+// TestPercentileAdversarialBounded feeds selection the inputs that defeat
+// a median-of-three pivot: the killer above, which must run out of
+// partition rounds and fall back to sorting what is left, and an organ
+// pipe, which the ninther pivot must handle without falling back, as it
+// must a constant input; the fallback is checked on the first read, the
+// one over the whole input. All must return the sorted reference's
+// values.
+func TestPercentileAdversarialBounded(t *testing.T) {
+	const n = 200000
+	organ, equal := make([]float64, n), make([]float64, n)
+	for i := range organ {
+		organ[i], equal[i] = float64(min(i, n-1-i)), 7
+	}
+	for _, c := range []struct {
+		name     string
+		vals     []float64
+		fallback bool
+	}{
+		{"killer", medianOfThreeKiller(n), true},
+		{"organ-pipe", organ, false},
+		{"equal", equal, false},
+	} {
+		var h Histogram
+		for _, v := range c.vals {
+			h.Add(v)
+		}
+		ref := slices.Clone(c.vals)
+		sort.Float64s(ref)
+		for i, p := range []float64{50, 99, 99.9} {
+			before := sortFallbacks.Load()
+			rank := int(math.Ceil(p/100*n)) - 1
+			if got := h.Percentile(p); got != ref[rank] {
+				t.Fatalf("%s: p%v = %v, want %v", c.name, p, got, ref[rank])
+			}
+			if fell := sortFallbacks.Load() > before; i == 0 && fell != c.fallback {
+				t.Fatalf("%s: p%v fell back to sorting: %v, want %v", c.name, p, fell, c.fallback)
+			}
+		}
+	}
+}
+
+// TestPercentilePinsBracket: a read selects only inside the bracket the
+// ranks read before it left, so values outside it stay where they are.
+func TestPercentilePinsBracket(t *testing.T) {
+	const n = 10000
+	rnd := rand.New(rand.NewSource(1))
+	var h Histogram
+	for i := 0; i < n; i++ {
+		h.Add(rnd.Float64())
+	}
+	h.Percentile(50)
+	below := slices.Clone(h.scratch[:n/2])
+	h.Percentile(99)
+	if !slices.Equal(h.scratch[:n/2], below) {
+		t.Fatal("reading p99 after p50 moved values below the p50 rank")
+	}
+	above := slices.Clone(h.scratch[n/2:])
+	h.Percentile(25)
+	if !slices.Equal(h.scratch[n/2:], above) {
+		t.Fatal("reading p25 after p50 and p99 moved values above the p50 rank")
+	}
+}
+
+// TestHistogramAllocations pins what order statistics allocate: nothing
+// for Min, Max or a repeated Percentile, and for the first Percentile after
+// an Add no more than the one 8-byte-per-sample scratch copy and the pin
+// list.
+func TestHistogramAllocations(t *testing.T) {
+	const n = 100000
+	rnd := rand.New(rand.NewSource(1))
+	var h Histogram
+	h.Grow(n + 100)
+	for i := 0; i < n; i++ {
+		h.Add(rnd.Float64())
+	}
+	minMax := func() { h.Min(); h.Max() }
+	reads := func() { h.Percentile(50); h.Percentile(99); h.Percentile(99.9) }
+	if a := testing.AllocsPerRun(10, minMax); a != 0 {
+		t.Fatalf("Min and Max before any Percentile: %v allocs, want 0", a)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reads()
+	runtime.ReadMemStats(&after)
+	if allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; allocs > 2 || bytes > 8*n+8192 {
+		t.Fatalf("first reads: %d allocs, %d bytes; want at most the scratch copy (%d bytes, rounded up to 8 KiB pages) and the pin list", allocs, bytes, 8*n)
+	}
+
+	if a := testing.AllocsPerRun(10, reads); a != 0 {
+		t.Fatalf("repeated Percentile on an unchanged histogram: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, minMax); a != 0 {
+		t.Fatalf("Min and Max after Percentile: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { h.Add(1); h.Percentile(50) }); a > 2 {
+		t.Fatalf("first Percentile after an Add: %v allocs, want at most 2", a)
+	}
+}
+
+// BenchmarkHistogramPercentiles reads p50, p99 and p99.9 from a fresh
+// histogram of 375,000 latencies, the size of one fleet-sweep run.
+func BenchmarkHistogramPercentiles(b *testing.B) {
+	rnd := rand.New(rand.NewSource(1))
+	vals := make([]float64, 375000)
+	for i := range vals {
+		vals[i] = math.Floor(rnd.ExpFloat64() * 2e5)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h := Histogram{samples: vals}
+		benchSink = h.Percentile(50) + h.Percentile(99) + h.Percentile(99.9)
+	}
+}
+
+var benchSink float64
