@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mcsquare/internal/interconnect"
 	"mcsquare/internal/invariant"
@@ -69,13 +70,24 @@ func DefaultConfig(cores int) Config {
 // cacheLine is one way of a set. The line's bytes are inline, so an array
 // of lines holds no pointers for the garbage collector to scan. Its tag and
 // validity live in the array's keys.
+//
+// In the L2, owner and shared are the directory of the L1 copies, and it
+// is exact: shared has a core's bit exactly when that core's L1 holds the
+// line, and owner names the one L1 that holds it dirty. Range maintenance
+// and coherence find L1 copies through it alone.
 type cacheLine struct {
 	dirty  bool
-	owner  int8   // L2 only: core whose L1 holds it dirty, or -1
+	owner  uint8  // L2 only: 1 + the core whose L1 holds it dirty, 0 for none
 	shared uint32 // L2 only: bitmask of L1s holding the line
 	lru    uint64
 	data   [memdata.LineSize]byte
 }
+
+// ownerCore returns the core whose L1 holds the line dirty, or -1.
+func (cl *cacheLine) ownerCore() int { return int(cl.owner) - 1 }
+
+// setOwner records core's L1 as the holder of the dirty copy.
+func (cl *cacheLine) setOwner(core int) { cl.owner = uint8(core + 1) }
 
 // array is one set-associative cache array: sets*ways lines in one flat
 // slice, set s occupying lines[s*ways : (s+1)*ways]. keys runs parallel
@@ -96,16 +108,12 @@ func newArray(size, ways int) *array {
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a positive power of two", sets))
 	}
-	a := &array{
+	return &array{
 		setMask: uint64(sets - 1),
 		ways:    ways,
 		keys:    make([]memdata.Addr, sets*ways),
 		lines:   make([]cacheLine, sets*ways),
 	}
-	for i := range a.lines {
-		a.lines[i].owner = -1
-	}
-	return a
 }
 
 // setBase returns the index of the first way of line's set.
@@ -147,7 +155,7 @@ func (a *array) install(i int, line memdata.Addr) {
 	cl := &a.lines[i]
 	cl.dirty = false
 	cl.shared = 0
-	cl.owner = -1
+	cl.owner = 0
 }
 
 // invalidate drops whatever way i holds.
@@ -212,12 +220,13 @@ type mshr struct {
 	a       memdata.Addr
 	tx      txtrace.Tx // the l1.miss span the L2 and memory legs nest under
 	sp      txtrace.Tx // the l2.miss span while memory serves the miss
-	pull    *cacheLine // L2 line a cross-core pull reads when its delay ends
+	pullWay int        // L2 way a cross-core pull reads when its delay ends
 	waiters []func(data []byte)
 	// cancelled marks the fill stale: an invalidation (MCLAZY destination
-	// sweep, NT store) arrived while the miss was in flight. Waiters still
-	// receive the data — their access is ordered before the invalidation —
-	// but the line must not be installed in any cache.
+	// sweep, NT store) arrived while the miss was in flight, or the line a
+	// cross-core pull read left the L2. Waiters still receive the data —
+	// their access is ordered before the invalidation — but the line must
+	// not be installed in any cache.
 	cancelled bool
 	data      [memdata.LineSize]byte
 
@@ -239,12 +248,13 @@ type Hierarchy struct {
 	// the checks allocate nothing.
 	mshrNames []string
 
-	mshrs      []map[memdata.Addr]*mshr // per core, demand misses
-	mshrUsed   []int
-	mshrQueue  []sim.FnQueue // deferred misses per core
-	pfInflight int
-	pfPending  map[memdata.Addr]*pfFlight // prefetches in flight (dedup + cancel)
-	pf         []*stridePF
+	// In-flight fills, in no particular order. They are few (at most
+	// MSHRsPerCore per core and Prefetch.MaxInflight prefetches), so a
+	// scan finds one by address.
+	mshrs     [][]*mshr     // per core, demand misses
+	mshrQueue []sim.FnQueue // deferred misses per core
+	pfPending []*pfFlight   // prefetches in flight (dedup + cancel)
+	pf        []*stridePF
 
 	// Retired requests for reuse. Each machine is single-threaded, so
 	// plain slices suffice.
@@ -275,12 +285,11 @@ func NewWithBus(eng *sim.Engine, cfg Config, route func(memdata.Addr) *memctrl.C
 		l2:        newArray(cfg.L2Size, cfg.L2Ways),
 		route:     route,
 		bus:       bus,
-		pfPending: map[memdata.Addr]*pfFlight{},
+		pfPending: make([]*pfFlight, 0, max(cfg.Prefetch.MaxInflight, 0)),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1s = append(h.l1s, newArray(cfg.L1Size, cfg.L1Ways))
-		h.mshrs = append(h.mshrs, map[memdata.Addr]*mshr{})
-		h.mshrUsed = append(h.mshrUsed, 0)
+		h.mshrs = append(h.mshrs, make([]*mshr, 0, max(cfg.MSHRsPerCore, 0)))
 		h.mshrQueue = append(h.mshrQueue, sim.FnQueue{})
 		h.pf = append(h.pf, &stridePF{})
 	}
@@ -315,6 +324,21 @@ func checkLine(a memdata.Addr) {
 
 // nop is the completion of writes nobody waits for.
 func nop() {}
+
+// without removes x, which s holds, from s, moving the last entry into its
+// place.
+func without[T comparable](s []T, x T) []T {
+	last := len(s) - 1
+	for i, y := range s {
+		if y == x {
+			s[i] = s[last]
+			break
+		}
+	}
+	var zero T
+	s[last] = zero
+	return s[:last]
+}
 
 // ---------------------------------------------------------------------------
 // Read path
@@ -405,7 +429,6 @@ func (h *Hierarchy) putMSHR(m *mshr) {
 		m.waiters[i] = nil
 	}
 	m.waiters = m.waiters[:0]
-	m.pull = nil
 	h.mshrPool = append(h.mshrPool, m)
 }
 
@@ -434,11 +457,13 @@ func (s *stalledMiss) run() {
 // missToL2 handles an L1 miss, merging concurrent misses to the same line
 // in the core's MSHR file and bounding outstanding misses.
 func (h *Hierarchy) missToL2(core int, a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
-	if m, ok := h.mshrs[core][a]; ok {
-		m.waiters = append(m.waiters, done)
-		return
+	for _, m := range h.mshrs[core] {
+		if m.a == a {
+			m.waiters = append(m.waiters, done)
+			return
+		}
 	}
-	if h.mshrUsed[core] >= h.cfg.MSHRsPerCore {
+	if len(h.mshrs[core]) >= h.cfg.MSHRsPerCore {
 		h.Stats.MSHRStalls++
 		var s *stalledMiss
 		if n := len(h.stallPool); n > 0 {
@@ -453,12 +478,11 @@ func (h *Hierarchy) missToL2(core int, a memdata.Addr, tx txtrace.Tx, done func(
 		h.mshrQueue[core].Push(s.runFn)
 		return
 	}
-	h.mshrUsed[core]++
-	if h.inv.QueuesOn() {
-		h.inv.CheckQueue(h.mshrNames[core], h.mshrUsed[core], h.cfg.MSHRsPerCore)
-	}
 	m := h.getMSHR(core, a, tx, done)
-	h.mshrs[core][a] = m
+	h.mshrs[core] = append(h.mshrs[core], m)
+	if h.inv.QueuesOn() {
+		h.inv.CheckQueue(h.mshrNames[core], len(h.mshrs[core]), h.cfg.MSHRsPerCore)
+	}
 	h.eng.After(h.cfg.L1Latency+h.cfg.L2Latency, m.accessFn)
 }
 
@@ -466,10 +490,10 @@ func (h *Hierarchy) missToL2(core int, a memdata.Addr, tx txtrace.Tx, done func(
 // another L1 if needed) or miss to the memory controller.
 func (m *mshr) access() {
 	h, a := m.h, m.a
-	if cl, _ := h.l2.lookup(a); cl != nil {
+	if cl, i := h.l2.lookup(a); cl != nil {
 		h.Stats.L2Hits++
 		h.l2.touch(cl)
-		if cl.owner >= 0 && int(cl.owner) != m.core {
+		if o := cl.ownerCore(); o >= 0 && o != m.core {
 			// Another core's L1 holds the dirty copy: pull it into L2.
 			h.Stats.CrossCorePulls++
 			h.pullDirty(cl, a)
@@ -477,7 +501,10 @@ func (m *mshr) access() {
 				now := uint64(h.eng.Now())
 				h.tr.Complete(m.tx, txtrace.StageL2Hit, uint64(a), now, now+uint64(h.cfg.L1Latency), 0)
 			}
-			m.pull = cl
+			// The bytes as pulled, for the waiters in case the line
+			// leaves the L2 before the pull's delay ends.
+			m.data = cl.data
+			m.pullWay = i
 			h.eng.After(h.cfg.L1Latency, m.pulledFn)
 			return
 		}
@@ -495,10 +522,17 @@ func (m *mshr) access() {
 }
 
 // pulled delivers the L2 line a cross-core pull refreshed, as it stands
-// when the pull's delay ends.
+// when the pull's delay ends. If the line left the L2 in the meantime
+// (invalidated, or evicted and its way refilled with another line), the
+// waiters get the bytes as pulled and no L1 installs the line, which the
+// inclusive L2 no longer holds.
 func (m *mshr) pulled() {
-	m.data = m.pull.data
-	m.pull = nil
+	l2 := m.h.l2
+	if l2.keys[m.pullWay] == m.a|1 {
+		m.data = l2.lines[m.pullWay].data
+	} else {
+		m.cancelled = true
+	}
 	m.fill()
 }
 
@@ -526,12 +560,11 @@ func (m *mshr) arrive() {
 func (m *mshr) fill() {
 	h, core, a := m.h, m.core, m.a
 	if !m.cancelled {
-		h.fillL1(core, a, m.data[:], false)
+		h.fillL1(core, a, m.data[:])
 	}
-	delete(h.mshrs[core], a)
-	h.mshrUsed[core]--
+	h.mshrs[core] = without(h.mshrs[core], m)
 	if h.inv.QueuesOn() {
-		h.inv.CheckQueue(h.mshrNames[core], h.mshrUsed[core], h.cfg.MSHRsPerCore)
+		h.inv.CheckQueue(h.mshrNames[core], len(h.mshrs[core]), h.cfg.MSHRsPerCore)
 	}
 	for _, w := range m.waiters {
 		w(m.data[:])
@@ -539,28 +572,29 @@ func (m *mshr) fill() {
 	if h.mshrQueue[core].Len() > 0 {
 		h.mshrQueue[core].Pop()()
 	}
-	// m is unreferenced from here: the map entry is gone and the waiters
-	// have returned. Recycle it.
+	// m is unreferenced from here: it has left the MSHR file and the
+	// waiters have returned. Recycle it.
 	h.putMSHR(m)
 }
 
 // pullDirty copies the owner L1's dirty data into l2cl, the L2 line of a,
-// and marks the L1 copy clean (ownership returns to the L2).
+// and marks the L1 copy clean (ownership returns to the L2). The line must
+// have an owner.
 func (h *Hierarchy) pullDirty(l2cl *cacheLine, a memdata.Addr) {
-	ownerL1 := h.l1s[l2cl.owner]
-	if cl, _ := ownerL1.lookup(a); cl != nil && cl.dirty {
-		l2cl.data = cl.data
-		cl.dirty = false
-	}
+	cl, _ := h.l1s[l2cl.ownerCore()].lookup(a)
+	l2cl.data = cl.data
+	cl.dirty = false
 	l2cl.dirty = true
-	l2cl.owner = -1
+	l2cl.owner = 0
 }
 
 // ---------------------------------------------------------------------------
 // Fills and evictions
 // ---------------------------------------------------------------------------
 
-func (h *Hierarchy) fillL1(core int, a memdata.Addr, data []byte, dirty bool) {
+// fillL1 installs a clean copy of line a, which the L2 holds, in the
+// core's L1.
+func (h *Hierarchy) fillL1(core int, a memdata.Addr, data []byte) {
 	l1 := h.l1s[core]
 	cl, _ := l1.lookup(a)
 	if cl == nil {
@@ -572,38 +606,30 @@ func (h *Hierarchy) fillL1(core int, a memdata.Addr, data []byte, dirty bool) {
 		cl = &l1.lines[i]
 	}
 	copy(cl.data[:], data)
-	if dirty {
-		cl.dirty = true
-	}
 	l1.touch(cl)
-	if l2cl, _ := h.l2.lookup(a); l2cl != nil {
-		l2cl.shared |= 1 << uint(core)
-		if dirty {
-			l2cl.owner = int8(core)
-		}
+	l2cl, _ := h.l2.lookup(a)
+	if l2cl == nil {
+		panic(fmt.Sprintf("cache: L1[%d] fill of line %#x, which the inclusive L2 does not hold", core, a))
 	}
+	l2cl.shared |= 1 << uint(core)
 }
 
-// evictL1 evicts way i of the core's L1.
+// evictL1 evicts way i of the core's L1, handing a dirty copy to the L2.
 func (h *Hierarchy) evictL1(core, i int) {
 	h.Stats.L1Evictions++
 	l1 := h.l1s[core]
 	cl, a := &l1.lines[i], l1.tag(i)
 	l2cl, _ := h.l2.lookup(a)
-	if cl.dirty {
-		if l2cl == nil {
-			// Inclusive L2 lost the line (should not happen): write through.
-			h.writebackToMemory(a, cl.data[:])
-		} else {
-			l2cl.data = cl.data
-			l2cl.dirty = true
-		}
+	if l2cl == nil {
+		panic(fmt.Sprintf("cache: L1[%d] line %#x is not in the inclusive L2", core, a))
 	}
-	if l2cl != nil {
-		l2cl.shared &^= 1 << uint(core)
-		if l2cl.owner == int8(core) {
-			l2cl.owner = -1
-		}
+	if cl.dirty {
+		l2cl.data = cl.data
+		l2cl.dirty = true
+	}
+	l2cl.shared &^= 1 << uint(core)
+	if l2cl.ownerCore() == core {
+		l2cl.owner = 0
 	}
 	l1.invalidate(i)
 }
@@ -631,17 +657,22 @@ func (h *Hierarchy) fillL2(a memdata.Addr, data []byte, dirty bool) {
 func (h *Hierarchy) evictL2(i int) {
 	h.Stats.L2Evictions++
 	cl, a := &h.l2.lines[i], h.l2.tag(i)
-	if cl.owner >= 0 {
+	if cl.owner != 0 {
 		h.pullDirty(cl, a)
-	}
-	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if cl.shared&(1<<uint(coreID)) != 0 {
-			h.l1s[coreID].drop(a)
-		}
 	}
 	if cl.dirty {
 		h.Stats.L2Writebacks++
 		h.writebackToMemory(a, cl.data[:])
+	}
+	h.dropL2(i)
+}
+
+// dropL2 invalidates way i of the L2 and the L1 copies its directory
+// names, without writing anything back.
+func (h *Hierarchy) dropL2(i int) {
+	a := h.l2.tag(i)
+	for sh := h.l2.lines[i].shared; sh != 0; sh &= sh - 1 {
+		h.l1s[bits.TrailingZeros32(sh)].drop(a)
 	}
 	h.l2.invalidate(i)
 }
@@ -712,21 +743,20 @@ type rfo struct {
 	arriveFn func(lineData []byte)
 }
 
-// arrive applies the store to the line the miss brought in.
-func (r *rfo) arrive(lineData []byte) {
+// arrive applies the store to the line the miss brought in. If the line
+// is not in the L1 (an invalidation cancelled the fill, or dropped the line
+// before this store's turn), the store misses again: its bytes must land
+// on the line as it stands after the invalidation, in a copy the L2 tracks.
+func (r *rfo) arrive([]byte) {
 	h, core, a := r.h, r.core, r.a
-	h.invalidateOtherSharers(core, a)
 	cl, _ := h.l1s[core].lookup(a)
 	if cl == nil {
-		// Evicted between fill and store (tiny cache): refill.
-		h.fillL1(core, a, lineData, false)
-		cl, _ = h.l1s[core].lookup(a)
+		h.missToL2(core, a, r.sp, r.arriveFn)
+		return
 	}
+	h.takeOwnership(core, a)
 	copy(cl.data[r.off:], r.data)
 	cl.dirty = true
-	if l2cl, _ := h.l2.lookup(a); l2cl != nil {
-		l2cl.owner = int8(core)
-	}
 	h.tr.EndFlags(r.sp, uint64(h.eng.Now()), txtrace.FlagWrite)
 	done := r.done
 	r.data, r.done = nil, nil
@@ -752,13 +782,10 @@ func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx 
 			now := uint64(h.eng.Now())
 			h.tr.Complete(tx, txtrace.StageL1Hit, uint64(a), now, now+uint64(h.cfg.L1Latency), txtrace.FlagWrite)
 		}
-		h.invalidateOtherSharers(core, a)
+		h.takeOwnership(core, a)
 		copy(cl.data[off:], data)
 		cl.dirty = true
 		l1.touch(cl)
-		if l2cl, _ := h.l2.lookup(a); l2cl != nil {
-			l2cl.owner = int8(core)
-		}
 		h.eng.After(h.cfg.L1Latency, done)
 		return
 	}
@@ -778,24 +805,21 @@ func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx 
 	h.missToL2(core, a, r.sp, r.arriveFn)
 }
 
-func (h *Hierarchy) invalidateOtherSharers(core int, a memdata.Addr) {
+// takeOwnership makes the core's L1, which holds line a, its only holder
+// and its dirty owner in the L2's directory: another owner's dirty copy is
+// pulled into the L2 first and every other L1 copy is dropped. The caller
+// then writes the core's copy.
+func (h *Hierarchy) takeOwnership(core int, a memdata.Addr) {
 	l2cl, _ := h.l2.lookup(a)
-	if l2cl == nil {
-		return
-	}
-	if l2cl.owner >= 0 && int(l2cl.owner) != core {
+	if o := l2cl.ownerCore(); o >= 0 && o != core {
 		h.pullDirty(l2cl, a)
 	}
-	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if coreID == core {
-			continue
-		}
-		if l2cl.shared&(1<<uint(coreID)) != 0 {
-			h.l1s[coreID].drop(a)
-			l2cl.shared &^= 1 << uint(coreID)
-		}
+	self := uint32(1) << uint(core)
+	for sh := l2cl.shared &^ self; sh != 0; sh &= sh - 1 {
+		h.l1s[bits.TrailingZeros32(sh)].drop(a)
 	}
-	l2cl.shared |= 1 << uint(core)
+	l2cl.shared = self
+	l2cl.setOwner(core)
 }
 
 // WriteLineNT performs a non-temporal full-line store: caches are bypassed
@@ -827,59 +851,56 @@ type pfFlight struct {
 	recvFn           func(data []byte)
 }
 
-// cancelInflightFills marks every in-flight demand miss and prefetch of the
-// line stale so it will not be installed when its data returns. A fill is
-// cancelled, and counted, once.
-func (h *Hierarchy) cancelInflightFills(a memdata.Addr) {
-	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if m, ok := h.mshrs[coreID][a]; ok && !m.cancelled {
-			m.cancelled = true
-			h.Stats.CancelledFills++
+// cancelInflightFills marks every in-flight demand miss and prefetch of a
+// line in [first, end) stale so it will not be installed when its data
+// returns. A fill is cancelled, and counted, once.
+func (h *Hierarchy) cancelInflightFills(first, end memdata.Addr) {
+	for _, ms := range h.mshrs {
+		for _, m := range ms {
+			if m.a >= first && m.a < end && !m.cancelled {
+				m.cancelled = true
+				h.Stats.CancelledFills++
+			}
 		}
 	}
-	if f, ok := h.pfPending[a]; ok && !f.cancelled {
-		f.cancelled = true
-		h.Stats.CancelledFills++
+	for _, f := range h.pfPending {
+		if f.a >= first && f.a < end && !f.cancelled {
+			f.cancelled = true
+			h.Stats.CancelledFills++
+		}
 	}
 }
 
 // dropLine removes the line from every cache without writing it back.
 func (h *Hierarchy) dropLine(a memdata.Addr) {
-	h.cancelInflightFills(a)
-	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		h.l1s[coreID].drop(a)
+	h.cancelInflightFills(a, a+memdata.LineSize)
+	if _, i := h.l2.lookup(a); i >= 0 {
+		h.dropL2(i)
 	}
-	h.l2.drop(a)
 }
 
 // ---------------------------------------------------------------------------
 // CLWB / invalidate / flush
 // ---------------------------------------------------------------------------
 
-// takeDirty copies the freshest dirty copy of the line at a — a dirty L1
-// anywhere, else a dirty L2 — into a new line write for the caller to
-// send, and leaves a clean copy cached. It returns nil when the line is
-// clean or absent.
+// takeDirty copies the freshest dirty copy of the line at a — the owner
+// L1's, else a dirty L2's — into a new line write for the caller to send,
+// and leaves a clean copy cached. It returns nil when the line is clean or
+// absent. The L2's directory names the owner, so no other L1 is probed.
 func (h *Hierarchy) takeDirty(a memdata.Addr, tx txtrace.Tx, done func()) *lineWrite {
-	var w *lineWrite
-	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if cl, _ := h.l1s[coreID].lookup(a); cl != nil && cl.dirty {
-			w = h.newLineWrite(a, tx, done)
-			w.data = cl.data
-			cl.dirty = false
-			break
-		}
-	}
 	l2cl, _ := h.l2.lookup(a)
-	if w == nil && l2cl != nil && l2cl.dirty {
-		w = h.newLineWrite(a, tx, done)
-		w.data = l2cl.data
+	if l2cl == nil {
+		return nil
 	}
-	if w != nil && l2cl != nil {
-		l2cl.data = w.data
-		l2cl.dirty = false
-		l2cl.owner = -1
+	if l2cl.owner != 0 {
+		h.pullDirty(l2cl, a)
 	}
+	if !l2cl.dirty {
+		return nil
+	}
+	w := h.newLineWrite(a, tx, done)
+	w.data = l2cl.data
+	l2cl.dirty = false
 	return w
 }
 
@@ -909,21 +930,19 @@ func (h *Hierarchy) InvalidateRange(r memdata.Range) int {
 	if r.Empty() {
 		return 0
 	}
+	first, end := memdata.LineAlign(r.Start), r.End()
+	// Fills racing this invalidation must not install stale data, even
+	// when the line is not cached yet (e.g. a prefetch in flight).
+	h.cancelInflightFills(first, end)
 	found := 0
-	for l := memdata.LineAlign(r.Start); l < r.End(); l += memdata.LineSize {
-		// Fills racing this invalidation must not install stale data, even
-		// when the line is not cached yet (e.g. a prefetch in flight).
-		h.cancelInflightFills(l)
-		present := h.l2.has(l)
-		for coreID := 0; coreID < h.cfg.Cores && !present; coreID++ {
-			present = h.l1s[coreID].has(l)
-		}
-		if present {
-			h.dropLine(l)
+	for l := first; l < end; l += memdata.LineSize {
+		// Inclusion: a line no L2 way holds is in no L1 either.
+		if _, i := h.l2.lookup(l); i >= 0 {
+			h.dropL2(i)
 			found++
-			h.Stats.Invalidations++
 		}
 	}
+	h.Stats.Invalidations += uint64(found)
 	return found
 }
 
@@ -998,10 +1017,14 @@ func (h *Hierarchy) trainPrefetcher(core int, a memdata.Addr) {
 }
 
 func (h *Hierarchy) issuePrefetch(a memdata.Addr) {
-	if h.pfInflight >= h.cfg.Prefetch.MaxInflight {
+	if len(h.pfPending) >= h.cfg.Prefetch.MaxInflight {
 		return
 	}
-	if h.l2.has(a) || h.pfPending[a] != nil {
+	dup := h.l2.has(a)
+	for _, f := range h.pfPending {
+		dup = dup || f.a == a
+	}
+	if dup {
 		h.Stats.PrefetchesDuplicate++
 		return
 	}
@@ -1017,8 +1040,7 @@ func (h *Hierarchy) issuePrefetch(a memdata.Addr) {
 		f.arriveFn = f.arrive
 	}
 	f.a, f.cancelled = a, false
-	h.pfPending[a] = f
-	h.pfInflight++
+	h.pfPending = append(h.pfPending, f)
 	h.bus.Send(memdata.LineSize, 0, f.sendFn)
 }
 
@@ -1031,8 +1053,7 @@ func (f *pfFlight) recv(data []byte) {
 
 func (f *pfFlight) arrive() {
 	h := f.h
-	delete(h.pfPending, f.a)
-	h.pfInflight--
+	h.pfPending = without(h.pfPending, f)
 	if !f.cancelled {
 		h.fillL2(f.a, f.data[:], false)
 	}
@@ -1070,6 +1091,56 @@ func (h *Hierarchy) CheckInclusion() error {
 		for i := range l1.keys {
 			if l1.valid(i) && !h.l2.has(l1.tag(i)) {
 				return fmt.Errorf("cache: L1[%d] line %#x not in L2", coreID, l1.tag(i))
+			}
+		}
+	}
+	return nil
+}
+
+// CheckDirectory verifies inclusion and the L2's directory of L1 copies:
+// every valid L1 line is in the L2 with that core's shared bit set, a dirty
+// L1 copy is the L2's owner (so at most one L1 copy of a line is dirty),
+// and, the other way round, every shared bit and owner the L2 records
+// names an L1 that holds the line, dirty for the owner. Test-only
+// invariant check.
+func (h *Hierarchy) CheckDirectory() error {
+	if err := h.CheckInclusion(); err != nil {
+		return err
+	}
+	for coreID, l1 := range h.l1s {
+		for i := range l1.keys {
+			if !l1.valid(i) {
+				continue
+			}
+			a := l1.tag(i)
+			l2cl, _ := h.l2.lookup(a)
+			if l2cl.shared&(1<<uint(coreID)) == 0 {
+				return fmt.Errorf("cache: L1[%d] holds line %#x but the L2's shared bits %#x omit it", coreID, a, l2cl.shared)
+			}
+			if l1.lines[i].dirty && l2cl.ownerCore() != coreID {
+				return fmt.Errorf("cache: L1[%d] holds line %#x dirty but the L2's owner is %d", coreID, a, l2cl.ownerCore())
+			}
+		}
+	}
+	for i := range h.l2.keys {
+		if !h.l2.valid(i) {
+			continue
+		}
+		a, cl := h.l2.tag(i), &h.l2.lines[i]
+		if cl.shared>>uint(len(h.l1s)) != 0 {
+			return fmt.Errorf("cache: L2 line %#x has shared bits %#x beyond %d cores", a, cl.shared, len(h.l1s))
+		}
+		for sh := cl.shared; sh != 0; sh &= sh - 1 {
+			if core := bits.TrailingZeros32(sh); !h.l1s[core].has(a) {
+				return fmt.Errorf("cache: L2 line %#x names L1[%d], which does not hold it", a, core)
+			}
+		}
+		if o := cl.ownerCore(); o >= 0 {
+			if o >= len(h.l1s) {
+				return fmt.Errorf("cache: L2 line %#x has owner %d beyond %d cores", a, o, len(h.l1s))
+			}
+			if l1cl, _ := h.l1s[o].lookup(a); l1cl == nil || !l1cl.dirty {
+				return fmt.Errorf("cache: L2 line %#x names owner L1[%d], which does not hold it dirty", a, o)
 			}
 		}
 	}

@@ -31,6 +31,7 @@ import (
 // NaN first.
 type Histogram struct {
 	samples []float64 // insertion order, never reordered
+	sum     float64   // running sum of samples, added in insertion order from 0
 	scratch []float64 // partitioned copy of samples; stale once shorter
 	nans    int       // scratch[:nans] holds the NaNs
 	// pins are ascending ranks r whose scratch[r] is final: nothing
@@ -42,6 +43,7 @@ type Histogram struct {
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.samples = append(h.samples, v)
+	h.sum += v
 }
 
 // Grow reserves room for n more samples, so that many Adds do not
@@ -57,25 +59,16 @@ func (h *Histogram) Grow(n int) {
 // N returns the number of samples.
 func (h *Histogram) N() int { return len(h.samples) }
 
-// Sum returns the sum of all samples (0 with no samples).
-func (h *Histogram) Sum() float64 {
-	sum := 0.0
-	for _, v := range h.samples {
-		sum += v
-	}
-	return sum
-}
+// Sum returns the sum of all samples (0 with no samples), added in
+// insertion order.
+func (h *Histogram) Sum() float64 { return h.sum }
 
 // Mean returns the arithmetic mean (0 with no samples).
 func (h *Histogram) Mean() float64 {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, v := range h.samples {
-		sum += v
-	}
-	return sum / float64(len(h.samples))
+	return h.sum / float64(len(h.samples))
 }
 
 // Min returns the smallest sample (0 with no samples), NaN if any sample

@@ -3,6 +3,7 @@ package stats
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -280,6 +281,86 @@ func TestSamplesInsertionOrder(t *testing.T) {
 	if got := h.Samples(); !reflect.DeepEqual(got, []float64{3, 1, 2, 0}) {
 		t.Fatalf("Samples() after CDF = %v", got)
 	}
+}
+
+// TestRunningSumMatchesLoop checks that Sum and Mean, read from the sum
+// Add keeps, carry the same bits as adding Samples() in insertion order
+// from 0: with NaN, ±Inf and ±0 among the inputs, and over 375,000 random
+// samples (one fleet run's worth) at every prefix length.
+func TestRunningSumMatchesLoop(t *testing.T) {
+	loop := func(h *Histogram) (sum, mean float64) {
+		for _, v := range h.Samples() {
+			sum += v
+		}
+		if h.N() > 0 {
+			mean = sum / float64(h.N())
+		}
+		return sum, mean
+	}
+	check := func(name string, h *Histogram) {
+		t.Helper()
+		sum, mean := loop(h)
+		if math.Float64bits(h.Sum()) != math.Float64bits(sum) {
+			t.Fatalf("%s: Sum = %v (%#x), loop gives %v (%#x)", name, h.Sum(), math.Float64bits(h.Sum()), sum, math.Float64bits(sum))
+		}
+		if math.Float64bits(h.Mean()) != math.Float64bits(mean) {
+			t.Fatalf("%s: Mean = %v, loop gives %v", name, h.Mean(), mean)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	special := [][]float64{
+		{},
+		{negZero},
+		{negZero, negZero},
+		{0, negZero},
+		{negZero, 0},
+		{math.Inf(1)},
+		{math.Inf(1), math.Inf(-1)},
+		{math.Inf(-1), 1, negZero},
+		{math.NaN()},
+		{1, math.NaN(), 2},
+		{math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64},
+		{1e16, 1, -1e16, 1},
+		{0.1, 0.2, 0.3, negZero, math.Inf(1), math.NaN(), math.Inf(-1)},
+	}
+	for i, in := range special {
+		var h Histogram
+		check("empty", &h)
+		for j, v := range in {
+			h.Add(v)
+			check(fmt.Sprintf("special %d prefix %d", i, j+1), &h)
+		}
+		// Order statistics in between must not disturb the sum.
+		h.Percentile(50)
+		h.Min()
+		check(fmt.Sprintf("special %d after Percentile", i), &h)
+	}
+
+	rnd := rand.New(rand.NewSource(7))
+	var h Histogram
+	var sum float64
+	for i := 0; i < 375000; i++ {
+		var v float64
+		switch rnd.Intn(4) {
+		case 0:
+			v = math.Floor(rnd.ExpFloat64() * 2e5)
+		case 1:
+			v = rnd.NormFloat64() * 1e-3
+		case 2:
+			v = rnd.Float64() * 1e12
+		default:
+			v = -rnd.Float64()
+		}
+		h.Add(v)
+		sum += v
+		if math.Float64bits(h.Sum()) != math.Float64bits(sum) {
+			t.Fatalf("random prefix %d: Sum = %v, loop gives %v", i+1, h.Sum(), sum)
+		}
+		if i%50000 == 0 {
+			h.Percentile(99.9)
+		}
+	}
+	check("random", &h)
 }
 
 // TestClockConversions pins the clock-aware converter: default 4 GHz is
