@@ -94,17 +94,21 @@ func benchMixedQueue(b *testing.B) {
 
 // benchProcWait measures the process wakeup path: one op = one
 // Wait(1) park + resume round trip (an event schedule and one coroutine
-// switch each way).
+// switch each way). Two processes wait in lockstep, so the other's wakeup
+// is always due first and no Wait continues inline; the sim package's
+// BenchmarkWaitInline times that path.
 func benchProcWait(b *testing.B) {
 	b.ReportAllocs()
 	n := b.N
 	e := sim.NewEngine()
 	b.ResetTimer()
-	e.Go("w", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Wait(1)
-		}
-	})
+	for _, waits := range []int{(n + 1) / 2, n / 2} {
+		e.Go("w", func(p *sim.Proc) {
+			for i := 0; i < waits; i++ {
+				p.Wait(1)
+			}
+		})
+	}
 	e.Drain()
 }
 

@@ -522,14 +522,19 @@ func (m *mshr) access() {
 }
 
 // pulled delivers the L2 line a cross-core pull refreshed, as it stands
-// when the pull's delay ends. If the line left the L2 in the meantime
-// (invalidated, or evicted and its way refilled with another line), the
-// waiters get the bytes as pulled and no L1 installs the line, which the
-// inclusive L2 no longer holds.
+// when the pull's delay ends; if a core took the line back and stored to
+// it during the delay, its dirty copy is pulled again. If the line left
+// the L2 in the meantime (invalidated, or evicted and its way refilled
+// with another line), the waiters get the bytes as pulled and no L1
+// installs the line, which the inclusive L2 no longer holds.
 func (m *mshr) pulled() {
-	l2 := m.h.l2
-	if l2.keys[m.pullWay] == m.a|1 {
-		m.data = l2.lines[m.pullWay].data
+	h := m.h
+	if h.l2.keys[m.pullWay] == m.a|1 {
+		cl := &h.l2.lines[m.pullWay]
+		if cl.owner != 0 {
+			h.pullDirty(cl, m.a)
+		}
+		m.data = cl.data
 	} else {
 		m.cancelled = true
 	}
@@ -546,10 +551,18 @@ func (m *mshr) recv(data []byte) {
 }
 
 // arrive installs the line from memory in the L2 and completes the miss.
+// If the L2 gained the line while the miss was out (another core's miss or
+// a prefetch), memory's bytes may be stale: the fill takes the L2's,
+// pulling another core's dirty copy first, as an L2 hit would.
 func (m *mshr) arrive() {
 	h := m.h
 	if !m.cancelled {
-		h.fillL2(m.a, m.data[:], false)
+		if cl, held := h.fillL2(m.a, m.data[:]); held {
+			if cl.owner != 0 {
+				h.pullDirty(cl, m.a)
+			}
+			m.data = cl.data
+		}
 	}
 	h.tr.End(m.sp, uint64(h.eng.Now()))
 	m.fill()
@@ -634,21 +647,23 @@ func (h *Hierarchy) evictL1(core, i int) {
 	l1.invalidate(i)
 }
 
-func (h *Hierarchy) fillL2(a memdata.Addr, data []byte, dirty bool) {
-	cl, _ := h.l2.lookup(a)
-	if cl == nil {
-		i := h.l2.victim(a)
-		if h.l2.valid(i) {
-			h.evictL2(i)
-		}
-		h.l2.install(i, a)
-		cl = &h.l2.lines[i]
+// fillL2 installs line a, arriving from memory with data, in the L2 and
+// returns its way. A line the L2 already holds keeps its bytes, which may
+// be newer than memory's: it is only touched, and held reports it.
+func (h *Hierarchy) fillL2(a memdata.Addr, data []byte) (cl *cacheLine, held bool) {
+	if cl, _ := h.l2.lookup(a); cl != nil {
+		h.l2.touch(cl)
+		return cl, true
 	}
+	i := h.l2.victim(a)
+	if h.l2.valid(i) {
+		h.evictL2(i)
+	}
+	h.l2.install(i, a)
+	cl = &h.l2.lines[i]
 	copy(cl.data[:], data)
-	if dirty {
-		cl.dirty = true
-	}
 	h.l2.touch(cl)
+	return cl, false
 }
 
 // evictL2 evicts way i of the L2, enforcing inclusion: L1 copies are
@@ -1055,7 +1070,7 @@ func (f *pfFlight) arrive() {
 	h := f.h
 	h.pfPending = without(h.pfPending, f)
 	if !f.cancelled {
-		h.fillL2(f.a, f.data[:], false)
+		h.fillL2(f.a, f.data[:])
 	}
 	h.pfPool = append(h.pfPool, f)
 }
@@ -1101,8 +1116,9 @@ func (h *Hierarchy) CheckInclusion() error {
 // every valid L1 line is in the L2 with that core's shared bit set, a dirty
 // L1 copy is the L2's owner (so at most one L1 copy of a line is dirty),
 // and, the other way round, every shared bit and owner the L2 records
-// names an L1 that holds the line, dirty for the owner. Test-only
-// invariant check.
+// names an L1 that holds the line, dirty for the owner, and an owned line
+// has no other sharer (no L1 keeps a clean copy beside a dirty one).
+// Test-only invariant check.
 func (h *Hierarchy) CheckDirectory() error {
 	if err := h.CheckInclusion(); err != nil {
 		return err
@@ -1141,6 +1157,9 @@ func (h *Hierarchy) CheckDirectory() error {
 			}
 			if l1cl, _ := h.l1s[o].lookup(a); l1cl == nil || !l1cl.dirty {
 				return fmt.Errorf("cache: L2 line %#x names owner L1[%d], which does not hold it dirty", a, o)
+			}
+			if others := cl.shared &^ (1 << uint(o)); others != 0 {
+				return fmt.Errorf("cache: L2 line %#x is owned by L1[%d] but also shared by %#x", a, o, others)
 			}
 		}
 	}

@@ -453,12 +453,12 @@ func TestPullSurvivesLineLeavingL2(t *testing.T) {
 		{"invalidated", func(r *rig, sets memdata.Addr) {
 			r.h.InvalidateRange(memdata.Range{Start: a, Size: memdata.LineSize})
 			other := a + sets*memdata.LineSize
-			r.h.fillL2(other, r.phys.ReadLine(other), false)
+			r.h.fillL2(other, r.phys.ReadLine(other))
 		}},
 		{"evicted", func(r *rig, sets memdata.Addr) {
 			for k := 1; k <= r.h.cfg.L2Ways; k++ {
 				other := a + memdata.Addr(k)*sets*memdata.LineSize
-				r.h.fillL2(other, r.phys.ReadLine(other), false)
+				r.h.fillL2(other, r.phys.ReadLine(other))
 			}
 		}},
 	} {
@@ -507,6 +507,9 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 		{"holder's bit cleared", func(_ *Hierarchy, l2cl *cacheLine) { l2cl.shared &^= 1 << 1 }},
 		{"bit for an L1 without the line", func(_ *Hierarchy, l2cl *cacheLine) { l2cl.shared |= 1 << 2 }},
 		{"bit beyond the cores", func(_ *Hierarchy, l2cl *cacheLine) { l2cl.shared |= 1 << 3 }},
+		{"clean copy beside the owner", func(h *Hierarchy, _ *cacheLine) {
+			h.fillL1(0, a, make([]byte, memdata.LineSize))
+		}},
 		{"second dirty copy", func(h *Hierarchy, _ *cacheLine) {
 			h.fillL1(0, a, make([]byte, memdata.LineSize))
 			cl, _ := h.l1s[0].lookup(a)
@@ -528,5 +531,61 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 				t.Log(err)
 			}
 		})
+	}
+}
+
+// TestConcurrentMissesSeeStore has cores 0 and 1 read line 0x3000 at
+// cycle 0, so both miss to memory, and core 0 store 0x5A to the line from
+// its read's callback, before core 1's fill returns. By then the L2 holds
+// the line and core 0 owns it dirty: core 1's fill must take the stored
+// byte, not memory's old one, and no L1 may keep a clean copy beside core
+// 0's dirty one at any cycle.
+func TestConcurrentMissesSeeStore(t *testing.T) {
+	r := newRig(2)
+	r.fill(7)
+	const a = memdata.Addr(0x3000)
+	old := r.phys.ReadLine(a)
+	want := append([]byte(nil), old...)
+	want[0] = 0x5A
+	var dirErr error
+	r.eng.OnAdvance(func(from, _ sim.Cycle) {
+		if dirErr == nil {
+			if err := r.h.CheckDirectory(); err != nil {
+				dirErr = fmt.Errorf("after cycle %d: %w", from, err)
+			}
+		}
+	})
+	var got0, got1 []byte
+	stored := false
+	r.eng.At(0, func() {
+		r.h.Read(0, a, 0, func(d []byte) {
+			got0 = append([]byte(nil), d...)
+			r.h.Write(0, a, 0, []byte{0x5A}, 0, func() { stored = true })
+		})
+		r.h.Read(1, a, 0, func(d []byte) { got1 = append([]byte(nil), d...) })
+	})
+	r.eng.Drain()
+	if !stored || got0 == nil || got1 == nil {
+		t.Fatalf("stored=%v, core 0 read %v, core 1 read %v: an access never completed", stored, got0 != nil, got1 != nil)
+	}
+	if r.h.Stats.L2Misses != 2 {
+		t.Fatalf("L2 misses = %d, want 2 (both reads miss to memory)", r.h.Stats.L2Misses)
+	}
+	if !bytes.Equal(got0, old) {
+		t.Fatalf("core 0 read %x, want memory's %x", got0, old)
+	}
+	if !bytes.Equal(got1, want) {
+		t.Fatalf("core 1 read %x, want core 0's store applied: %x", got1, want)
+	}
+	if dirErr != nil {
+		t.Fatal(dirErr)
+	}
+	if err := r.h.CheckDirectory(); err != nil {
+		t.Fatal(err)
+	}
+	for core := 0; core < 2; core++ {
+		if got := r.read(core, a); !bytes.Equal(got, want) {
+			t.Fatalf("core %d reads %x afterwards, want %x", core, got, want)
+		}
 	}
 }

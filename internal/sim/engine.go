@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -107,6 +108,14 @@ type Engine struct {
 	reported Cycle  // cycle of the last flush into totalEvents
 	executed uint64 // events run by this engine
 	repEv    uint64 // events already flushed into totalEvents
+
+	// runAhead is set while Drain or RunUntil drives the engine, which
+	// then runs every event due at or before horizon: a process's wakeup
+	// due before any other event, within horizon, may then run inline
+	// (wakeInline). It is cleared when the run ends, by a panic too, so
+	// bare Step never lets a process run ahead.
+	runAhead bool
+	horizon  Cycle
 
 	// advance, when set, fires whenever simulated time moves from `from`
 	// to `to` (from < to), before the event at `to` runs. At that instant
@@ -231,21 +240,54 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	if when != e.now {
-		prev := e.now
-		e.now = when
-		if e.limit != 0 && when > e.limit {
-			e.flushEvents()
-			panic(&CycleLimitError{Limit: e.limit, Now: when})
-		}
-		if when-e.reported >= cycleFlushPeriod {
-			e.flushEvents()
-		}
-		if e.advance != nil {
-			e.advance(prev, when)
-		}
+		e.advanceTo(when)
 	}
 	e.executed++
 	fn()
+	return true
+}
+
+// advanceTo moves simulated time forward to when, the cycle of the event
+// about to run: it enforces the cycle budget, keeps the process-wide event
+// counter on its flush cadence and calls the OnAdvance hook.
+func (e *Engine) advanceTo(when Cycle) {
+	prev := e.now
+	e.now = when
+	if e.limit != 0 && when > e.limit {
+		e.flushEvents()
+		panic(&CycleLimitError{Limit: e.limit, Now: when})
+	}
+	if when-e.reported >= cycleFlushPeriod {
+		e.flushEvents()
+	}
+	if e.advance != nil {
+		e.advance(prev, when)
+	}
+}
+
+// wakeInline runs, in place, a wakeup of the running process due at when,
+// if it would be the next event Step runs: no pending event is due at or
+// before when (an event due at when was scheduled first, so it runs
+// first), the engine is driven by Drain or RunUntil within its horizon,
+// and the cycle budget holds. It then does the wakeup's bookkeeping as
+// At and Step would — seq, time advance and hooks, executed count — and
+// reports true; the process carries on without a queued event or a
+// coroutine switch. Otherwise it reports false and the caller parks.
+func (e *Engine) wakeInline(when Cycle) bool {
+	if !e.runAhead || when > e.horizon || (e.limit != 0 && when > e.limit) || e.closed {
+		return false
+	}
+	if e.occupied != 0 && e.wheelNext() <= when {
+		return false
+	}
+	if len(e.heap) > 0 && e.heap[0].when <= when {
+		return false
+	}
+	e.seq++
+	if when != e.now {
+		e.advanceTo(when)
+	}
+	e.executed++
 	return true
 }
 
@@ -330,6 +372,8 @@ func (e *Engine) RunUntil(limit Cycle) {
 	if e.running != nil {
 		e.inProcPanic("RunUntil")
 	}
+	e.runAhead, e.horizon = true, limit
+	defer func() { e.runAhead = false }()
 	for {
 		when, ok := e.nextWhen()
 		if !ok || when > limit {
@@ -353,6 +397,8 @@ func (e *Engine) Drain() {
 	if e.running != nil {
 		e.inProcPanic("Drain")
 	}
+	e.runAhead, e.horizon = true, math.MaxUint64
+	defer func() { e.runAhead = false }()
 	for e.Step() {
 	}
 	e.flushEvents()

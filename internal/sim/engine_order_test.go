@@ -13,10 +13,11 @@ import (
 // identical dispatch orders — pinning the split-queue engine (timing wheel
 // + heap) to the semantics of a single priority queue.
 type refSched struct {
-	now     Cycle
-	seq     uint64
-	events  []event
-	advance func(from, to Cycle) // mirrors Engine.OnAdvance when set
+	now      Cycle
+	seq      uint64
+	events   []event
+	executed uint64               // events dispatched, as Engine.Executed
+	advance  func(from, to Cycle) // mirrors Engine.OnAdvance when set
 }
 
 func (r *refSched) at(when Cycle, fn func()) {
@@ -50,6 +51,7 @@ func (r *refSched) dispatch(limit Cycle) {
 		}
 		r.events = append(r.events[:best], r.events[best+1:]...)
 		r.advanceTo(ev.when)
+		r.executed++
 		ev.fn()
 	}
 }

@@ -103,16 +103,32 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current simulated cycle.
 func (p *Proc) Now() Cycle { return p.eng.Now() }
 
-// Wait parks the process for delay cycles of simulated time.
-func (p *Proc) Wait(delay Cycle) {
-	p.eng.After(delay, p.resumeFn)
-	p.park()
+// Wait suspends the process for delay cycles of simulated time: its
+// wakeup is an event due delay cycles from now, after every event already
+// due by then.
+//
+// When that wakeup would be the next event anyway — nothing else is
+// pending at or before it — and Drain or RunUntil drives the engine (within
+// RunUntil's limit and the cycle budget), the process does not park: the
+// engine does the wakeup's bookkeeping in place (seq, the time advance and
+// its OnAdvance call, the executed count) and the process continues. Event
+// order, Executed, sim.events and every OnAdvance sample are exactly what
+// parking would produce; only the queued event and the two coroutine
+// switches are saved. Under bare Step the process always parks.
+func (p *Proc) Wait(delay Cycle) { p.sleep(p.eng.Now() + delay) }
+
+// WaitUntil suspends the process until the given absolute cycle, as Wait
+// does. If the cycle is not in the future, it is a no-op.
+func (p *Proc) WaitUntil(when Cycle) {
+	if when > p.eng.Now() {
+		p.sleep(when)
+	}
 }
 
-// WaitUntil parks the process until the given absolute cycle. If the cycle
-// is not in the future, it is a no-op.
-func (p *Proc) WaitUntil(when Cycle) {
-	if when <= p.eng.Now() {
+// sleep wakes the process at when: inline when the engine allows it,
+// otherwise by a scheduled resume and a park.
+func (p *Proc) sleep(when Cycle) {
+	if p.eng.wakeInline(when) {
 		return
 	}
 	p.eng.At(when, p.resumeFn)
