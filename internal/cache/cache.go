@@ -251,19 +251,18 @@ type Hierarchy struct {
 	// In-flight fills, in no particular order. They are few (at most
 	// MSHRsPerCore per core and Prefetch.MaxInflight prefetches), so a
 	// scan finds one by address.
-	mshrs     [][]*mshr     // per core, demand misses
-	mshrQueue []sim.FnQueue // deferred misses per core
-	pfPending []*pfFlight   // prefetches in flight (dedup + cancel)
+	mshrs     [][]*mshr           // per core, demand misses
+	mshrQueue []sim.Queue[func()] // deferred misses per core
+	pfPending []*pfFlight         // prefetches in flight (dedup + cancel)
 	pf        []*stridePF
 
-	// Retired requests for reuse. Each machine is single-threaded, so
-	// plain slices suffice.
-	mshrPool  []*mshr
-	hitPool   []*hitReq
-	stallPool []*stalledMiss
-	rfoPool   []*rfo
-	pfPool    []*pfFlight
-	wrPool    []*lineWrite
+	// Retired requests for reuse.
+	mshrPool  sim.Pool[mshr]
+	hitPool   sim.Pool[hitReq]
+	stallPool sim.Pool[stalledMiss]
+	rfoPool   sim.Pool[rfo]
+	pfPool    sim.Pool[pfFlight]
+	wrPool    sim.Pool[lineWrite]
 
 	Stats Stats
 }
@@ -290,7 +289,7 @@ func NewWithBus(eng *sim.Engine, cfg Config, route func(memdata.Addr) *memctrl.C
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1s = append(h.l1s, newArray(cfg.L1Size, cfg.L1Ways))
 		h.mshrs = append(h.mshrs, make([]*mshr, 0, max(cfg.MSHRsPerCore, 0)))
-		h.mshrQueue = append(h.mshrQueue, sim.FnQueue{})
+		h.mshrQueue = append(h.mshrQueue, sim.Queue[func()]{})
 		h.pf = append(h.pf, &stridePF{})
 	}
 	return h
@@ -356,7 +355,7 @@ type hitReq struct {
 func (r *hitReq) fire() {
 	r.done(r.data[:])
 	r.done = nil
-	r.h.hitPool = append(r.h.hitPool, r)
+	r.h.hitPool.Put(r)
 }
 
 // Read fetches the full line at a for the given core. done receives the
@@ -375,12 +374,9 @@ func (h *Hierarchy) Read(core int, a memdata.Addr, tx txtrace.Tx, done func(data
 			h.tr.Complete(tx, txtrace.StageL1Hit, uint64(a), now, now+uint64(h.cfg.L1Latency), 0)
 		}
 		l1.touch(cl)
-		var r *hitReq
-		if n := len(h.hitPool); n > 0 {
-			r = h.hitPool[n-1]
-			h.hitPool = h.hitPool[:n-1]
-		} else {
-			r = &hitReq{h: h}
+		r, fresh := h.hitPool.Get()
+		if fresh {
+			r.h = h
 			r.fireFn = r.fire
 		}
 		r.done = done
@@ -406,12 +402,9 @@ func (h *Hierarchy) Read(core int, a memdata.Addr, tx txtrace.Tx, done func(data
 // completes. Misses are the steady-state churn of every workload, so this
 // keeps the miss path free of per-access allocations after warmup.
 func (h *Hierarchy) getMSHR(core int, a memdata.Addr, tx txtrace.Tx, done func(data []byte)) *mshr {
-	var m *mshr
-	if n := len(h.mshrPool); n > 0 {
-		m = h.mshrPool[n-1]
-		h.mshrPool = h.mshrPool[:n-1]
-	} else {
-		m = &mshr{h: h}
+	m, fresh := h.mshrPool.Get()
+	if fresh {
+		m.h = h
 		m.accessFn = m.access
 		m.sendFn = m.send
 		m.recvFn = m.recv
@@ -429,7 +422,7 @@ func (h *Hierarchy) putMSHR(m *mshr) {
 		m.waiters[i] = nil
 	}
 	m.waiters = m.waiters[:0]
-	h.mshrPool = append(h.mshrPool, m)
+	h.mshrPool.Put(m)
 }
 
 // stalledMiss is a miss deferred on a full MSHR file.
@@ -450,7 +443,7 @@ func (s *stalledMiss) run() {
 		h.tr.Complete(tx, txtrace.StageMSHRWait, uint64(a), s.start, uint64(h.eng.Now()), 0)
 	}
 	s.done = nil
-	h.stallPool = append(h.stallPool, s)
+	h.stallPool.Put(s)
 	h.missToL2(core, a, tx, done)
 }
 
@@ -465,12 +458,9 @@ func (h *Hierarchy) missToL2(core int, a memdata.Addr, tx txtrace.Tx, done func(
 	}
 	if len(h.mshrs[core]) >= h.cfg.MSHRsPerCore {
 		h.Stats.MSHRStalls++
-		var s *stalledMiss
-		if n := len(h.stallPool); n > 0 {
-			s = h.stallPool[n-1]
-			h.stallPool = h.stallPool[:n-1]
-		} else {
-			s = &stalledMiss{h: h}
+		s, fresh := h.stallPool.Get()
+		if fresh {
+			s.h = h
 			s.runFn = s.run
 		}
 		s.core, s.a, s.tx, s.done = core, a, tx, done
@@ -708,12 +698,9 @@ type lineWrite struct {
 }
 
 func (h *Hierarchy) newLineWrite(a memdata.Addr, tx txtrace.Tx, done func()) *lineWrite {
-	var w *lineWrite
-	if n := len(h.wrPool); n > 0 {
-		w = h.wrPool[n-1]
-		h.wrPool = h.wrPool[:n-1]
-	} else {
-		w = &lineWrite{h: h}
+	w, fresh := h.wrPool.Get()
+	if fresh {
+		w.h = h
 		w.sendFn = w.send
 		w.writeFn = w.write
 	}
@@ -730,7 +717,7 @@ func (w *lineWrite) write() {
 	h, done := w.h, w.done
 	w.done = nil
 	h.route(w.a).WriteLine(w.a, w.data[:], w.tx, done)
-	h.wrPool = append(h.wrPool, w)
+	h.wrPool.Put(w)
 }
 
 // writebackToMemory sends a full line to its controller through the hooked
@@ -775,7 +762,7 @@ func (r *rfo) arrive([]byte) {
 	h.tr.EndFlags(r.sp, uint64(h.eng.Now()), txtrace.FlagWrite)
 	done := r.done
 	r.data, r.done = nil, nil
-	h.rfoPool = append(h.rfoPool, r)
+	h.rfoPool.Put(r)
 	done()
 }
 
@@ -807,12 +794,9 @@ func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx 
 	// Read-for-ownership: fetch the line, then apply the store.
 	h.Stats.L1Misses++
 	h.trainPrefetcher(core, a)
-	var r *rfo
-	if n := len(h.rfoPool); n > 0 {
-		r = h.rfoPool[n-1]
-		h.rfoPool = h.rfoPool[:n-1]
-	} else {
-		r = &rfo{h: h}
+	r, fresh := h.rfoPool.Get()
+	if fresh {
+		r.h = h
 		r.arriveFn = r.arrive
 	}
 	r.core, r.a, r.off, r.data, r.done = core, a, off, data, done
@@ -1044,12 +1028,9 @@ func (h *Hierarchy) issuePrefetch(a memdata.Addr) {
 		return
 	}
 	h.Stats.PrefetchesIssued++
-	var f *pfFlight
-	if n := len(h.pfPool); n > 0 {
-		f = h.pfPool[n-1]
-		h.pfPool = h.pfPool[:n-1]
-	} else {
-		f = &pfFlight{h: h}
+	f, fresh := h.pfPool.Get()
+	if fresh {
+		f.h = h
 		f.sendFn = f.send
 		f.recvFn = f.recv
 		f.arriveFn = f.arrive
@@ -1072,7 +1053,7 @@ func (f *pfFlight) arrive() {
 	if !f.cancelled {
 		h.fillL2(f.a, f.data[:])
 	}
-	h.pfPool = append(h.pfPool, f)
+	h.pfPool.Put(f)
 }
 
 // ---------------------------------------------------------------------------
@@ -1099,19 +1080,6 @@ func (h *Hierarchy) Peek(a memdata.Addr) ([]byte, string) {
 	return nil, ""
 }
 
-// CheckInclusion verifies that every valid L1 line is present in the L2.
-// Test-only invariant check.
-func (h *Hierarchy) CheckInclusion() error {
-	for coreID, l1 := range h.l1s {
-		for i := range l1.keys {
-			if l1.valid(i) && !h.l2.has(l1.tag(i)) {
-				return fmt.Errorf("cache: L1[%d] line %#x not in L2", coreID, l1.tag(i))
-			}
-		}
-	}
-	return nil
-}
-
 // CheckDirectory verifies inclusion and the L2's directory of L1 copies:
 // every valid L1 line is in the L2 with that core's shared bit set, a dirty
 // L1 copy is the L2's owner (so at most one L1 copy of a line is dirty),
@@ -1120,9 +1088,6 @@ func (h *Hierarchy) CheckInclusion() error {
 // has no other sharer (no L1 keeps a clean copy beside a dirty one).
 // Test-only invariant check.
 func (h *Hierarchy) CheckDirectory() error {
-	if err := h.CheckInclusion(); err != nil {
-		return err
-	}
 	for coreID, l1 := range h.l1s {
 		for i := range l1.keys {
 			if !l1.valid(i) {
@@ -1130,6 +1095,9 @@ func (h *Hierarchy) CheckDirectory() error {
 			}
 			a := l1.tag(i)
 			l2cl, _ := h.l2.lookup(a)
+			if l2cl == nil {
+				return fmt.Errorf("cache: L1[%d] line %#x not in L2", coreID, a)
+			}
 			if l2cl.shared&(1<<uint(coreID)) == 0 {
 				return fmt.Errorf("cache: L1[%d] holds line %#x but the L2's shared bits %#x omit it", coreID, a, l2cl.shared)
 			}

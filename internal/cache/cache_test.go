@@ -99,7 +99,7 @@ func TestCrossCoreCoherence(t *testing.T) {
 	if got0[0] != 0xAA || got0[1] != 0xBB {
 		t.Fatalf("core 0 missed core 1's write: %x", got0[:2])
 	}
-	if err := r.h.CheckInclusion(); err != nil {
+	if err := r.h.CheckDirectory(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,7 +122,7 @@ func TestEvictionWritesBack(t *testing.T) {
 	if r.h.Stats.L2Writebacks == 0 {
 		t.Fatal("no L2 writeback recorded")
 	}
-	if err := r.h.CheckInclusion(); err != nil {
+	if err := r.h.CheckDirectory(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -334,7 +334,7 @@ func TestRandomCoherence(t *testing.T) {
 			}
 		}
 	}
-	if err := r.h.CheckInclusion(); err != nil {
+	if err := r.h.CheckDirectory(); err != nil {
 		t.Fatal(err)
 	}
 }

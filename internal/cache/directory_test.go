@@ -188,7 +188,7 @@ func (p *raceProbe) attach(h *Hierarchy, n int) {
 			}
 			m.pulled()
 		}
-		h.mshrPool = append(h.mshrPool, m)
+		h.mshrPool.Put(m)
 
 		r := &rfo{h: h}
 		r.arriveFn = func(d []byte) {
@@ -197,7 +197,7 @@ func (p *raceProbe) attach(h *Hierarchy, n int) {
 			}
 			r.arrive(d)
 		}
-		h.rfoPool = append(h.rfoPool, r)
+		h.rfoPool.Put(r)
 	}
 }
 
@@ -429,7 +429,7 @@ func TestCancelledRFORefetches(t *testing.T) {
 	if r.h.Stats.CancelledFills != 1 {
 		t.Fatalf("CancelledFills = %d, want 1", r.h.Stats.CancelledFills)
 	}
-	if err := r.h.CheckInclusion(); err != nil {
+	if err := r.h.CheckDirectory(); err != nil {
 		t.Fatal(err)
 	}
 	want := r.phys.ReadLine(a)
@@ -486,7 +486,7 @@ func TestPullSurvivesLineLeavingL2(t *testing.T) {
 				}
 				t.Fatalf("read of %#x returned %x, want the pulled %x", a, got, want)
 			}
-			if err := r.h.CheckInclusion(); err != nil {
+			if err := r.h.CheckDirectory(); err != nil {
 				t.Fatal(err)
 			}
 		})

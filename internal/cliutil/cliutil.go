@@ -147,23 +147,6 @@ func TimelineConfig(spec *config.MachineSpec, outPath string, window uint64, ser
 	return cfg
 }
 
-// WriteTimeline writes the recorders' windows to path ("-" = stdout):
-// names ending in .csv get CSV, everything else the JSON document.
-func WriteTimeline(path string, recs []*timeline.Recorder) error {
-	if path == "-" {
-		return timeline.Write(os.Stdout, path, recs)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := timeline.Write(f, path, recs); err != nil {
-		f.Close()
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return f.Close()
-}
-
 // Invariants maps the -invariants flag to an oracle configuration.
 func Invariants(enabled bool) invariant.Config {
 	if enabled {

@@ -63,7 +63,7 @@ func FuzzLazyEagerEquivalence(f *testing.F) {
 				}
 			}
 			c.Fence()
-			c.ReadBytes(dst, size) // full sweep, every line shadow-checked
+			c.Load(dst, size) // full sweep, every line shadow-checked
 		})
 
 		if n := m.Inv.TotalViolations(); n != 0 {

@@ -174,8 +174,8 @@ func copyProgram(m *machine.Machine, lazy bool, seed int64) []byte {
 			}
 		}
 		// Final sweep: the complete visible image of both buffers.
-		observed = append(observed, c.ReadBytes(dst, size)...)
-		observed = append(observed, c.ReadBytes(src, size)...)
+		observed = append(observed, c.Load(dst, size)...)
+		observed = append(observed, c.Load(src, size)...)
 		// MCFREE makes never-materialized destination bytes undefined (the
 		// deferred copy is simply dropped), so it runs after the sweep; the
 		// shadow oracle still checks the freed region's post-free reads.

@@ -132,9 +132,6 @@ func newCTT(capacity int, noMerge bool) *CTT {
 // Len returns the number of live entries.
 func (t *CTT) Len() int { return len(t.dst) }
 
-// Capacity returns the entry capacity.
-func (t *CTT) Capacity() int { return t.capacity }
-
 func segsOf(r memdata.Range) (lo, hi uint64) {
 	if r.Empty() {
 		return 1, 0 // empty iteration

@@ -131,11 +131,6 @@ type heldWrite struct {
 	acquiredFn, finishFn, depDoneFn func()
 }
 
-type bpq struct {
-	used    int
-	waiters sim.FnQueue
-}
-
 type pendingLazy struct {
 	dst       memdata.Range
 	src       memdata.Addr
@@ -158,11 +153,10 @@ type Engine struct {
 	route func(memdata.Addr) int
 	tr    *txtrace.Tracer
 
-	flt      *faultinject.Plane // nil when no fault schedule is active
-	inv      *invariant.Oracles // nil when invariant oracles are off
-	bpqNames []string           // precomputed BPQ queue names for occupancy checks
+	flt *faultinject.Plane // nil when no fault schedule is active
+	inv *invariant.Oracles // nil when invariant oracles are off
 
-	bpqs        []bpq
+	bpqs        []memctrl.Slots
 	held        map[memdata.Addr]*heldWrite
 	heldWaiters []func() // BPQ finishes waiting on other held lines
 	pending     []*pendingLazy
@@ -175,12 +169,13 @@ type Engine struct {
 	destGen map[memdata.Addr]uint64
 
 	// Retired requests for reuse, and scratch space for the queries of
-	// one call. The machine is single-threaded, so plain slices suffice.
-	readPool     []*readReq
-	composePool  []*composeReq
-	heldPool     []*heldWrite
-	copyPool     []*lineCopy
-	freePool     []*freeJob
+	// one call. The machine is single-threaded, so plain slices suffice
+	// for the scratch.
+	readPool     sim.Pool[readReq]
+	composePool  sim.Pool[composeReq]
+	heldPool     sim.Pool[heldWrite]
+	copyPool     sim.Pool[lineCopy]
+	freePool     sim.Pool[freeJob]
 	srcScratch   []*Entry
 	wakeScratch  []*pendingLazy
 	depSeen      map[memdata.Addr]bool
@@ -198,13 +193,16 @@ func NewEngine(eng *sim.Engine, p Params, mcs []*memctrl.Controller, route func(
 		ctt:     newCTT(p.CTTCapacity, p.DisableMerge),
 		mcs:     mcs,
 		route:   route,
-		bpqs:    make([]bpq, len(mcs)),
+		bpqs:    make([]memctrl.Slots, len(mcs)),
 		held:    make(map[memdata.Addr]*heldWrite),
 		freeing: make(map[uint64]bool),
 		destGen: make(map[memdata.Addr]uint64),
 		depSeen: make(map[memdata.Addr]bool),
 	}
 	e.freeWorkerFn = e.freeWorker
+	for i := range e.bpqs {
+		e.bpqs[i] = memctrl.NewSlots(p.BPQCapacity)
+	}
 	for i := range mcs {
 		mcs[i].SetHook(&mcHook{e: e, mc: i})
 	}
@@ -224,9 +222,8 @@ func (e *Engine) SetFaults(p *faultinject.Plane) { e.flt = p }
 func (e *Engine) SetInvariants(o *invariant.Oracles) {
 	e.inv = o
 	if o.QueuesOn() {
-		e.bpqNames = make([]string, len(e.mcs))
-		for i := range e.bpqNames {
-			e.bpqNames[i] = fmt.Sprintf("bpq%d", i)
+		for i := range e.bpqs {
+			e.bpqs[i].SetInvariants(o, fmt.Sprintf("bpq%d", i))
 		}
 	}
 }
@@ -300,12 +297,9 @@ type readReq struct {
 }
 
 func (e *Engine) newRead(a memdata.Addr, done func([]byte)) *readReq {
-	var r *readReq
-	if n := len(e.readPool); n > 0 {
-		r = e.readPool[n-1]
-		e.readPool = e.readPool[:n-1]
-	} else {
-		r = &readReq{e: e}
+	r, fresh := e.readPool.Get()
+	if fresh {
+		r.e = e
 		r.deliverFn = r.deliver
 		r.startFn = r.start
 		r.composedFn = r.composed
@@ -320,7 +314,7 @@ func (r *readReq) deliver() {
 	done := r.done
 	r.done = nil
 	done(r.data[:])
-	r.e.readPool = append(r.e.readPool, r)
+	r.e.readPool.Put(r)
 }
 
 func (e *Engine) filterRead(mc int, a memdata.Addr, tx txtrace.Tx, done func([]byte)) bool {
@@ -510,12 +504,9 @@ func (r *composeReq) snapshot(l memdata.Addr) *[memdata.LineSize]byte {
 // time), remaining bytes from memory. cb receives the completed line once
 // all fetches finish; the line is borrowed, valid only until cb returns.
 func (e *Engine) composeDestLine(a memdata.Addr, tx txtrace.Tx, cb func([]byte)) {
-	var r *composeReq
-	if n := len(e.composePool); n > 0 {
-		r = e.composePool[n-1]
-		e.composePool = e.composePool[:n-1]
-	} else {
-		r = &composeReq{e: e}
+	r, fresh := e.composePool.Get()
+	if fresh {
+		r.e = e
 	}
 	r.a, r.cb, r.covered = a, cb, 0
 	r.segs, r.nlines = r.segs[:0], 0
@@ -578,7 +569,7 @@ func (r *composeReq) finish() {
 	cb := r.cb
 	r.cb = nil
 	cb(r.out[:])
-	r.e.composePool = append(r.e.composePool, r)
+	r.e.composePool.Put(r)
 }
 
 // ---------------------------------------------------------------------------
@@ -587,12 +578,9 @@ func (r *composeReq) finish() {
 
 // newHeld takes a held write from the pool, copying the line in.
 func (e *Engine) newHeld(mc int, a memdata.Addr, data []byte, tx txtrace.Tx, release func()) *heldWrite {
-	var hw *heldWrite
-	if n := len(e.heldPool); n > 0 {
-		hw = e.heldPool[n-1]
-		e.heldPool = e.heldPool[:n-1]
-	} else {
-		hw = &heldWrite{e: e}
+	hw, fresh := e.heldPool.Get()
+	if fresh {
+		hw.e = e
 		hw.acquiredFn = hw.acquired
 		hw.finishFn = hw.finish
 		hw.depDoneFn = hw.depDone
@@ -632,8 +620,24 @@ func (e *Engine) filterWrite(mc int, a memdata.Addr, data []byte, tx txtrace.Tx,
 	// line is copied now; data is only borrowed for this call.
 	hw := e.newHeld(mc, a, data, tx, release)
 	hw.qsp = e.tr.Begin(tx, txtrace.StageBPQWait, uint64(a), uint64(e.eng.Now()))
-	e.acquireBPQ(mc, a, hw.acquiredFn)
+	// Injected BPQ stall: the acquisition freezes for the schedule's window
+	// before contending for a slot.
+	if w := e.flt.FireWindow(faultinject.KindBPQStall, uint64(a), uint64(e.eng.Now())); w != 0 {
+		e.eng.After(sim.Cycle(w), hw.acquireSlot)
+	} else {
+		hw.acquireSlot()
+	}
 	return true
+}
+
+// acquireSlot contends for a slot in the BPQ of hw's controller; acquired
+// runs once it holds one.
+func (hw *heldWrite) acquireSlot() {
+	e := hw.e
+	if e.bpqs[hw.mc].Acquire(hw.acquiredFn) {
+		e.Stats.BPQStallsFull++
+		e.tr.Anomaly(txtrace.AnomalyBPQSaturated, hw.mc, uint64(hw.a), uint64(e.eng.Now()))
+	}
 }
 
 // acquired runs once a CPU write to a source line holds a BPQ slot.
@@ -764,11 +768,11 @@ func (hw *heldWrite) finish() {
 	}
 	e.mcs[hw.mc].RawWriteLine(a, hw.data[:], hw.hsp, wdone)
 	if hw.slotHeld {
-		e.releaseBPQ(hw.mc)
+		e.bpqs[hw.mc].Release()
 	}
 	e.runHeldWaiters()
 	e.wakePending()
-	e.heldPool = append(e.heldPool, hw)
+	e.heldPool.Put(hw)
 }
 
 // lineCopy reconstructs one destination line that depends on a held
@@ -782,12 +786,9 @@ type lineCopy struct {
 }
 
 func (e *Engine) copyLine(hw *heldWrite, dl memdata.Addr) {
-	var lc *lineCopy
-	if n := len(e.copyPool); n > 0 {
-		lc = e.copyPool[n-1]
-		e.copyPool = e.copyPool[:n-1]
-	} else {
-		lc = &lineCopy{e: e}
+	lc, fresh := e.copyPool.Get()
+	if fresh {
+		lc.e = e
 		lc.composedFn = lc.composed
 	}
 	lc.hw, lc.dl, lc.gen = hw, dl, e.destGen[dl]
@@ -797,7 +798,7 @@ func (e *Engine) copyLine(hw *heldWrite, dl memdata.Addr) {
 func (lc *lineCopy) composed(data []byte) {
 	e, hw, dl, gen := lc.e, lc.hw, lc.dl, lc.gen
 	lc.hw = nil
-	e.copyPool = append(e.copyPool, lc)
+	e.copyPool.Put(lc)
 	// Writing the reconstructed line trims its CTT entries and cascades
 	// if the line is a source elsewhere.
 	e.writeReconstructed(dl, gen, hw.hsp, data, hw.depDoneFn)
@@ -813,43 +814,6 @@ func (e *Engine) runHeldWaiters() {
 	e.heldWaiters = nil
 	for _, w := range waiters {
 		w()
-	}
-}
-
-func (e *Engine) acquireBPQ(mc int, a memdata.Addr, fn func()) {
-	// Injected BPQ stall: the acquisition freezes for the schedule's window
-	// before contending for a slot.
-	if w := e.flt.FireWindow(faultinject.KindBPQStall, uint64(a), uint64(e.eng.Now())); w != 0 {
-		e.eng.After(sim.Cycle(w), func() { e.acquireBPQSlot(mc, a, fn) })
-		return
-	}
-	e.acquireBPQSlot(mc, a, fn)
-}
-
-func (e *Engine) acquireBPQSlot(mc int, a memdata.Addr, fn func()) {
-	q := &e.bpqs[mc]
-	if q.used < e.p.BPQCapacity {
-		q.used++
-		if e.inv.QueuesOn() {
-			e.inv.CheckQueue(e.bpqNames[mc], q.used, e.p.BPQCapacity)
-		}
-		fn()
-		return
-	}
-	e.Stats.BPQStallsFull++
-	e.tr.Anomaly(txtrace.AnomalyBPQSaturated, mc, uint64(a), uint64(e.eng.Now()))
-	q.waiters.Push(fn)
-}
-
-func (e *Engine) releaseBPQ(mc int) {
-	q := &e.bpqs[mc]
-	if q.waiters.Len() > 0 {
-		q.waiters.Pop()()
-		return
-	}
-	q.used--
-	if e.inv.QueuesOn() {
-		e.inv.CheckQueue(e.bpqNames[mc], q.used, e.p.BPQCapacity)
 	}
 }
 
@@ -1142,12 +1106,9 @@ func (e *Engine) startFree(ent *Entry, urgent bool) {
 	}
 	e.Stats.Frees++
 	e.Stats.FreedBytes += ent.Dst.Size
-	var j *freeJob
-	if n := len(e.freePool); n > 0 {
-		j = e.freePool[n-1]
-		e.freePool = e.freePool[:n-1]
-	} else {
-		j = &freeJob{e: e}
+	j, fresh := e.freePool.Get()
+	if fresh {
+		j.e = e
 		j.stepFn = j.step
 		j.composedFn = j.composed
 		j.writtenFn = j.written
@@ -1172,7 +1133,7 @@ func (j *freeJob) step() {
 		e.tr.End(j.fsp, uint64(e.eng.Now()))
 		urgent := j.urgent
 		j.ent = nil
-		e.freePool = append(e.freePool, j)
+		e.freePool.Put(j)
 		if urgent {
 			e.freeWorkers--
 			e.inv.CheckRefcount("core.free_workers", e.freeWorkers)

@@ -93,8 +93,8 @@ type Core struct {
 	loadedFn, asyncLoadedFn func(data []byte)
 
 	// Retired posted operations and copy elements for reuse.
-	opPool   []*op
-	elemPool []*copyElem
+	opPool   sim.Pool[op]
+	elemPool sim.Pool[copyElem]
 
 	// Writeback FIFO tracking: MCLAZY packets are ordered behind all CLWBs
 	// issued before them (§III-B1's "the caches' FIFO write buffer ensures
@@ -287,12 +287,9 @@ type op struct {
 }
 
 func (c *Core) newOp(line memdata.Addr) *op {
-	var o *op
-	if n := len(c.opPool); n > 0 {
-		o = c.opPool[n-1]
-		c.opPool = c.opPool[:n-1]
-	} else {
-		o = &op{c: c}
+	o, fresh := c.opPool.Get()
+	if fresh {
+		o.c = c
 		o.storedFn = o.stored
 		o.ntStoredFn = o.ntStored
 		o.clwbFireFn = o.clwbFire
@@ -301,8 +298,6 @@ func (c *Core) newOp(line memdata.Addr) *op {
 	o.line = line
 	return o
 }
-
-func (c *Core) putOp(o *op) { c.opPool = append(c.opPool, o) }
 
 // Store writes data at a (posted: the slot is held until the line is owned
 // in the L1, but the core proceeds). data is read until then, so the
@@ -326,7 +321,7 @@ func (o *op) stored() {
 	c := o.c
 	c.tr.EndFlags(o.sp, uint64(c.p.Now()), txtrace.FlagWrite)
 	line := o.line
-	c.putOp(o)
+	c.opPool.Put(o)
 	c.storeRetired(line)
 	c.complete()
 }
@@ -365,7 +360,7 @@ func (c *Core) StoreNT(a memdata.Addr, data []byte) {
 func (o *op) ntStored() {
 	c := o.c
 	c.tr.EndFlags(o.sp, uint64(c.p.Now()), txtrace.FlagWrite)
-	c.putOp(o)
+	c.opPool.Put(o)
 	c.complete()
 }
 
@@ -394,7 +389,7 @@ func (o *op) clwbDone() {
 	c := o.c
 	c.tr.End(o.sp, uint64(c.p.Now()))
 	id := o.id
-	c.putOp(o)
+	c.opPool.Put(o)
 	c.wbInFlight--
 	c.retireWB(id)
 	c.complete()
@@ -519,7 +514,7 @@ func (e *copyElem) loaded(i int, d []byte) {
 func (e *copyElem) stored() {
 	c := e.c
 	c.tr.EndFlags(e.ssp, uint64(c.p.Now()), txtrace.FlagWrite)
-	c.elemPool = append(c.elemPool, e)
+	c.elemPool.Put(e)
 	c.complete()
 }
 
@@ -536,12 +531,9 @@ func (c *Core) Memcpy(dst, src memdata.Addr, n uint64) {
 		srcA := src + memdata.Addr(done)
 		done += d.n
 
-		var e *copyElem
-		if k := len(c.elemPool); k > 0 {
-			e = c.elemPool[k-1]
-			c.elemPool = c.elemPool[:k-1]
-		} else {
-			e = &copyElem{c: c}
+		e, fresh := c.elemPool.Get()
+		if fresh {
+			e.c = c
 			e.loadFn = [2]func([]byte){e.load0, e.load1}
 			e.storedFn = e.stored
 		}
@@ -567,9 +559,6 @@ func (c *Core) Memcpy(dst, src memdata.Addr, n uint64) {
 		}
 	}
 }
-
-// ReadBytes is a convenience dependent read returning n bytes from a.
-func (c *Core) ReadBytes(a memdata.Addr, n uint64) []byte { return c.Load(a, n) }
 
 // Inflight reports the number of operations currently in the window.
 func (c *Core) Inflight() int { return c.inflight }

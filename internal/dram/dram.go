@@ -150,8 +150,3 @@ func (c *Channel) Access(now sim.Cycle, a memdata.Addr, write bool) sim.Cycle {
 	}
 	return done
 }
-
-// ResetStats zeroes the channel's counters without touching timing state.
-func (c *Channel) ResetStats() {
-	c.Reads, c.Writes, c.RowHits, c.RowMisses = 0, 0, 0, 0
-}

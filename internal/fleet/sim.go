@@ -7,6 +7,7 @@ import (
 
 	"mcsquare/internal/machine"
 	"mcsquare/internal/metrics"
+	"mcsquare/internal/sim"
 	"mcsquare/internal/stats"
 )
 
@@ -268,48 +269,6 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// fifo is a queue that reuses its buffer. Dequeue advances a head index
-// and enqueue compacts the live tail to the front once at least half the
-// buffer is spent, so the backing array is reused instead of regrown.
-type fifo[T any] struct {
-	buf  []T
-	head int
-}
-
-func (q *fifo[T]) len() int { return len(q.buf) - q.head }
-
-func (q *fifo[T]) push(v T) {
-	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	q.buf = append(q.buf, v)
-}
-
-func (q *fifo[T]) pop() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return v
-}
-
-// waiting returns the queued values in FIFO order.
-func (q *fifo[T]) waiting() []T { return q.buf[q.head:] }
-
-// reset empties the queue, keeping its buffer.
-func (q *fifo[T]) reset() {
-	clear(q.buf)
-	q.buf = q.buf[:0]
-	q.head = 0
-}
-
 // eventQueue is the loop's pending events. evTimeout fires at dispatch
 // time plus the run's timeout and evHedge at arrival or hedge time plus
 // the run's hedge delay; both delays are fixed for a run and the loop's
@@ -320,8 +279,8 @@ func (q *fifo[T]) reset() {
 // order one heap over every event would give.
 type eventQueue struct {
 	heap     eventHeap
-	timeouts fifo[event]
-	hedges   fifo[event]
+	timeouts sim.Queue[event]
+	hedges   sim.Queue[event]
 }
 
 // push schedules e, which already carries its seq. It panics if e would
@@ -337,32 +296,31 @@ func (q *eventQueue) push(e event) {
 	}
 }
 
-func pushTimer(t *fifo[event], e event) {
-	if w := t.waiting(); len(w) > 0 && e.before(&w[len(w)-1]) {
+func pushTimer(t *sim.Queue[event], e event) {
+	if w := t.Waiting(); len(w) > 0 && e.before(&w[len(w)-1]) {
 		panic(fmt.Sprintf("fleet: kind-%d timer at %v scheduled behind one at %v", e.kind, e.at, w[len(w)-1].at))
 	}
-	t.push(e)
+	t.Push(e)
 }
 
 // popDue removes and returns the earliest pending event if it falls at or
 // before limit.
 func (q *eventQueue) popDue(limit float64) (event, bool) {
 	var first *event
-	var from *fifo[event] // nil: the heap
+	var from *sim.Queue[event] // nil: the heap
 	if len(q.heap) > 0 {
 		first = &q.heap[0]
 	}
-	if t := &q.timeouts; t.len() > 0 && (first == nil || t.buf[t.head].before(first)) {
-		first, from = &t.buf[t.head], t
-	}
-	if t := &q.hedges; t.len() > 0 && (first == nil || t.buf[t.head].before(first)) {
-		first, from = &t.buf[t.head], t
+	for _, t := range [...]*sim.Queue[event]{&q.timeouts, &q.hedges} {
+		if w := t.Waiting(); len(w) > 0 && (first == nil || w[0].before(first)) {
+			first, from = &w[0], t
+		}
 	}
 	if first == nil || first.at > limit {
 		return event{}, false
 	}
 	if from != nil {
-		return from.pop(), true
+		return from.Pop(), true
 	}
 	return q.heap.pop(), true
 }
@@ -371,8 +329,8 @@ func (q *eventQueue) popDue(limit float64) (event, bool) {
 type machineState struct {
 	free     int // idle servers
 	busy     int
-	queue    fifo[*attempt] // cancelled attempts are skipped at dequeue
-	inflight []*attempt     // attempts currently occupying servers
+	queue    sim.Queue[*attempt] // cancelled attempts are skipped at dequeue
+	inflight []*attempt          // attempts currently occupying servers
 
 	// Health state; only storms and mitigations act on it.
 	up      bool
@@ -391,7 +349,7 @@ type machineState struct {
 	brHalfOpen  int // trial requests admitted while half-open
 }
 
-func (m *machineState) outstanding() int { return m.busy + m.queue.len() }
+func (m *machineState) outstanding() int { return m.busy + m.queue.Len() }
 
 // fleetSim is the event loop's working state, bundled so the handlers can
 // live as methods instead of a wall of closures.
@@ -502,7 +460,7 @@ func (f *Fleet) simulate(cal *Calibration, rate float64) *fleetSim {
 		s.drain(r.arrive)
 		depth := 0
 		for m := range s.machines {
-			depth += s.machines[m].queue.len()
+			depth += s.machines[m].queue.Len()
 		}
 		depthSum += float64(depth)
 		if depth > res.MaxQueueDepth {
@@ -743,8 +701,8 @@ func (s *fleetSim) dispatch(a *attempt, now float64) {
 	switch {
 	case st.free > 0:
 		s.start(now, m, a)
-	case st.queue.len() < s.f.Block.QueueCap:
-		st.queue.push(a)
+	case st.queue.Len() < s.f.Block.QueueCap:
+		st.queue.Push(a)
 		a.rs.refs++
 	default:
 		s.recordFailure(m, now)
@@ -840,8 +798,8 @@ func (s *fleetSim) complete(e event) {
 			s.resolve(rs, outCompleted, e.at)
 		}
 	}
-	for st.queue.len() > 0 {
-		next := st.queue.pop()
+	for st.queue.Len() > 0 {
+		next := st.queue.Pop()
 		if next.done {
 			s.unref(next.rs) // cancelled while waiting; skip to the next
 			continue
@@ -969,13 +927,13 @@ func (s *fleetSim) crash(e event) {
 	}
 	clear(st.inflight)
 	st.inflight = st.inflight[:0]
-	for _, a := range st.queue.waiting() {
+	for _, a := range st.queue.Waiting() {
 		if !a.done {
 			s.attemptFail(a, e.at, outFailed)
 		}
 		s.unref(a.rs)
 	}
-	st.queue.reset()
+	st.queue.Reset()
 	st.busy = 0
 	st.free = s.cal.machines[m].servers
 	if s.moreWork() {

@@ -125,20 +125,13 @@ type Controller struct {
 
 	flt *faultinject.Plane // nil when no fault schedule is active
 	inv *invariant.Oracles // nil when invariant oracles are off
-	// Queue names for occupancy violations, precomputed so the checks
-	// allocate nothing on the hot path.
-	rpqName, wpqName string
 
-	rpqUsed     int
-	rpqWaiters  sim.FnQueue
-	wpqUsed     int
-	wpqWaiters  sim.FnQueue
-	writeBuf    []*writeReq                // accepted, not yet issued to DRAM
-	wbHead      int                        // writeBuf dequeue index (backing array reused)
+	rpq, wpq    Slots
+	writeBuf    sim.Queue[*writeReq]       // accepted, not yet issued to DRAM
 	inFlightWr  map[memdata.Addr]*writeReq // issued to DRAM, not yet landed
 	pendingRead int                        // reads currently queued or in DRAM
-	readPool    []*readReq                 // retired read requests
-	writePool   []*writeReq                // retired write requests
+	readPool    sim.Pool[readReq]          // retired read requests
+	writePool   sim.Pool[writeReq]         // retired write requests
 
 	Stats Stats
 }
@@ -151,6 +144,8 @@ func New(id int, eng *sim.Engine, cfg Config, ch *dram.Channel, phys *memdata.Ph
 		cfg:        cfg,
 		ch:         ch,
 		phys:       phys,
+		rpq:        NewSlots(cfg.RPQCapacity),
+		wpq:        NewSlots(cfg.WPQCapacity),
 		inFlightWr: make(map[memdata.Addr]*writeReq),
 	}
 }
@@ -168,8 +163,8 @@ func (c *Controller) SetFaults(p *faultinject.Plane) { c.flt = p }
 func (c *Controller) SetInvariants(o *invariant.Oracles) {
 	c.inv = o
 	if o.QueuesOn() {
-		c.rpqName = fmt.Sprintf("mc%d.rpq", c.ID)
-		c.wpqName = fmt.Sprintf("mc%d.wpq", c.ID)
+		c.rpq.SetInvariants(o, fmt.Sprintf("mc%d.rpq", c.ID))
+		c.wpq.SetInvariants(o, fmt.Sprintf("mc%d.wpq", c.ID))
 	}
 }
 
@@ -189,19 +184,16 @@ func (c *Controller) WPQOccupancy() float64 {
 	if c.cfg.WPQCapacity <= 0 {
 		return 1.0
 	}
-	return float64(c.wpqUsed) / float64(c.cfg.WPQCapacity)
+	return float64(c.wpq.Used()) / float64(c.cfg.WPQCapacity)
 }
 
 // nop is the completion of writes nobody waits for.
 func nop() {}
 
 func (c *Controller) newRead(a memdata.Addr, tx txtrace.Tx, done func([]byte)) *readReq {
-	var r *readReq
-	if n := len(c.readPool); n > 0 {
-		r = c.readPool[n-1]
-		c.readPool = c.readPool[:n-1]
-	} else {
-		r = &readReq{c: c}
+	r, fresh := c.readPool.Get()
+	if fresh {
+		r.c = c
 		r.acquiredFn = r.acquired
 		r.finishFn = r.finish
 		r.deliverFn = r.deliver
@@ -214,7 +206,7 @@ func (c *Controller) newRead(a memdata.Addr, tx txtrace.Tx, done func([]byte)) *
 
 func (c *Controller) putRead(r *readReq) {
 	r.done = nil
-	c.readPool = append(c.readPool, r)
+	c.readPool.Put(r)
 }
 
 // ReadLine requests the 64-byte line at a (line-aligned). The hook is
@@ -260,7 +252,9 @@ func (c *Controller) rawReadLine(a memdata.Addr, tx txtrace.Tx, done func(data [
 		return
 	}
 	r.rsp = c.tr.Begin(tx, txtrace.StageRPQWait, uint64(a), uint64(c.eng.Now()))
-	c.acquireRPQ(r.acquiredFn)
+	if c.rpq.Acquire(r.acquiredFn) {
+		c.Stats.ReadStalls++
+	}
 }
 
 // forwardAtIssue serves r from a pending write to its line, if there is
@@ -298,7 +292,7 @@ func (r *readReq) acquired() {
 		if d := c.forward(r.a); d != nil {
 			c.Stats.Forwards++
 			copy(r.data[:], d)
-			c.releaseRPQ()
+			c.rpq.Release()
 			if r.check {
 				c.inv.CheckRead(r.a, r.data[:], c.eng.Now())
 			}
@@ -355,7 +349,7 @@ func (r *readReq) finish() {
 func (r *readReq) deliver() {
 	c := r.c
 	c.pendingRead--
-	c.releaseRPQ()
+	c.rpq.Release()
 	if r.check {
 		c.inv.CheckRead(r.a, r.data[:], r.bound)
 	}
@@ -383,7 +377,9 @@ func (c *Controller) RawReadLineSnapshot(a memdata.Addr, tx txtrace.Tx, done fun
 	}
 	c.phys.ReadInto(a, r.data[:])
 	r.rsp = c.tr.Begin(tx, txtrace.StageRPQWait, uint64(a), uint64(c.eng.Now()))
-	c.acquireRPQ(r.acquiredFn)
+	if c.rpq.Acquire(r.acquiredFn) {
+		c.Stats.ReadStalls++
+	}
 }
 
 // WriteLine posts a full-line write. The hook is consulted first; otherwise
@@ -428,19 +424,18 @@ func (c *Controller) RawWriteLine(a memdata.Addr, data []byte, tx txtrace.Tx, re
 // forwardable, i.e. the first cycle a read can legally return it.
 func (c *Controller) rawWriteLine(a memdata.Addr, data []byte, tx txtrace.Tx, release func(), observe bool) {
 	c.Stats.Writes++
-	var w *writeReq
-	if n := len(c.writePool); n > 0 {
-		w = c.writePool[n-1]
-		c.writePool = c.writePool[:n-1]
-	} else {
-		w = &writeReq{c: c}
+	w, fresh := c.writePool.Get()
+	if fresh {
+		w.c = c
 		w.acceptFn = w.accept
 		w.landFn = w.land
 	}
 	w.a, w.tx, w.release, w.observe = a, tx, release, observe
 	copy(w.data[:], data)
 	w.wsp = c.tr.Begin(tx, txtrace.StageWPQWait, uint64(a), uint64(c.eng.Now()))
-	c.acquireWPQ(w.acceptFn)
+	if c.wpq.Acquire(w.acceptFn) {
+		c.Stats.WriteStalls++
+	}
 }
 
 // accept runs once the write holds a WPQ slot: from here on reads
@@ -451,7 +446,7 @@ func (w *writeReq) accept() {
 	if w.observe {
 		c.inv.ObserveWrite(w.a, w.data[:])
 	}
-	c.writeBuf = append(c.writeBuf, w)
+	c.writeBuf.Push(w)
 	c.eng.After(c.cfg.AcceptLatency, w.release)
 	w.release = nil
 	c.maybeDrain()
@@ -462,7 +457,7 @@ func (w *writeReq) accept() {
 // The (MC)² bounce-writeback optimization uses this with the paper's 75 %
 // threshold to avoid contending with demand traffic.
 func (c *Controller) TryRawWriteLine(a memdata.Addr, data []byte, frac float64) bool {
-	if float64(c.wpqUsed) >= frac*float64(c.cfg.WPQCapacity) {
+	if float64(c.wpq.Used()) >= frac*float64(c.cfg.WPQCapacity) {
 		c.Stats.RejectedWrites++
 		return false
 	}
@@ -474,9 +469,10 @@ func (c *Controller) TryRawWriteLine(a memdata.Addr, data []byte, frac float64) 
 // is the pending write's own buffer: callers copy what they keep.
 func (c *Controller) forward(a memdata.Addr) []byte {
 	// Scan newest-first so the latest write wins.
-	for i := len(c.writeBuf) - 1; i >= c.wbHead; i-- {
-		if c.writeBuf[i].a == a {
-			return c.writeBuf[i].data[:]
+	buf := c.writeBuf.Waiting()
+	for i := len(buf) - 1; i >= 0; i-- {
+		if buf[i].a == a {
+			return buf[i].data[:]
 		}
 	}
 	if w, ok := c.inFlightWr[a]; ok {
@@ -485,78 +481,22 @@ func (c *Controller) forward(a memdata.Addr) []byte {
 	return nil
 }
 
-// buffered reports the writes accepted but not yet issued to DRAM.
-func (c *Controller) buffered() int { return len(c.writeBuf) - c.wbHead }
-
-// popWrite dequeues the oldest buffered write, reusing the backing array
-// once drained instead of reslicing capacity away.
-func (c *Controller) popWrite() *writeReq {
-	w := c.writeBuf[c.wbHead]
-	c.writeBuf[c.wbHead] = nil
-	c.wbHead++
-	if c.wbHead == len(c.writeBuf) {
-		c.writeBuf = c.writeBuf[:0]
-		c.wbHead = 0
-	}
-	return w
-}
-
-func (c *Controller) acquireRPQ(fn func()) {
-	if c.rpqUsed < c.cfg.RPQCapacity {
-		c.rpqUsed++
-		c.inv.CheckQueue(c.rpqName, c.rpqUsed, c.cfg.RPQCapacity)
-		fn()
-		return
-	}
-	c.Stats.ReadStalls++
-	c.rpqWaiters.Push(fn)
-}
-
-func (c *Controller) releaseRPQ() {
-	if c.rpqWaiters.Len() > 0 {
-		c.rpqWaiters.Pop()() // slot transfers directly
-		return
-	}
-	c.rpqUsed--
-	c.inv.CheckQueue(c.rpqName, c.rpqUsed, c.cfg.RPQCapacity)
-}
-
-func (c *Controller) acquireWPQ(fn func()) {
-	if c.wpqUsed < c.cfg.WPQCapacity {
-		c.wpqUsed++
-		c.inv.CheckQueue(c.wpqName, c.wpqUsed, c.cfg.WPQCapacity)
-		fn()
-		return
-	}
-	c.Stats.WriteStalls++
-	c.wpqWaiters.Push(fn)
-}
-
-func (c *Controller) releaseWPQ() {
-	if c.wpqWaiters.Len() > 0 {
-		c.wpqWaiters.Pop()()
-		return
-	}
-	c.wpqUsed--
-	c.inv.CheckQueue(c.wpqName, c.wpqUsed, c.cfg.WPQCapacity)
-}
-
 // maybeDrain issues buffered writes to DRAM according to the drain policy:
 // drain aggressively above DrainHigh (down to DrainLow), and
 // opportunistically when the read path is idle. Eligible writes issue
 // back-to-back — the channel's bank/bus model pipelines them, so write
 // drains run at burst bandwidth like a real controller's write bursts.
 func (c *Controller) maybeDrain() {
-	high := c.buffered() >= c.cfg.DrainHigh
-	for c.buffered() > 0 {
+	high := c.writeBuf.Len() >= c.cfg.DrainHigh
+	for c.writeBuf.Len() > 0 {
 		idle := c.pendingRead == 0
 		if !high && !idle {
 			return
 		}
-		if high && !idle && c.buffered() <= c.cfg.DrainLow {
+		if high && !idle && c.writeBuf.Len() <= c.cfg.DrainLow {
 			return
 		}
-		w := c.popWrite()
+		w := c.writeBuf.Pop()
 		c.inFlightWr[w.a] = w
 		rowHits := c.ch.RowHits
 		finish := c.ch.Access(c.eng.Now(), w.a, true)
@@ -580,8 +520,8 @@ func (w *writeReq) land() {
 	if c.inFlightWr[w.a] == w {
 		delete(c.inFlightWr, w.a)
 	}
-	c.writePool = append(c.writePool, w)
-	c.releaseWPQ()
+	c.writePool.Put(w)
+	c.wpq.Release()
 	c.maybeDrain()
 }
 
@@ -597,12 +537,7 @@ func (c *Controller) PeekLine(a memdata.Addr) []byte {
 	return c.phys.ReadLine(a)
 }
 
-// ResetStats zeroes the controller's counters without touching queue or
-// timing state, mirroring dram.(*Channel).ResetStats. Registry views keep
-// pointing at the same fields, so published metrics reset with them.
-func (c *Controller) ResetStats() { c.Stats = Stats{} }
-
 // Quiesce reports whether the controller has no queued or in-flight work.
 func (c *Controller) Quiesce() bool {
-	return c.rpqUsed == 0 && c.wpqUsed == 0 && c.buffered() == 0 && len(c.inFlightWr) == 0
+	return c.rpq.Used() == 0 && c.wpq.Used() == 0 && c.writeBuf.Len() == 0 && len(c.inFlightWr) == 0
 }

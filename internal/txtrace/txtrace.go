@@ -206,9 +206,6 @@ type Anomaly struct {
 	Cycle uint64
 }
 
-// maxAnomalies bounds the retained anomaly list (counters keep counting).
-const maxAnomalies = 1024
-
 // Tracer is one machine's flight recorder. All methods are safe on a nil
 // receiver (the disabled tracer) and run in engine (event) context — the
 // simulator guarantees single-threaded access, so there is no locking.
@@ -221,7 +218,6 @@ type Tracer struct {
 	spansLost   uint64 // End calls whose span was already overwritten
 
 	hists      [numStages]stats.Histogram
-	anoms      []Anomaly
 	anomCounts [numAnomalyKinds]uint64
 	anomalyFn  func(Anomaly)
 }
@@ -336,8 +332,7 @@ func (t *Tracer) Complete(parent Tx, stage Stage, addr uint64, start, end uint64
 
 // Anomaly records a trigger event: an instant span on the engine track
 // (recorded even when sampling skips regular transactions — anomalies are
-// the needles the recorder exists for), a bounded list entry, a counter,
-// and the optional hook. The hook runs synchronously in engine context and
+// the needles the recorder exists for), a counter, and the optional hook. The hook runs synchronously in engine context and
 // must not mutate simulation state; dumping the recorder is its job.
 func (t *Tracer) Anomaly(kind AnomalyKind, mc int, addr uint64, now uint64) {
 	if t == nil {
@@ -350,12 +345,8 @@ func (t *Tracer) Anomaly(kind AnomalyKind, mc int, addr uint64, now uint64) {
 		ID: id, Root: id, Start: now, End: now, Addr: addr,
 		Track: TrackEngine, Stage: anomalyStage[kind], Flags: FlagDone,
 	}
-	a := Anomaly{Kind: kind, MC: mc, Addr: addr, Cycle: now}
-	if len(t.anoms) < maxAnomalies {
-		t.anoms = append(t.anoms, a)
-	}
 	if t.anomalyFn != nil {
-		t.anomalyFn(a)
+		t.anomalyFn(Anomaly{Kind: kind, MC: mc, Addr: addr, Cycle: now})
 	}
 }
 
@@ -367,16 +358,8 @@ func (t *Tracer) SetAnomalyHook(fn func(Anomaly)) {
 	t.anomalyFn = fn
 }
 
-// Anomalies returns the retained trigger events in arrival order.
-func (t *Tracer) Anomalies() []Anomaly {
-	if t == nil {
-		return nil
-	}
-	return append([]Anomaly(nil), t.anoms...)
-}
-
 // AnomalyCount returns how many anomalies of the kind were reported
-// (unbounded, unlike the retained list).
+// (unbounded).
 func (t *Tracer) AnomalyCount(kind AnomalyKind) uint64 {
 	if t == nil {
 		return 0
