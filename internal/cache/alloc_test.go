@@ -20,7 +20,7 @@ func pinAllocs(t *testing.T, name string, fn func()) {
 
 // TestMemoryPathAllocations pins the steady-state read and write paths of
 // the hierarchy and its controller at zero allocations per access: line
-// data lives in pooled requests and flat cache arrays, and every
+// data lives in pooled requests and carved cache-array chunks, and every
 // continuation is a method value bound once.
 func TestMemoryPathAllocations(t *testing.T) {
 	var got []byte

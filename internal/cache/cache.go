@@ -67,20 +67,32 @@ func DefaultConfig(cores int) Config {
 	}
 }
 
-// cacheLine is one way of a set. The line's bytes are inline, so an array
-// of lines holds no pointers for the garbage collector to scan. Its tag and
-// validity live in the array's keys.
+// wayKey is what a set scan reads of one way: its key, tag|1 for a valid
+// line (tags are line-aligned, so bit 0 is free) or 0 for an invalid one,
+// and the tick of its last touch. lookup, victim and touch read nothing
+// else, so a set is one contiguous run of 16-byte entries.
+type wayKey struct {
+	key memdata.Addr
+	lru uint64
+}
+
+// cacheLine is the rest of one way's metadata: its state, where its bytes
+// are and, in an L1, which L2 way holds its line. The bytes live apart, in
+// the array's chunks, so the scans above and the directory updates below
+// touch only these small records.
 //
 // In the L2, owner and shared are the directory of the L1 copies, and it
 // is exact: shared has a core's bit exactly when that core's L1 holds the
 // line, and owner names the one L1 that holds it dirty. Range maintenance
-// and coherence find L1 copies through it alone.
+// and coherence find L1 copies through it alone. In an L1, l2Way is the
+// L2 way of the line, so a fill or eviction updates the directory without
+// an L2 lookup; inclusion keeps it valid while the L1 holds the line.
 type cacheLine struct {
 	dirty  bool
 	owner  uint8  // L2 only: 1 + the core whose L1 holds it dirty, 0 for none
 	shared uint32 // L2 only: bitmask of L1s holding the line
-	lru    uint64
-	data   [memdata.LineSize]byte
+	slot   uint32 // 1 + the index of the way's carved bytes, 0 before its first fill
+	l2Way  int32  // L1 only: the L2 way holding the line
 }
 
 // ownerCore returns the core whose L1 holds the line dirty, or -1.
@@ -89,18 +101,32 @@ func (cl *cacheLine) ownerCore() int { return int(cl.owner) - 1 }
 // setOwner records core's L1 as the holder of the dirty copy.
 func (cl *cacheLine) setOwner(core int) { cl.owner = uint8(core + 1) }
 
-// array is one set-associative cache array: sets*ways lines in one flat
-// slice, set s occupying lines[s*ways : (s+1)*ways]. keys runs parallel
-// to lines and is the only record of what a way holds: tag|1 for a valid
-// line (tags are line-aligned, so bit 0 is free), 0 for an invalid one. A
-// lookup scans a set's keys, one word per way, without touching the
-// lines' data.
+// maxChunkShift sets how many line byte slots an array carves at a time:
+// 1<<maxChunkShift lines (32 KiB), or the whole array if it is smaller.
+const maxChunkShift = 9
+
+// array is one set-associative cache array of sets*ways ways, set s
+// occupying ways [s*ways, (s+1)*ways). Each way's metadata is split in two
+// dense slices, keys (what a set scan reads) and lines (state and
+// directory), and its 64 bytes are stored apart.
+//
+// Bytes are carved lazily: a way gets a slot the first time it is filled
+// and keeps it for good, across invalidations and refills, so an array
+// holds bytes only for the ways a run has filled, which many short runs
+// keep to a small share. Slots come from chunks of 1<<chunkShift lines,
+// each allocated when the previous one runs out; a chunk never moves once
+// allocated. A way names its slot by a 32-bit index, not a pointer, so
+// keys and lines hold no pointers for the garbage collector to scan; only
+// the short chunk list does.
 type array struct {
-	setMask uint64 // sets-1; the set count is a power of two
-	ways    int
-	keys    []memdata.Addr
-	lines   []cacheLine
-	lruTick uint64
+	setMask    uint64 // sets-1; the set count is a power of two
+	ways       int
+	keys       []wayKey
+	lines      []cacheLine
+	chunks     [][][memdata.LineSize]byte
+	chunkShift uint
+	carved     int // slots handed out to ways
+	lruTick    uint64
 }
 
 func newArray(size, ways int) *array {
@@ -108,11 +134,13 @@ func newArray(size, ways int) *array {
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a positive power of two", sets))
 	}
+	n := sets * ways
 	return &array{
-		setMask: uint64(sets - 1),
-		ways:    ways,
-		keys:    make([]memdata.Addr, sets*ways),
-		lines:   make([]cacheLine, sets*ways),
+		setMask:    uint64(sets - 1),
+		ways:       ways,
+		keys:       make([]wayKey, n),
+		lines:      make([]cacheLine, n),
+		chunkShift: min(uint(bits.Len(uint(n))-1), maxChunkShift),
 	}
 }
 
@@ -126,7 +154,7 @@ func (a *array) lookup(line memdata.Addr) (*cacheLine, int) {
 	base := a.setBase(line)
 	key := line | 1
 	for w, k := range a.keys[base : base+a.ways] {
-		if k == key {
+		if k.key == key {
 			return &a.lines[base+w], base + w
 		}
 	}
@@ -139,27 +167,43 @@ func (a *array) has(line memdata.Addr) bool {
 	return i >= 0
 }
 
+// holds reports whether way i holds line.
+func (a *array) holds(i int, line memdata.Addr) bool { return a.keys[i].key == line|1 }
+
 // tag returns the line address way i holds; the way must be valid.
-func (a *array) tag(i int) memdata.Addr { return a.keys[i] &^ 1 }
+func (a *array) tag(i int) memdata.Addr { return a.keys[i].key &^ 1 }
 
 // valid reports whether way i holds a line.
-func (a *array) valid(i int) bool { return a.keys[i] != 0 }
+func (a *array) valid(i int) bool { return a.keys[i].key != 0 }
 
-// install makes way i hold line, clean and unshared. The data is the
-// caller's to fill.
+// data returns way i's bytes; the way must have been filled at least once.
+func (a *array) data(i int) *[memdata.LineSize]byte {
+	s := uint(a.lines[i].slot - 1)
+	return &a.chunks[s>>a.chunkShift][s&(1<<a.chunkShift-1)]
+}
+
+// install makes way i hold line, clean and unshared, carving its bytes if
+// the way has never been filled. The data is the caller's to fill.
 func (a *array) install(i int, line memdata.Addr) {
 	if !memdata.IsLineAligned(line) {
 		panic(fmt.Sprintf("cache: installing unaligned tag %#x", line))
 	}
-	a.keys[i] = line | 1
+	a.keys[i].key = line | 1
 	cl := &a.lines[i]
 	cl.dirty = false
 	cl.shared = 0
 	cl.owner = 0
+	if cl.slot == 0 {
+		if a.carved == len(a.chunks)<<a.chunkShift {
+			a.chunks = append(a.chunks, make([][memdata.LineSize]byte, 1<<a.chunkShift))
+		}
+		a.carved++
+		cl.slot = uint32(a.carved)
+	}
 }
 
-// invalidate drops whatever way i holds.
-func (a *array) invalidate(i int) { a.keys[i] = 0 }
+// invalidate drops whatever way i holds. The way keeps its bytes.
+func (a *array) invalidate(i int) { a.keys[i].key = 0 }
 
 // drop invalidates line's way, if it is cached.
 func (a *array) drop(line memdata.Addr) {
@@ -168,25 +212,26 @@ func (a *array) drop(line memdata.Addr) {
 	}
 }
 
-func (a *array) touch(cl *cacheLine) {
+func (a *array) touch(i int) {
 	a.lruTick++
-	cl.lru = a.lruTick
+	a.keys[i].lru = a.lruTick
 }
 
 // victim returns the way to evict for a fill of `line`: an invalid way if
 // any, else the least recently used.
 func (a *array) victim(line memdata.Addr) int {
 	base := a.setBase(line)
-	v := base
-	for i := base; i < base+a.ways; i++ {
-		if !a.valid(i) {
-			return i
+	set := a.keys[base : base+a.ways]
+	v := 0
+	for w := range set {
+		if set[w].key == 0 {
+			return base + w
 		}
-		if a.lines[i].lru < a.lines[v].lru {
-			v = i
+		if set[w].lru < set[v].lru {
+			v = w
 		}
 	}
-	return v
+	return base + v
 }
 
 // Stats counts hierarchy activity.
@@ -220,7 +265,7 @@ type mshr struct {
 	a       memdata.Addr
 	tx      txtrace.Tx // the l1.miss span the L2 and memory legs nest under
 	sp      txtrace.Tx // the l2.miss span while memory serves the miss
-	pullWay int        // L2 way a cross-core pull reads when its delay ends
+	l2Way   int        // L2 way of the line, for the L1 fill and a pull's end
 	waiters []func(data []byte)
 	// cancelled marks the fill stale: an invalidation (MCLAZY destination
 	// sweep, NT store) arrived while the miss was in flight, or the line a
@@ -367,20 +412,20 @@ func (r *hitReq) fire() {
 func (h *Hierarchy) Read(core int, a memdata.Addr, tx txtrace.Tx, done func(data []byte)) {
 	checkLine(a)
 	l1 := h.l1s[core]
-	if cl, _ := l1.lookup(a); cl != nil {
+	if _, i := l1.lookup(a); i >= 0 {
 		h.Stats.L1Hits++
 		if tx != 0 {
 			now := uint64(h.eng.Now())
 			h.tr.Complete(tx, txtrace.StageL1Hit, uint64(a), now, now+uint64(h.cfg.L1Latency), 0)
 		}
-		l1.touch(cl)
+		l1.touch(i)
 		r, fresh := h.hitPool.Get()
 		if fresh {
 			r.h = h
 			r.fireFn = r.fire
 		}
 		r.done = done
-		r.data = cl.data
+		r.data = *l1.data(i)
 		h.eng.After(h.cfg.L1Latency, r.fireFn)
 		return
 	}
@@ -482,19 +527,19 @@ func (m *mshr) access() {
 	h, a := m.h, m.a
 	if cl, i := h.l2.lookup(a); cl != nil {
 		h.Stats.L2Hits++
-		h.l2.touch(cl)
+		h.l2.touch(i)
+		m.l2Way = i
 		if o := cl.ownerCore(); o >= 0 && o != m.core {
 			// Another core's L1 holds the dirty copy: pull it into L2.
 			h.Stats.CrossCorePulls++
-			h.pullDirty(cl, a)
+			h.pullDirty(i, a)
 			if m.tx != 0 {
 				now := uint64(h.eng.Now())
 				h.tr.Complete(m.tx, txtrace.StageL2Hit, uint64(a), now, now+uint64(h.cfg.L1Latency), 0)
 			}
 			// The bytes as pulled, for the waiters in case the line
 			// leaves the L2 before the pull's delay ends.
-			m.data = cl.data
-			m.pullWay = i
+			m.data = *h.l2.data(i)
 			h.eng.After(h.cfg.L1Latency, m.pulledFn)
 			return
 		}
@@ -502,7 +547,7 @@ func (m *mshr) access() {
 			now := uint64(h.eng.Now())
 			h.tr.Complete(m.tx, txtrace.StageL2Hit, uint64(a), now, now, 0)
 		}
-		m.data = cl.data
+		m.data = *h.l2.data(i)
 		m.fill()
 		return
 	}
@@ -519,12 +564,11 @@ func (m *mshr) access() {
 // installs the line, which the inclusive L2 no longer holds.
 func (m *mshr) pulled() {
 	h := m.h
-	if h.l2.keys[m.pullWay] == m.a|1 {
-		cl := &h.l2.lines[m.pullWay]
-		if cl.owner != 0 {
-			h.pullDirty(cl, m.a)
+	if h.l2.holds(m.l2Way, m.a) {
+		if h.l2.lines[m.l2Way].owner != 0 {
+			h.pullDirty(m.l2Way, m.a)
 		}
-		m.data = cl.data
+		m.data = *h.l2.data(m.l2Way)
 	} else {
 		m.cancelled = true
 	}
@@ -547,11 +591,13 @@ func (m *mshr) recv(data []byte) {
 func (m *mshr) arrive() {
 	h := m.h
 	if !m.cancelled {
-		if cl, held := h.fillL2(m.a, m.data[:]); held {
-			if cl.owner != 0 {
-				h.pullDirty(cl, m.a)
+		j, held := h.fillL2(m.a, m.data[:])
+		m.l2Way = j
+		if held {
+			if h.l2.lines[j].owner != 0 {
+				h.pullDirty(j, m.a)
 			}
-			m.data = cl.data
+			m.data = *h.l2.data(j)
 		}
 	}
 	h.tr.End(m.sp, uint64(h.eng.Now()))
@@ -563,7 +609,7 @@ func (m *mshr) arrive() {
 func (m *mshr) fill() {
 	h, core, a := m.h, m.core, m.a
 	if !m.cancelled {
-		h.fillL1(core, a, m.data[:])
+		h.fillL1(core, a, m.l2Way, m.data[:])
 	}
 	h.mshrs[core] = without(h.mshrs[core], m)
 	if h.inv.QueuesOn() {
@@ -580,12 +626,14 @@ func (m *mshr) fill() {
 	h.putMSHR(m)
 }
 
-// pullDirty copies the owner L1's dirty data into l2cl, the L2 line of a,
-// and marks the L1 copy clean (ownership returns to the L2). The line must
-// have an owner.
-func (h *Hierarchy) pullDirty(l2cl *cacheLine, a memdata.Addr) {
-	cl, _ := h.l1s[l2cl.ownerCore()].lookup(a)
-	l2cl.data = cl.data
+// pullDirty copies the owner L1's dirty data into L2 way j, which holds
+// line a, and marks the L1 copy clean (ownership returns to the L2). The
+// line must have an owner.
+func (h *Hierarchy) pullDirty(j int, a memdata.Addr) {
+	l2cl := &h.l2.lines[j]
+	l1 := h.l1s[l2cl.ownerCore()]
+	cl, i := l1.lookup(a)
+	*h.l2.data(j) = *l1.data(i)
 	cl.dirty = false
 	l2cl.dirty = true
 	l2cl.owner = 0
@@ -595,39 +643,34 @@ func (h *Hierarchy) pullDirty(l2cl *cacheLine, a memdata.Addr) {
 // Fills and evictions
 // ---------------------------------------------------------------------------
 
-// fillL1 installs a clean copy of line a, which the L2 holds, in the
+// fillL1 installs a clean copy of line a, which L2 way j holds, in the
 // core's L1.
-func (h *Hierarchy) fillL1(core int, a memdata.Addr, data []byte) {
+func (h *Hierarchy) fillL1(core int, a memdata.Addr, j int, data []byte) {
 	l1 := h.l1s[core]
-	cl, _ := l1.lookup(a)
+	cl, i := l1.lookup(a)
 	if cl == nil {
-		i := l1.victim(a)
+		i = l1.victim(a)
 		if l1.valid(i) {
 			h.evictL1(core, i)
 		}
 		l1.install(i, a)
 		cl = &l1.lines[i]
 	}
-	copy(cl.data[:], data)
-	l1.touch(cl)
-	l2cl, _ := h.l2.lookup(a)
-	if l2cl == nil {
-		panic(fmt.Sprintf("cache: L1[%d] fill of line %#x, which the inclusive L2 does not hold", core, a))
-	}
-	l2cl.shared |= 1 << uint(core)
+	copy(l1.data(i)[:], data)
+	l1.touch(i)
+	cl.l2Way = int32(j)
+	h.l2.lines[j].shared |= 1 << uint(core)
 }
 
 // evictL1 evicts way i of the core's L1, handing a dirty copy to the L2.
 func (h *Hierarchy) evictL1(core, i int) {
 	h.Stats.L1Evictions++
 	l1 := h.l1s[core]
-	cl, a := &l1.lines[i], l1.tag(i)
-	l2cl, _ := h.l2.lookup(a)
-	if l2cl == nil {
-		panic(fmt.Sprintf("cache: L1[%d] line %#x is not in the inclusive L2", core, a))
-	}
+	cl := &l1.lines[i]
+	j := int(cl.l2Way)
+	l2cl := &h.l2.lines[j]
 	if cl.dirty {
-		l2cl.data = cl.data
+		*h.l2.data(j) = *l1.data(i)
 		l2cl.dirty = true
 	}
 	l2cl.shared &^= 1 << uint(core)
@@ -640,20 +683,19 @@ func (h *Hierarchy) evictL1(core, i int) {
 // fillL2 installs line a, arriving from memory with data, in the L2 and
 // returns its way. A line the L2 already holds keeps its bytes, which may
 // be newer than memory's: it is only touched, and held reports it.
-func (h *Hierarchy) fillL2(a memdata.Addr, data []byte) (cl *cacheLine, held bool) {
-	if cl, _ := h.l2.lookup(a); cl != nil {
-		h.l2.touch(cl)
-		return cl, true
+func (h *Hierarchy) fillL2(a memdata.Addr, data []byte) (j int, held bool) {
+	if _, j := h.l2.lookup(a); j >= 0 {
+		h.l2.touch(j)
+		return j, true
 	}
-	i := h.l2.victim(a)
-	if h.l2.valid(i) {
-		h.evictL2(i)
+	j = h.l2.victim(a)
+	if h.l2.valid(j) {
+		h.evictL2(j)
 	}
-	h.l2.install(i, a)
-	cl = &h.l2.lines[i]
-	copy(cl.data[:], data)
-	h.l2.touch(cl)
-	return cl, false
+	h.l2.install(j, a)
+	copy(h.l2.data(j)[:], data)
+	h.l2.touch(j)
+	return j, false
 }
 
 // evictL2 evicts way i of the L2, enforcing inclusion: L1 copies are
@@ -663,11 +705,11 @@ func (h *Hierarchy) evictL2(i int) {
 	h.Stats.L2Evictions++
 	cl, a := &h.l2.lines[i], h.l2.tag(i)
 	if cl.owner != 0 {
-		h.pullDirty(cl, a)
+		h.pullDirty(i, a)
 	}
 	if cl.dirty {
 		h.Stats.L2Writebacks++
-		h.writebackToMemory(a, cl.data[:])
+		h.writebackToMemory(a, h.l2.data(i)[:])
 	}
 	h.dropL2(i)
 }
@@ -751,13 +793,14 @@ type rfo struct {
 // on the line as it stands after the invalidation, in a copy the L2 tracks.
 func (r *rfo) arrive([]byte) {
 	h, core, a := r.h, r.core, r.a
-	cl, _ := h.l1s[core].lookup(a)
+	l1 := h.l1s[core]
+	cl, i := l1.lookup(a)
 	if cl == nil {
 		h.missToL2(core, a, r.sp, r.arriveFn)
 		return
 	}
-	h.takeOwnership(core, a)
-	copy(cl.data[r.off:], r.data)
+	h.takeOwnership(core, int(cl.l2Way), a)
+	copy(l1.data(i)[r.off:], r.data)
 	cl.dirty = true
 	h.tr.EndFlags(r.sp, uint64(h.eng.Now()), txtrace.FlagWrite)
 	done := r.done
@@ -778,16 +821,16 @@ func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx 
 		panic("cache: write crosses a line boundary")
 	}
 	l1 := h.l1s[core]
-	if cl, _ := l1.lookup(a); cl != nil {
+	if cl, i := l1.lookup(a); cl != nil {
 		h.Stats.L1Hits++
 		if tx != 0 {
 			now := uint64(h.eng.Now())
 			h.tr.Complete(tx, txtrace.StageL1Hit, uint64(a), now, now+uint64(h.cfg.L1Latency), txtrace.FlagWrite)
 		}
-		h.takeOwnership(core, a)
-		copy(cl.data[off:], data)
+		h.takeOwnership(core, int(cl.l2Way), a)
+		copy(l1.data(i)[off:], data)
 		cl.dirty = true
-		l1.touch(cl)
+		l1.touch(i)
 		h.eng.After(h.cfg.L1Latency, done)
 		return
 	}
@@ -804,14 +847,14 @@ func (h *Hierarchy) Write(core int, a memdata.Addr, off uint64, data []byte, tx 
 	h.missToL2(core, a, r.sp, r.arriveFn)
 }
 
-// takeOwnership makes the core's L1, which holds line a, its only holder
-// and its dirty owner in the L2's directory: another owner's dirty copy is
-// pulled into the L2 first and every other L1 copy is dropped. The caller
-// then writes the core's copy.
-func (h *Hierarchy) takeOwnership(core int, a memdata.Addr) {
-	l2cl, _ := h.l2.lookup(a)
+// takeOwnership makes the core's L1, which holds line a in L2 way j, its
+// only holder and its dirty owner in the L2's directory: another owner's
+// dirty copy is pulled into the L2 first and every other L1 copy is
+// dropped. The caller then writes the core's copy.
+func (h *Hierarchy) takeOwnership(core, j int, a memdata.Addr) {
+	l2cl := &h.l2.lines[j]
 	if o := l2cl.ownerCore(); o >= 0 && o != core {
-		h.pullDirty(l2cl, a)
+		h.pullDirty(j, a)
 	}
 	self := uint32(1) << uint(core)
 	for sh := l2cl.shared &^ self; sh != 0; sh &= sh - 1 {
@@ -887,18 +930,18 @@ func (h *Hierarchy) dropLine(a memdata.Addr) {
 // and leaves a clean copy cached. It returns nil when the line is clean or
 // absent. The L2's directory names the owner, so no other L1 is probed.
 func (h *Hierarchy) takeDirty(a memdata.Addr, tx txtrace.Tx, done func()) *lineWrite {
-	l2cl, _ := h.l2.lookup(a)
+	l2cl, j := h.l2.lookup(a)
 	if l2cl == nil {
 		return nil
 	}
 	if l2cl.owner != 0 {
-		h.pullDirty(l2cl, a)
+		h.pullDirty(j, a)
 	}
 	if !l2cl.dirty {
 		return nil
 	}
 	w := h.newLineWrite(a, tx, done)
-	w.data = l2cl.data
+	w.data = *h.l2.data(j)
 	l2cl.dirty = false
 	return w
 }
@@ -1064,28 +1107,29 @@ func (f *pfFlight) arrive() {
 // found ("l1", "l2"), or nil and "" when uncached. Test-only helper; it has
 // no timing effect.
 func (h *Hierarchy) Peek(a memdata.Addr) ([]byte, string) {
-	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if cl, _ := h.l1s[coreID].lookup(a); cl != nil && cl.dirty {
-			return append([]byte(nil), cl.data[:]...), "l1"
+	for _, l1 := range h.l1s {
+		if cl, i := l1.lookup(a); cl != nil && cl.dirty {
+			return append([]byte(nil), l1.data(i)[:]...), "l1"
 		}
 	}
-	if cl, _ := h.l2.lookup(a); cl != nil {
-		return append([]byte(nil), cl.data[:]...), "l2"
+	if _, j := h.l2.lookup(a); j >= 0 {
+		return append([]byte(nil), h.l2.data(j)[:]...), "l2"
 	}
-	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if cl, _ := h.l1s[coreID].lookup(a); cl != nil {
-			return append([]byte(nil), cl.data[:]...), "l1"
+	for _, l1 := range h.l1s {
+		if _, i := l1.lookup(a); i >= 0 {
+			return append([]byte(nil), l1.data(i)[:]...), "l1"
 		}
 	}
 	return nil, ""
 }
 
 // CheckDirectory verifies inclusion and the L2's directory of L1 copies:
-// every valid L1 line is in the L2 with that core's shared bit set, a dirty
-// L1 copy is the L2's owner (so at most one L1 copy of a line is dirty),
-// and, the other way round, every shared bit and owner the L2 records
-// names an L1 that holds the line, dirty for the owner, and an owned line
-// has no other sharer (no L1 keeps a clean copy beside a dirty one).
+// every valid L1 line is in the L2, in the way the L1 records, with that
+// core's shared bit set, a dirty L1 copy is the L2's owner (so at most one
+// L1 copy of a line is dirty), and, the other way round, every shared bit
+// and owner the L2 records names an L1 that holds the line, dirty for the
+// owner, and an owned line has no other sharer (no L1 keeps a clean copy
+// beside a dirty one).
 // Test-only invariant check.
 func (h *Hierarchy) CheckDirectory() error {
 	for coreID, l1 := range h.l1s {
@@ -1094,9 +1138,12 @@ func (h *Hierarchy) CheckDirectory() error {
 				continue
 			}
 			a := l1.tag(i)
-			l2cl, _ := h.l2.lookup(a)
+			l2cl, j := h.l2.lookup(a)
 			if l2cl == nil {
 				return fmt.Errorf("cache: L1[%d] line %#x not in L2", coreID, a)
+			}
+			if rec := int(l1.lines[i].l2Way); rec != j {
+				return fmt.Errorf("cache: L1[%d] line %#x records L2 way %d, but the L2 holds it in way %d", coreID, a, rec, j)
 			}
 			if l2cl.shared&(1<<uint(coreID)) == 0 {
 				return fmt.Errorf("cache: L1[%d] holds line %#x but the L2's shared bits %#x omit it", coreID, a, l2cl.shared)

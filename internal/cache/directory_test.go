@@ -21,21 +21,21 @@ import (
 
 func refTakeDirty(h *Hierarchy, a memdata.Addr, tx txtrace.Tx, done func()) *lineWrite {
 	var w *lineWrite
-	for coreID := 0; coreID < h.cfg.Cores; coreID++ {
-		if cl, _ := h.l1s[coreID].lookup(a); cl != nil && cl.dirty {
+	for _, l1 := range h.l1s {
+		if cl, i := l1.lookup(a); cl != nil && cl.dirty {
 			w = h.newLineWrite(a, tx, done)
-			w.data = cl.data
+			w.data = *l1.data(i)
 			cl.dirty = false
 			break
 		}
 	}
-	l2cl, _ := h.l2.lookup(a)
+	l2cl, j := h.l2.lookup(a)
 	if w == nil && l2cl != nil && l2cl.dirty {
 		w = h.newLineWrite(a, tx, done)
-		w.data = l2cl.data
+		w.data = *h.l2.data(j)
 	}
 	if w != nil && l2cl != nil {
-		l2cl.data = w.data
+		*h.l2.data(j) = w.data
 		l2cl.dirty = false
 		l2cl.owner = 0
 	}
@@ -183,7 +183,7 @@ func (p *raceProbe) attach(h *Hierarchy, n int) {
 		m := &mshr{h: h}
 		m.accessFn, m.sendFn, m.recvFn, m.arriveFn = m.access, m.send, m.recv, m.arrive
 		m.pulledFn = func() {
-			if h.l2.keys[m.pullWay] != m.a|1 {
+			if !h.l2.holds(m.l2Way, m.a) {
 				p.pullsRaced++
 			}
 			m.pulled()
@@ -508,14 +508,20 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 		{"bit for an L1 without the line", func(_ *Hierarchy, l2cl *cacheLine) { l2cl.shared |= 1 << 2 }},
 		{"bit beyond the cores", func(_ *Hierarchy, l2cl *cacheLine) { l2cl.shared |= 1 << 3 }},
 		{"clean copy beside the owner", func(h *Hierarchy, _ *cacheLine) {
-			h.fillL1(0, a, make([]byte, memdata.LineSize))
+			_, j := h.l2.lookup(a)
+			h.fillL1(0, a, j, make([]byte, memdata.LineSize))
 		}},
 		{"second dirty copy", func(h *Hierarchy, _ *cacheLine) {
-			h.fillL1(0, a, make([]byte, memdata.LineSize))
+			_, j := h.l2.lookup(a)
+			h.fillL1(0, a, j, make([]byte, memdata.LineSize))
 			cl, _ := h.l1s[0].lookup(a)
 			cl.dirty = true
 		}},
 		{"L1 line the L2 lost", func(h *Hierarchy, _ *cacheLine) { h.l2.drop(a) }},
+		{"L1 records another L2 way", func(h *Hierarchy, _ *cacheLine) {
+			cl, _ := h.l1s[1].lookup(a)
+			cl.l2Way++
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(3)

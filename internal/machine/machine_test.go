@@ -146,13 +146,15 @@ func checkShadowLines(t *testing.T, m *Machine, a memdata.Addr, n uint64) {
 }
 
 // TestNewAllocationPin keeps machine construction cheap in host memory: the
-// sparse physical store costs a page table, not MemSize bytes, so building
-// the 256 MB Table I machine allocates a few MB. A dense store would
-// allocate over 256 MB per machine and fail here. Each cache array is one
-// flat allocation, so the machine takes a few hundred objects, not one per
-// cache line.
+// sparse physical store costs a page table, not MemSize bytes, and the
+// cache arrays allocate 32 bytes of metadata per way but no line bytes
+// until a way is filled, so building the 256 MB Table I machine allocates
+// about 1.9 MB. The limit leaves about 25% headroom over that: a dense
+// store, or cache arrays that allocate their line bytes up front (4.2 MB),
+// fail here. Each cache array is a few flat allocations, so the machine
+// takes a few hundred objects, not one per cache line.
 func TestNewAllocationPin(t *testing.T) {
-	const limit = 16 << 20
+	const limit = 2_350_000
 	const maxObjects = 1000
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
