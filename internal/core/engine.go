@@ -162,11 +162,16 @@ type Engine struct {
 	pending     []*pendingLazy
 	freeWorkers int
 	freeing     map[uint64]bool // entry IDs claimed by a free worker
-	// destGen counts CPU writes observed per line. Reconstructed lines
-	// (bounce writebacks, BPQ cascades, async frees) capture the counter
-	// when their value is composed and drop themselves if a newer CPU
-	// write arrived meanwhile (Fig 9: "bounce requests for D are dropped").
-	destGen map[memdata.Addr]uint64
+	// recons registers the reconstructions in flight (bounce writebacks,
+	// BPQ cascades, async frees), each from the moment its value is
+	// composed until it lands or is dropped. A CPU write, MCLAZY insert or
+	// MCFREE reaching a registered line marks it stale, and a stale
+	// reconstruction drops itself instead of landing (Fig 9: "bounce
+	// requests for D are dropped"). Its size is bounded by what is in
+	// flight, not by the lines a run ever touched.
+	recons    []*recon
+	reconPool sim.Pool[recon]
+	audit     reconAudit // nil outside tests
 
 	// Retired requests for reuse, and scratch space for the queries of
 	// one call. The machine is single-threaded, so plain slices suffice
@@ -196,7 +201,6 @@ func NewEngine(eng *sim.Engine, p Params, mcs []*memctrl.Controller, route func(
 		bpqs:    make([]memctrl.Slots, len(mcs)),
 		held:    make(map[memdata.Addr]*heldWrite),
 		freeing: make(map[uint64]bool),
-		destGen: make(map[memdata.Addr]uint64),
 		depSeen: make(map[memdata.Addr]bool),
 	}
 	e.freeWorkerFn = e.freeWorker
@@ -287,7 +291,7 @@ type readReq struct {
 	e     *Engine
 	a     memdata.Addr
 	bsp   txtrace.Tx // the bounce span
-	gen   uint64     // destGen when the bounce composed its line
+	rec   *recon     // registered when the bounce composed its line
 	bound sim.Cycle  // cycle the delivered value was bound
 	done  func(data []byte)
 	data  [memdata.LineSize]byte
@@ -353,7 +357,7 @@ func (e *Engine) filterRead(mc int, a memdata.Addr, tx txtrace.Tx, done func([]b
 // start runs when the bounce reaches the source side.
 func (r *readReq) start() {
 	e := r.e
-	r.gen = e.destGen[r.a]
+	r.rec = e.register(r.a)
 	// The composed value is bound here: composeDestLine queries the CTT
 	// and snapshots every source at call time.
 	r.bound = e.eng.Now()
@@ -366,7 +370,7 @@ func (r *readReq) composed(data []byte) {
 	e := r.e
 	copy(r.data[:], data)
 	e.eng.After(e.p.HopLatency, r.replyFn)
-	e.maybeWriteback(r.a, r.gen, r.bsp, r.data[:])
+	e.maybeWriteback(r.rec, r.bsp, r.data[:])
 }
 
 func (r *readReq) reply() {
@@ -380,15 +384,18 @@ func (r *readReq) reply() {
 // future reads are serviced normally — unless the destination controller's
 // WPQ is too full (the paper's 75% rule, §III-B2). With WritebackRetries
 // set, a rejected writeback retries with bounded exponential backoff
-// instead of being dropped outright. data is borrowed for the call.
-func (e *Engine) maybeWriteback(a memdata.Addr, gen uint64, tx txtrace.Tx, data []byte) {
+// instead of being dropped outright. data is borrowed for the call; rec is
+// the reconstruction's registration, which every outcome ends.
+func (e *Engine) maybeWriteback(rec *recon, tx txtrace.Tx, data []byte) {
 	if !e.p.WritebackOnBounce {
+		e.unregister(rec)
 		return
 	}
-	e.tryWriteback(a, gen, tx, data, 0)
+	e.tryWriteback(rec, tx, data, 0)
 }
 
-func (e *Engine) tryWriteback(a memdata.Addr, gen uint64, tx txtrace.Tx, data []byte, attempt int) {
+func (e *Engine) tryWriteback(rec *recon, tx txtrace.Tx, data []byte, attempt int) {
+	a := rec.line
 	mc := e.mcs[e.route(a)]
 	rejected := mc.WPQOccupancy() >= e.p.WPQRejectFrac
 	if !rejected && e.flt.Fire(faultinject.KindWPQReject, uint64(a), uint64(e.eng.Now())) {
@@ -401,14 +408,17 @@ func (e *Engine) tryWriteback(a memdata.Addr, gen uint64, tx txtrace.Tx, data []
 			e.Stats.WritebackRetries++
 			data := append([]byte(nil), data...) // the retry outlives the borrow
 			e.eng.After(e.p.WritebackBackoff<<attempt, func() {
-				if e.destGen[a] != gen {
-					e.Stats.DroppedInternal++ // a CPU write superseded the value
+				e.decided(rec, false)
+				if rec.stale {
+					e.Stats.DroppedInternal++ // a newer value superseded this one
+					e.unregister(rec)
 					return
 				}
-				e.tryWriteback(a, gen, tx, data, attempt+1)
+				e.tryWriteback(rec, tx, data, attempt+1)
 			})
 			return
 		}
+		e.unregister(rec)
 		if e.p.WritebackRetries > 0 {
 			e.Stats.WritebackRetryGiveups++
 		}
@@ -429,19 +439,87 @@ func (e *Engine) tryWriteback(a memdata.Addr, gen uint64, tx txtrace.Tx, data []
 	if wsp := e.tr.Begin(tx, txtrace.StageBounceWriteback, uint64(a), uint64(e.eng.Now())); wsp != 0 {
 		done = func() { e.tr.EndFlags(wsp, uint64(e.eng.Now()), txtrace.FlagWrite) }
 	}
-	e.writeReconstructed(a, gen, tx, data, done)
+	e.writeReconstructed(rec, tx, data, done)
 }
 
 // writeReconstructed lands a lazily reconstructed destination line unless
-// a CPU write to it arrived after the value was composed, in which case
-// the reconstruction is stale and dropped. data is borrowed for the call.
-func (e *Engine) writeReconstructed(a memdata.Addr, gen uint64, tx txtrace.Tx, data []byte, done func()) {
-	if e.destGen[a] != gen {
+// a CPU write, MCLAZY insert or MCFREE reached it after the value was
+// composed, in which case the reconstruction is stale and dropped. Either
+// way it ends rec's registration. data is borrowed for the call.
+func (e *Engine) writeReconstructed(rec *recon, tx txtrace.Tx, data []byte, done func()) {
+	e.decided(rec, true)
+	a, stale := rec.line, rec.stale
+	e.unregister(rec)
+	if stale {
 		e.Stats.DroppedInternal++
 		e.eng.After(0, done)
 		return
 	}
 	e.hookedWrite(a, data, tx, done)
+}
+
+// recon is the registration of one reconstruction in flight: its
+// destination line, whether a newer value reached the line since the
+// reconstruction was composed, and its slot in Engine.recons.
+type recon struct {
+	line  memdata.Addr
+	stale bool
+	index int
+}
+
+// register records a reconstruction of line a composed now.
+func (e *Engine) register(a memdata.Addr) *recon {
+	r, _ := e.reconPool.Get()
+	r.line, r.stale, r.index = a, false, len(e.recons)
+	e.recons = append(e.recons, r)
+	if e.audit != nil {
+		e.audit.registered(r)
+	}
+	return r
+}
+
+// unregister ends r's registration, once it has landed or been dropped.
+func (e *Engine) unregister(r *recon) {
+	last := e.recons[len(e.recons)-1]
+	last.index = r.index
+	e.recons[r.index] = last
+	e.recons = e.recons[:len(e.recons)-1]
+	e.reconPool.Put(r)
+}
+
+// markStale marks the reconstructions in flight of the lines in [lo, hi)
+// stale: a newer value reached those lines after they were composed.
+func (e *Engine) markStale(lo, hi memdata.Addr) {
+	for _, r := range e.recons {
+		if r.line >= lo && r.line < hi {
+			r.stale = true
+		}
+	}
+}
+
+// reconAudit follows the registry beside the engine: the lines each CPU
+// write, MCLAZY insert and MCFREE redefines, each registration, and each
+// check of r.stale, final when the reconstruction then lands or drops and
+// not final when a retried writeback then drops or tries again. Only
+// tests set one, to check the registry against a reference that keeps a
+// generation per line; the engine tells it of each redefinition apart
+// from markStale, so that a missing mark shows as a disagreement.
+type reconAudit interface {
+	redefined(lo, hi memdata.Addr)
+	registered(r *recon)
+	decided(r *recon, final bool)
+}
+
+func (e *Engine) redefined(lo, hi memdata.Addr) {
+	if e.audit != nil {
+		e.audit.redefined(lo, hi)
+	}
+}
+
+func (e *Engine) decided(r *recon, final bool) {
+	if e.audit != nil {
+		e.audit.decided(r, final)
+	}
 }
 
 // composeReq reconstructs one destination line (composeDestLine). Its
@@ -596,7 +674,8 @@ func (e *Engine) filterWrite(mc int, a memdata.Addr, data []byte, tx txtrace.Tx,
 		panic(fmt.Sprintf("core: controller write of unaligned address %#x", a))
 	}
 	// Every CPU write invalidates in-flight reconstructions of this line.
-	e.destGen[a]++
+	e.markStale(a, a+memdata.LineSize)
+	e.redefined(a, a+memdata.LineSize)
 	// Writes to a held line merge into the BPQ entry (state 3).
 	if hw, ok := e.held[a]; ok {
 		e.Stats.BPQMerges++
@@ -781,7 +860,7 @@ type lineCopy struct {
 	e          *Engine
 	hw         *heldWrite
 	dl         memdata.Addr
-	gen        uint64
+	rec        *recon
 	composedFn func(data []byte)
 }
 
@@ -791,17 +870,17 @@ func (e *Engine) copyLine(hw *heldWrite, dl memdata.Addr) {
 		lc.e = e
 		lc.composedFn = lc.composed
 	}
-	lc.hw, lc.dl, lc.gen = hw, dl, e.destGen[dl]
+	lc.hw, lc.dl, lc.rec = hw, dl, e.register(dl)
 	e.composeDestLine(dl, hw.hsp, lc.composedFn)
 }
 
 func (lc *lineCopy) composed(data []byte) {
-	e, hw, dl, gen := lc.e, lc.hw, lc.dl, lc.gen
+	e, hw, rec := lc.e, lc.hw, lc.rec
 	lc.hw = nil
 	e.copyPool.Put(lc)
 	// Writing the reconstructed line trims its CTT entries and cascades
 	// if the line is a source elsewhere.
-	e.writeReconstructed(dl, gen, hw.hsp, data, hw.depDoneFn)
+	e.writeReconstructed(rec, hw.hsp, data, hw.depDoneFn)
 }
 
 // runHeldWaiters retries BPQ finishes that were waiting for other held
@@ -867,9 +946,8 @@ func (e *Engine) tryLazy(pl *pendingLazy) {
 	}
 	// The insert redefines every destination line: any in-flight
 	// reconstruction composed under an older entry is now stale.
-	for l := memdata.LineAlign(pl.dst.Start); l < pl.dst.End(); l += memdata.LineSize {
-		e.destGen[l]++
-	}
+	e.markStale(memdata.LineAlign(pl.dst.Start), pl.dst.End())
+	e.redefined(memdata.LineAlign(pl.dst.Start), pl.dst.End())
 	e.Stats.LazyOps++
 	e.Stats.LazyBytes += pl.dst.Size
 	// Shadow oracle: replay the accepted copy eagerly — from this cycle on,
@@ -983,9 +1061,8 @@ func (e *Engine) MCFree(r memdata.Range, tx txtrace.Tx, done func()) {
 		e.Stats.MCFreedBytes += e.ctt.RemoveDestRange(inner)
 		// Freed lines are undefined; stale in-flight reconstructions must
 		// not land after the free and resurrect old data as fresh writes.
-		for l := inner.Start; l < inner.End(); l += memdata.LineSize {
-			e.destGen[l]++
-		}
+		e.markStale(inner.Start, inner.End())
+		e.redefined(inner.Start, inner.End())
 		e.inv.ObserveFree(inner)
 	}
 	e.Stats.MCFrees++
@@ -1093,7 +1170,7 @@ type freeJob struct {
 	urgent  bool // materialization: no pacing, and the job is its own worker
 	dl, end memdata.Addr
 	fsp     txtrace.Tx
-	gen     uint64
+	rec     *recon
 
 	stepFn, writtenFn func()
 	composedFn        func(data []byte)
@@ -1149,12 +1226,12 @@ func (j *freeJob) step() {
 		e.eng.After(e.p.FreePacing, j.stepFn)
 		return
 	}
-	j.gen = e.destGen[j.dl]
+	j.rec = e.register(j.dl)
 	e.composeDestLine(j.dl, j.fsp, j.composedFn)
 }
 
 func (j *freeJob) composed(data []byte) {
-	j.e.writeReconstructed(j.dl, j.gen, j.fsp, data, j.writtenFn)
+	j.e.writeReconstructed(j.rec, j.fsp, data, j.writtenFn)
 }
 
 func (j *freeJob) written() {

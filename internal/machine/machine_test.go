@@ -146,15 +146,16 @@ func checkShadowLines(t *testing.T, m *Machine, a memdata.Addr, n uint64) {
 }
 
 // TestNewAllocationPin keeps machine construction cheap in host memory: the
-// sparse physical store costs a page table, not MemSize bytes, and the
-// cache arrays allocate 32 bytes of metadata per way but no line bytes
-// until a way is filled, so building the 256 MB Table I machine allocates
-// about 1.9 MB. The limit leaves about 25% headroom over that: a dense
-// store, or cache arrays that allocate their line bytes up front (4.2 MB),
-// fail here. Each cache array is a few flat allocations, so the machine
-// takes a few hundred objects, not one per cache line.
+// sparse physical store starts as a 1 KB directory of 2 MB regions, not
+// MemSize bytes or a page table, and the cache arrays allocate 32 bytes of
+// metadata per way but no line bytes until a way is filled, so building
+// the 256 MB Table I machine allocates about 1.36 MB. The limit leaves
+// about 25% headroom over that: a dense page directory (512 KB more, 1.88
+// MB), a dense store, or cache arrays that allocate their line bytes up
+// front (4.2 MB) fail here. Each cache array is a few flat allocations, so
+// the machine takes a few hundred objects, not one per cache line.
 func TestNewAllocationPin(t *testing.T) {
-	const limit = 2_350_000
+	const limit = 1_700_000
 	const maxObjects = 1000
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

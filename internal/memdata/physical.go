@@ -7,18 +7,27 @@ import "fmt"
 // cache + controller + CTT stack can be compared against what software
 // wrote — the basis of the observational-equivalence tests.
 //
-// The store is sparse: a flat table maps each 4 KB page number to its bytes,
-// and a page is allocated on its first write. A page never written reads as
-// zeros, and zeroing it allocates nothing, so host memory follows the pages
-// a workload touches rather than the modelled capacity.
+// The store is sparse at two levels: a directory with one slot per 2 MB
+// region points to a leaf of that region's 4 KB pages, and both a leaf and
+// a page are allocated on the first write into them. A page never written
+// reads as zeros, and zeroing it allocates nothing, so host memory follows
+// the regions and pages a workload touches rather than the modelled
+// capacity: a 256 MB store starts as a 128-slot directory.
 type Physical struct {
-	size  uint64
-	pages []*[PageSize]byte // indexed by addr >> PageShift; nil reads as zeros
+	size uint64
+	dir  []*leaf // indexed by addr >> HugePageShift; nil reads as zeros
 }
+
+// leafPages is the number of pages in one directory leaf.
+const leafPages = HugePageSize / PageSize
+
+// leaf holds the pages of one 2 MB region, indexed by page within it; a
+// nil page reads as zeros.
+type leaf [leafPages]*[PageSize]byte
 
 // NewPhysical returns a zeroed store of the given capacity in bytes.
 func NewPhysical(size uint64) *Physical {
-	return &Physical{size: size, pages: make([]*[PageSize]byte, (size+PageSize-1)>>PageShift)}
+	return &Physical{size: size, dir: make([]*leaf, (size+HugePageSize-1)>>HugePageShift)}
 }
 
 // Size returns the store's capacity in bytes.
@@ -31,13 +40,26 @@ func (p *Physical) check(a Addr, n uint64) {
 	}
 }
 
-// page returns the page holding a, allocating it on first use.
-func (p *Physical) page(a Addr) *[PageSize]byte {
-	i := a >> PageShift
-	if p.pages[i] == nil {
-		p.pages[i] = new([PageSize]byte)
+// lookup returns the page holding a, or nil if it was never written.
+func (p *Physical) lookup(a Addr) *[PageSize]byte {
+	if l := p.dir[a>>HugePageShift]; l != nil {
+		return l[a>>PageShift&(leafPages-1)]
 	}
-	return p.pages[i]
+	return nil
+}
+
+// page returns the page holding a, allocating it and its leaf on first use.
+func (p *Physical) page(a Addr) *[PageSize]byte {
+	l := p.dir[a>>HugePageShift]
+	if l == nil {
+		l = new(leaf)
+		p.dir[a>>HugePageShift] = l
+	}
+	pg := &l[a>>PageShift&(leafPages-1)]
+	if *pg == nil {
+		*pg = new([PageSize]byte)
+	}
+	return *pg
 }
 
 // Read copies n bytes starting at a into a fresh slice.
@@ -58,7 +80,7 @@ func (p *Physical) readInto(a Addr, dst []byte) {
 	for len(dst) > 0 {
 		off := PageOffset(a)
 		var k int
-		if pg := p.pages[a>>PageShift]; pg != nil {
+		if pg := p.lookup(a); pg != nil {
 			k = copy(dst, pg[off:])
 		} else {
 			k = int(min(uint64(len(dst)), PageSize-off))
@@ -110,7 +132,7 @@ func (p *Physical) zero(a Addr, n uint64) {
 	for n > 0 {
 		off := PageOffset(a)
 		k := min(n, PageSize-off)
-		if pg := p.pages[a>>PageShift]; pg != nil {
+		if pg := p.lookup(a); pg != nil {
 			clear(pg[off : off+k])
 		}
 		a += Addr(k)
@@ -145,7 +167,7 @@ func (p *Physical) Copy(dst, src Addr, n uint64) {
 // copyChunk copies k bytes that lie within one source page to a range
 // within one destination page.
 func (p *Physical) copyChunk(dst, src Addr, k uint64) {
-	s := p.pages[src>>PageShift]
+	s := p.lookup(src)
 	if s == nil {
 		p.zero(dst, k)
 		return
