@@ -518,6 +518,12 @@ func TestCheckDirectoryCatchesDrift(t *testing.T) {
 			cl.dirty = true
 		}},
 		{"L1 line the L2 lost", func(h *Hierarchy, _ *cacheLine) { h.l2.drop(a) }},
+		{"bit in a later L2 block", func(h *Hierarchy, _ *cacheLine) {
+			// Set 1152 of 2048, so the line's metadata lies in the fifth
+			// block of 256 sets, not the first.
+			j, _ := h.fillL2(0x12000, make([]byte, memdata.LineSize))
+			h.l2.line(j).shared |= 1 << 2
+		}},
 		{"L1 records another L2 way", func(h *Hierarchy, _ *cacheLine) {
 			cl, _ := h.l1s[1].lookup(a)
 			cl.l2Way++

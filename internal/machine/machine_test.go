@@ -147,15 +147,17 @@ func checkShadowLines(t *testing.T, m *Machine, a memdata.Addr, n uint64) {
 
 // TestNewAllocationPin keeps machine construction cheap in host memory: the
 // sparse physical store starts as a 1 KB directory of 2 MB regions, not
-// MemSize bytes or a page table, and the cache arrays allocate 32 bytes of
-// metadata per way but no line bytes until a way is filled, so building
-// the 256 MB Table I machine allocates about 1.36 MB. The limit leaves
-// about 25% headroom over that: a dense page directory (512 KB more, 1.88
-// MB), a dense store, or cache arrays that allocate their line bytes up
-// front (4.2 MB) fail here. Each cache array is a few flat allocations, so
-// the machine takes a few hundred objects, not one per cache line.
+// MemSize bytes or a page table, and the cache arrays start as short
+// directories of metadata blocks, allocating a block of way metadata at
+// the first fill that lands in it and a way's line bytes at its own first
+// fill, so building the 256 MB Table I machine allocates about 51 KB. The
+// limit leaves about 25% headroom over that: dense way metadata (32 KB for
+// each L1, 1 MB for the L2), a dense page directory, a dense store, or
+// cache arrays that allocate their line bytes up front fail here. Each
+// cache array is a few flat allocations, so the machine takes a few
+// hundred objects, not one per cache line.
 func TestNewAllocationPin(t *testing.T) {
-	const limit = 1_700_000
+	const limit = 65_000
 	const maxObjects = 1000
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

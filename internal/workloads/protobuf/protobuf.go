@@ -102,13 +102,15 @@ func Run(m *machine.Machine, cfg Config) Result {
 
 	m.Run(func(c *cpu.Core) {
 		// Per-copy interval accounting reads single named metrics from the
-		// machine registry (a full Snapshot per copy would be wasteful).
+		// machine registry (a full Snapshot per copy would be wasteful). The
+		// names are built once, not per copied field.
 		pre := fmt.Sprintf("cpu%d.", c.ID)
+		loads, stores := pre+"loads", pre+"stores"
+		windowStall, fenceStall, depStall := pre+"window_stall", pre+"fence_stall", pre+"dep_stall"
+		issueCycles := pre + "issue_cycles"
 		cnt := m.Metrics.CounterValue
-		accesses := func() uint64 { return cnt(pre+"loads") + cnt(pre+"stores") }
-		stalls := func() uint64 {
-			return cnt(pre+"window_stall") + cnt(pre+"fence_stall") + cnt(pre+"dep_stall")
-		}
+		accesses := func() uint64 { return cnt(loads) + cnt(stores) }
+		stalls := func() uint64 { return cnt(windowStall) + cnt(fenceStall) + cnt(depStall) }
 		start := c.Now()
 		opsLeft := cfg.Ops
 		for opsLeft > 0 {
@@ -132,14 +134,14 @@ func Run(m *machine.Machine, cfg Config) Result {
 
 					acc0, miss0 := accesses(), cnt("l1.misses")
 					stall0 := stalls()
-					issue0 := cnt(pre + "issue_cycles")
+					issue0 := cnt(issueCycles)
 					t0 := c.Now()
 					cfg.Copier.Memcpy(c, cursor, src, size)
 					res.CopyCycles += uint64(c.Now() - t0)
 					res.CopyAccesses += accesses() - acc0
 					res.CopyL1Misses += cnt("l1.misses") - miss0
 					res.CopyWindowStl += stalls() - stall0
-					res.CopyIssue += cnt(pre+"issue_cycles") - issue0
+					res.CopyIssue += cnt(issueCycles) - issue0
 
 					merged[op] = append(merged[op], field{off: cursor, size: size})
 					cursor += memdata.Addr(size)

@@ -1,6 +1,7 @@
 package protobuf
 
 import (
+	"runtime"
 	"testing"
 
 	"mcsquare/internal/copykit"
@@ -72,5 +73,28 @@ func TestDeterministicRuns(t *testing.T) {
 	b := Run(NewMachine(true, nil), quickCfg(copykit.Lazy{Threshold: 1024}))
 	if a.Cycles != b.Cycles || a.CopyCycles != b.CopyCycles {
 		t.Fatalf("non-deterministic: %d/%d vs %d/%d", a.Cycles, a.CopyCycles, b.Cycles, b.CopyCycles)
+	}
+}
+
+// TestRunAllocationsPerField bounds the heap allocations a copied field
+// costs a run: the difference between the allocations of a 192-merge and a
+// 64-merge run, over the difference in fields copied. About one a field
+// remains (merge records, histogram growth, arena pages); building the
+// counter names the per-field accounting reads for every field cost 13.
+func TestRunAllocationsPerField(t *testing.T) {
+	run := func(ops int) (allocs, fields uint64) {
+		m := NewMachine(false, nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Run(m, Config{Ops: ops, Burst: 64, Seed: 11})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, res.Copies
+	}
+	a0, f0 := run(64)
+	a1, f1 := run(192)
+	perField := float64(a1-a0) / float64(f1-f0)
+	t.Logf("%d allocations over %d more fields: %.2f a field", a1-a0, f1-f0, perField)
+	if perField > 2 {
+		t.Fatalf("a copied field costs %.2f heap allocations, want at most 2", perField)
 	}
 }
