@@ -23,7 +23,7 @@
 //
 // -stats writes the merged metrics registry of every machine the run
 // built as JSON ("-" for stdout): one object mapping dotted metric names
-// (cpu0.loads, l1.misses, mc0.rejected_writes, engine.bounces, ...) to
+// (cpu0.loads, l1.misses, mc0.write_stalls, engine.bounces, ...) to
 // their kind and value.
 //
 // -trace enables the transaction tracer and writes every machine's flight

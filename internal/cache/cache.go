@@ -1072,33 +1072,27 @@ func (h *Hierarchy) InvalidateRange(r memdata.Range) int {
 }
 
 // FlushRange writes back every dirty line of r to memory (keeping clean
-// copies), calling done when all writebacks are accepted. It reports how
-// many lines were dirty. This is the "ranged writeback" the paper suggests
-// as future work (§V-A1); the simulated kernel uses it for huge pages.
+// copies) and reports how many lines were dirty. done runs once per dirty
+// line, when its write is accepted, and once more after the L2 probe
+// latency: the caller counts dirty+1 calls. None runs before FlushRange
+// returns. This is the "ranged writeback" the paper suggests as future
+// work (§V-A1); MCLAZY uses it to sweep its source.
 //
 // tx is the transaction-trace id (0 when untraced).
 func (h *Hierarchy) FlushRange(r memdata.Range, tx txtrace.Tx, done func()) int {
 	dirty := 0
-	remaining := 1
-	complete := func() {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
-	}
 	if !r.Empty() {
 		for l := memdata.LineAlign(r.Start); l < r.End(); l += memdata.LineSize {
-			w := h.takeDirty(l, tx, complete)
+			w := h.takeDirty(l, tx, done)
 			if w == nil {
 				continue
 			}
 			dirty++
 			h.Stats.FlushedLines++
-			remaining++
 			h.bus.Send(memdata.LineSize, tx, w.writeFn)
 		}
 	}
-	h.eng.After(h.cfg.L2Latency, complete)
+	h.eng.After(h.cfg.L2Latency, done)
 	return dirty
 }
 

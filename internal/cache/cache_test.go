@@ -201,17 +201,21 @@ func TestFlushRange(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		r.write(0, base+memdata.Addr(i*memdata.LineSize), 0, []byte{byte(0x10 + i)})
 	}
-	done := false
+	calls := 0
 	var dirty int
 	r.eng.After(0, func() {
-		dirty = r.h.FlushRange(memdata.Range{Start: base, Size: 4 * memdata.LineSize}, 0, func() { done = true })
+		dirty = r.h.FlushRange(memdata.Range{Start: base, Size: 4 * memdata.LineSize}, 0, func() { calls++ })
+		if calls != 0 {
+			t.Errorf("done ran %d times before FlushRange returned", calls)
+		}
 	})
 	r.eng.Drain()
-	if !done {
-		t.Fatal("FlushRange completion never fired")
-	}
 	if dirty != 4 {
 		t.Fatalf("flushed %d dirty lines, want 4", dirty)
+	}
+	// Once per accepted writeback, plus once after the L2 probe.
+	if calls != dirty+1 {
+		t.Fatalf("done ran %d times, want %d", calls, dirty+1)
 	}
 	for i := uint64(0); i < 4; i++ {
 		if r.phys.ReadLine(base + memdata.Addr(i*memdata.LineSize))[0] != byte(0x10+i) {

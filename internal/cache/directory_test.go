@@ -55,26 +55,18 @@ func refCLWB(h *Hierarchy, a memdata.Addr, done func()) {
 
 func refFlushRange(h *Hierarchy, r memdata.Range, done func()) int {
 	dirty := 0
-	remaining := 1
-	complete := func() {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
-	}
 	if !r.Empty() {
 		for l := memdata.LineAlign(r.Start); l < r.End(); l += memdata.LineSize {
-			w := refTakeDirty(h, l, 0, complete)
+			w := refTakeDirty(h, l, 0, done)
 			if w == nil {
 				continue
 			}
 			dirty++
 			h.Stats.FlushedLines++
-			remaining++
 			h.bus.Send(memdata.LineSize, 0, w.writeFn)
 		}
 	}
-	h.eng.After(h.cfg.L2Latency, complete)
+	h.eng.After(h.cfg.L2Latency, done)
 	return dirty
 }
 

@@ -77,7 +77,7 @@ func init() {
 			if err := noParams(spec.Mechanism.Params); err != nil {
 				return nil, err
 			}
-			return copykit.SoftMC{}, nil
+			return copykit.Lazy{Threshold: 0}, nil
 		},
 	})
 }

@@ -46,8 +46,8 @@ func TestEveryListedMechanismConstructs(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if cp == nil || cp.Name() == "" {
-			t.Errorf("%s: built a nameless copier", name)
+		if cp == nil {
+			t.Errorf("%s: built no copier", name)
 		}
 	}
 }

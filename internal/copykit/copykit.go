@@ -15,8 +15,6 @@ import (
 
 // Copier is one copy mechanism under test.
 type Copier interface {
-	// Name identifies the mechanism in result tables.
-	Name() string
 	// Memcpy copies n bytes from src to dst with memcpy semantics.
 	Memcpy(c *cpu.Core, dst, src memdata.Addr, n uint64)
 	// Read returns n bytes at a (dependent-load semantics).
@@ -32,9 +30,6 @@ type Copier interface {
 
 // Eager is the native memcpy baseline.
 type Eager struct{}
-
-// Name implements Copier.
-func (Eager) Name() string { return "memcpy" }
 
 // Memcpy implements Copier with a plain cache-level copy.
 func (Eager) Memcpy(c *cpu.Core, dst, src memdata.Addr, n uint64) {
@@ -54,13 +49,12 @@ func (Eager) Write(c *cpu.Core, a memdata.Addr, data []byte) { c.Store(a, data) 
 func (Eager) Free(c *cpu.Core, r memdata.Range) {}
 
 // Lazy is (MC)² behind the copy_interpose.so policy: calls at or above
-// Threshold go through memcpy_lazy.
+// Threshold go through memcpy_lazy, smaller ones stay eager. The paper
+// redirects calls of 1 KB and more; Threshold 0 makes every call lazy,
+// which is the raw §III-D library (the softmc mechanism).
 type Lazy struct {
-	Threshold uint64 // 0 means every copy is lazy
+	Threshold uint64
 }
-
-// Name implements Copier.
-func (Lazy) Name() string { return "mc2" }
 
 // Memcpy implements Copier.
 func (l Lazy) Memcpy(c *cpu.Core, dst, src memdata.Addr, n uint64) {
@@ -82,30 +76,3 @@ func (Lazy) Write(c *cpu.Core, a memdata.Addr, data []byte) { c.Store(a, data) }
 
 // Free implements Copier with MCFREE.
 func (Lazy) Free(c *cpu.Core, r memdata.Range) { softmc.Free(c, r) }
-
-// SoftMC is memcpy_lazy unconditionally: the raw §III-D library with no
-// interposer policy on top, so even sub-line calls take the lazy path's
-// alignment fringes. The mc2 mechanism is SoftMC plus the 1 KB threshold;
-// keeping the raw library as its own mechanism isolates the library from
-// the policy in comparisons.
-type SoftMC struct{}
-
-// Name implements Copier.
-func (SoftMC) Name() string { return "softmc" }
-
-// Memcpy implements Copier.
-func (SoftMC) Memcpy(c *cpu.Core, dst, src memdata.Addr, n uint64) {
-	softmc.MemcpyLazy(c, dst, src, n)
-}
-
-// Read implements Copier.
-func (SoftMC) Read(c *cpu.Core, a memdata.Addr, n uint64) []byte { return c.Load(a, n) }
-
-// ReadAsync implements Copier.
-func (SoftMC) ReadAsync(c *cpu.Core, a memdata.Addr, n uint64) { c.LoadAsync(a, n) }
-
-// Write implements Copier.
-func (SoftMC) Write(c *cpu.Core, a memdata.Addr, data []byte) { c.Store(a, data) }
-
-// Free implements Copier with MCFREE.
-func (SoftMC) Free(c *cpu.Core, r memdata.Range) { softmc.Free(c, r) }

@@ -25,12 +25,12 @@ func roundTrip(t *testing.T, m *machine.Machine, cp Copier) {
 		cp.Memcpy(c, dst, src, 16<<10)
 		got := cp.Read(c, dst, 16<<10)
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: copy mismatch", cp.Name())
+			t.Errorf("%T: copy mismatch", cp)
 		}
 		cp.Write(c, dst, []byte{0x11})
 		c.Fence()
 		if cp.Read(c, dst, 1)[0] != 0x11 {
-			t.Errorf("%s: write not visible", cp.Name())
+			t.Errorf("%T: write not visible", cp)
 		}
 		cp.ReadAsync(c, dst+64, 8)
 		c.Fence()
@@ -75,8 +75,30 @@ func TestZeroThresholdAlwaysLazy(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	if (Eager{}).Name() != "memcpy" || (Lazy{}).Name() != "mc2" {
-		t.Fatal("copier names changed; result tables depend on them")
+// TestInterposerCounters counts the MCLAZYs behind each call under a
+// 1 KB threshold: a 512-byte call stays eager, and a call at the threshold
+// and one above it each become one page-bounded MCLAZY. The eager copier
+// never issues one, even on (MC)² hardware.
+func TestInterposerCounters(t *testing.T) {
+	m := newM(true)
+	buf := m.AllocPage(64 << 10)
+	m.FillRandom(buf, 64<<10, 7)
+	ip := Lazy{Threshold: 1024}
+	for _, tc := range []struct {
+		dst  memdata.Addr
+		n    uint64
+		lazy uint64
+	}{{buf + 32<<10, 512, 0}, {buf + 40<<10, 1024, 1}, {buf + 48<<10, 4096, 1}} {
+		before := m.ISA.Stats.MCLazies
+		m.Run(func(c *cpu.Core) { ip.Memcpy(c, tc.dst, buf, tc.n) })
+		if got := m.ISA.Stats.MCLazies - before; got != tc.lazy {
+			t.Errorf("%d-byte copy issued %d MCLAZYs, want %d", tc.n, got, tc.lazy)
+		}
+	}
+	m2 := newM(true)
+	buf2 := m2.AllocPage(16 << 10)
+	m2.Run(func(c *cpu.Core) { Eager{}.Memcpy(c, buf2+8<<10, buf2, 4096) })
+	if m2.ISA.Stats.MCLazies != 0 || m2.Lazy.Stats.LazyOps != 0 {
+		t.Fatal("eager copier issued MCLAZY")
 	}
 }

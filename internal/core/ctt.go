@@ -110,6 +110,9 @@ type CTT struct {
 	// and collapse's pieces. Their capacity is reused across calls.
 	cover  []*Entry
 	pieces []piece
+	// chunk is the unused tail of the block new entries are carved from,
+	// entryChunk at a time: an entry costs a fraction of an allocation.
+	chunk []Entry
 
 	Stats CTTStats
 }
@@ -169,6 +172,22 @@ func (t *CTT) destRun(r memdata.Range) (i, j int) {
 	return i, j
 }
 
+// entryChunk is how many entries one allocation carves.
+const entryChunk = 32
+
+// newEntry returns a fresh entry with the next ID. Entries are never
+// reused, so a pointer to a removed one stays valid and stays removed.
+func (t *CTT) newEntry(dst memdata.Range, src memdata.Addr) *Entry {
+	if len(t.chunk) == 0 {
+		t.chunk = make([]Entry, entryChunk)
+	}
+	e := &t.chunk[0]
+	t.chunk = t.chunk[1:]
+	t.nextID++
+	*e = Entry{ID: t.nextID, Dst: dst, Src: src}
+	return e
+}
+
 func (t *CTT) register(e *Entry) {
 	t.indexAdd(e)
 	t.trackedBytes += e.Dst.Size
@@ -203,15 +222,10 @@ func (t *CTT) srcAdd(e *Entry) {
 func (t *CTT) srcRemove(e *Entry) {
 	lo, hi := segsOf(e.SrcRange())
 	for s := lo; s <= hi; s++ {
+		// An emptied bucket keeps its array for the segment's next entry.
 		list := t.srcSeg[s]
-		for i, x := range list {
-			if x == e {
-				t.srcSeg[s] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-		if len(t.srcSeg[s]) == 0 {
-			delete(t.srcSeg, s)
+		if i := slices.Index(list, e); i >= 0 {
+			t.srcSeg[s] = slices.Delete(list, i, i+1)
 		}
 	}
 }
@@ -347,8 +361,7 @@ func (t *CTT) trimEntry(e *Entry, r memdata.Range) {
 		src0 := e.SrcFor(lo.Start)
 		src1 := e.SrcFor(hi.Start)
 		t.mutate(e, lo, src0)
-		t.nextID++
-		t.register(&Entry{ID: t.nextID, Dst: hi, Src: src1})
+		t.register(t.newEntry(hi, src1))
 	}
 }
 
@@ -476,8 +489,7 @@ func (t *CTT) Insert(dst memdata.Range, src memdata.Addr) bool {
 		if t.tryMerge(p) {
 			continue
 		}
-		t.nextID++
-		t.register(&Entry{ID: t.nextID, Dst: p.dst, Src: p.src})
+		t.register(t.newEntry(p.dst, p.src))
 		t.Stats.Pieces++
 	}
 	t.Stats.Inserts++

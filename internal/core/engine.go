@@ -131,6 +131,8 @@ type heldWrite struct {
 	acquiredFn, finishFn, depDoneFn func()
 }
 
+// pendingLazy is one MCLAZY from its arrival until the CTT accepts it.
+// Accepted ops go back to the engine's pool.
 type pendingLazy struct {
 	dst       memdata.Range
 	src       memdata.Addr
@@ -181,6 +183,7 @@ type Engine struct {
 	heldPool     sim.Pool[heldWrite]
 	copyPool     sim.Pool[lineCopy]
 	freePool     sim.Pool[freeJob]
+	lazyPool     sim.Pool[pendingLazy]
 	srcScratch   []*Entry
 	wakeScratch  []*pendingLazy
 	depSeen      map[memdata.Addr]bool
@@ -911,7 +914,8 @@ func (e *Engine) MCLazy(dst memdata.Range, src memdata.Addr, tx txtrace.Tx, done
 		done = func() { o.TxEnd(id); inner() }
 	}
 	sp := e.tr.Begin(tx, txtrace.StageCTTInsert, uint64(dst.Start), uint64(e.eng.Now()))
-	pl := &pendingLazy{dst: dst, src: src, done: done, since: e.eng.Now(), sp: sp}
+	pl, _ := e.lazyPool.Get()
+	*pl = pendingLazy{dst: dst, src: src, done: done, since: e.eng.Now(), sp: sp}
 	e.tryLazy(pl)
 }
 
@@ -973,7 +977,10 @@ func (e *Engine) tryLazy(pl *pendingLazy) {
 		}
 	}
 	e.maybeStartFree(false)
-	e.eng.After(e.p.CTTLatency, pl.done)
+	done := pl.done
+	*pl = pendingLazy{}
+	e.lazyPool.Put(pl)
+	e.eng.After(e.p.CTTLatency, done)
 }
 
 // lazyConflicts reports whether the prospective copy touches any BPQ-held
@@ -1020,7 +1027,11 @@ func (e *Engine) wakePending() {
 	queued := append(e.wakeScratch[:0], e.pending...)
 	e.wakeScratch = nil
 	for _, pl := range queued {
-		e.tryLazy(pl)
+		// An op that a nested retry accepted has left the queue and may be
+		// back in the pool, cleared: it must not be retried.
+		if pl.queued {
+			e.tryLazy(pl)
+		}
 	}
 	clear(queued)
 	e.wakeScratch = queued[:0]

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"mcsquare/internal/cache"
+	"mcsquare/internal/isa"
 	"mcsquare/internal/memdata"
 	"mcsquare/internal/sim"
 	"mcsquare/internal/txtrace"
@@ -40,18 +41,6 @@ func DefaultConfig() Config {
 	return Config{WindowSize: 48, IssueCost: 1, FenceCost: 40}
 }
 
-// LazyIssuer is the ISA-level interface for the (MC)² instructions; the
-// isa package provides the production implementation.
-type LazyIssuer interface {
-	// MCLazy performs the MCLAZY instruction for a core: destination
-	// cachelines are invalidated, the packet is broadcast, and done fires
-	// when every CTT has accepted the entry. tx is the operation's
-	// transaction-trace id (0 when untraced).
-	MCLazy(core int, dst memdata.Range, src memdata.Addr, tx txtrace.Tx, done func())
-	// MCFree hints that the buffer is dead.
-	MCFree(core int, r memdata.Range, tx txtrace.Tx, done func())
-}
-
 // Stats counts core activity.
 type Stats struct {
 	Loads        uint64
@@ -73,7 +62,7 @@ type Core struct {
 	ID   int
 	cfg  Config
 	hier *cache.Hierarchy
-	lazy LazyIssuer
+	lazy *isa.Unit // the (MC)² instructions; nil without the hardware
 	p    *sim.Proc
 	tr   *txtrace.Tracer
 
@@ -101,7 +90,7 @@ type Core struct {
 	// that the writebacks reach the MC before the MCLAZY packet").
 	wbSeq      uint64
 	wbInFlight int // CLWBs issued and not yet accepted
-	wbBarriers []*wbBarrier
+	wbBarriers []wbBarrier
 
 	// pendingStores counts in-flight stores per cacheline; a CLWB to a
 	// line waits for them (x86 orders same-address CLWB after the store).
@@ -120,7 +109,7 @@ type wbBarrier struct {
 }
 
 // New creates a core. Bind attaches the workload process before use.
-func New(id int, cfg Config, hier *cache.Hierarchy, lazy LazyIssuer) *Core {
+func New(id int, cfg Config, hier *cache.Hierarchy, lazy *isa.Unit) *Core {
 	c := &Core{
 		ID: id, cfg: cfg, hier: hier, lazy: lazy,
 		pendingStores: map[memdata.Addr]int{},
@@ -274,16 +263,18 @@ func (c *Core) LoadAsync(a memdata.Addr, n uint64) {
 
 func (c *Core) asyncLoaded([]byte) { c.complete() }
 
-// op is one posted store, non-temporal store or CLWB of the core, from
-// issue until its completion. Ops come from a per-core pool and their
-// steps are method values bound when the op is first allocated.
+// op is one posted store, non-temporal store, CLWB, MCLAZY or MCFREE of
+// the core, from issue until its completion. Ops come from a per-core pool
+// and their steps are method values bound when the op is first allocated.
 type op struct {
 	c    *Core
 	line memdata.Addr
 	sp   txtrace.Tx
-	id   uint64 // CLWB sequence number
+	id   uint64        // CLWB sequence number
+	r    memdata.Range // MCLAZY's destination or MCFREE's buffer
+	src  memdata.Addr  // MCLAZY's source
 
-	storedFn, ntStoredFn, clwbFireFn, clwbDoneFn func()
+	storedFn, ntStoredFn, clwbFireFn, clwbDoneFn, mcLazyFn, mcDoneFn func()
 }
 
 func (c *Core) newOp(line memdata.Addr) *op {
@@ -294,6 +285,8 @@ func (c *Core) newOp(line memdata.Addr) *op {
 		o.ntStoredFn = o.ntStored
 		o.clwbFireFn = o.clwbFire
 		o.clwbDoneFn = o.clwbDone
+		o.mcLazyFn = o.mcLazy
+		o.mcDoneFn = o.mcDone
 	}
 	o.line = line
 	return o
@@ -421,40 +414,48 @@ func (c *Core) afterPriorWritebacks(fire func()) {
 		fire()
 		return
 	}
-	c.wbBarriers = append(c.wbBarriers, &wbBarrier{upTo: c.wbSeq, pending: c.wbInFlight, fire: fire})
+	c.wbBarriers = append(c.wbBarriers, wbBarrier{upTo: c.wbSeq, pending: c.wbInFlight, fire: fire})
+}
+
+// mcOp is the preamble MCLAZY and MCFREE share: it issues the instruction
+// on r and opens its root span.
+func (c *Core) mcOp(stage txtrace.Stage, r memdata.Range) *op {
+	if c.lazy == nil {
+		panic("cpu: core has no lazy-copy unit")
+	}
+	c.issue()
+	o := c.newOp(r.Start)
+	o.r = r
+	o.sp = c.tr.BeginRoot(stage, int32(c.ID), uint64(r.Start), uint64(c.p.Now()))
+	return o
 }
 
 // MCLazy executes the MCLAZY instruction. dst must be line-aligned with a
 // line-multiple size (the §III-C alignment rules); the memcpy_lazy software
 // wrapper in internal/softmc removes these constraints for callers.
 func (c *Core) MCLazy(dst memdata.Range, src memdata.Addr) {
-	if c.lazy == nil {
-		panic("cpu: core has no lazy-copy unit")
-	}
-	c.issue()
+	o := c.mcOp(txtrace.StageCPUMCLazy, dst)
 	c.Stats.MCLazies++
-	sp := c.tr.BeginRoot(txtrace.StageCPUMCLazy, int32(c.ID), uint64(dst.Start), uint64(c.p.Now()))
+	o.src = src
 	// The packet is FIFO-ordered behind this core's earlier writebacks.
-	c.afterPriorWritebacks(func() {
-		c.lazy.MCLazy(c.ID, dst, src, sp, func() {
-			c.tr.End(sp, uint64(c.p.Now()))
-			c.complete()
-		})
-	})
+	c.afterPriorWritebacks(o.mcLazyFn)
 }
+
+func (o *op) mcLazy() { o.c.lazy.MCLazy(o.r, o.src, o.sp, o.mcDoneFn) }
 
 // MCFree executes the MCFREE instruction for the buffer r.
 func (c *Core) MCFree(r memdata.Range) {
-	if c.lazy == nil {
-		panic("cpu: core has no lazy-copy unit")
-	}
-	c.issue()
+	o := c.mcOp(txtrace.StageCPUMCFree, r)
 	c.Stats.MCFrees++
-	sp := c.tr.BeginRoot(txtrace.StageCPUMCFree, int32(c.ID), uint64(r.Start), uint64(c.p.Now()))
-	c.lazy.MCFree(c.ID, r, sp, func() {
-		c.tr.End(sp, uint64(c.p.Now()))
-		c.complete()
-	})
+	c.lazy.MCFree(r, o.sp, o.mcDoneFn)
+}
+
+// mcDone retires an MCLAZY or MCFREE once the unit reports it done.
+func (o *op) mcDone() {
+	c := o.c
+	c.tr.End(o.sp, uint64(c.p.Now()))
+	c.opPool.Put(o)
+	c.complete()
 }
 
 // Fence blocks until every in-flight operation of this core has completed

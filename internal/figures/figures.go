@@ -263,7 +263,6 @@ type timedCopier struct {
 	copyCycles uint64
 }
 
-func (t *timedCopier) Name() string { return t.inner.Name() }
 func (t *timedCopier) Memcpy(c *cpu.Core, dst, src memdata.Addr, n uint64) {
 	t0 := c.Now()
 	t.inner.Memcpy(c, dst, src, n)

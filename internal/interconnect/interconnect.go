@@ -132,16 +132,14 @@ func (b *Bus) faultDelay(bytes uint64) sim.Cycle {
 	return extra
 }
 
-// Broadcast delivers a control message to every endpoint (the CTT update
-// broadcast): one hop, counted once, fn invoked per endpoint after the
-// latency. Control packets are small (16 bytes, one CTT entry).
-func (b *Bus) Broadcast(endpoints int, fn func(i int)) {
+// Broadcast delivers a control message to the memory controllers (the
+// MCLAZY/MCFREE broadcast, Fig 6 step 3): one hop, counted once as a
+// 16-byte message (one CTT entry). The controllers share one logical CTT,
+// so every controller inserting the same entry is one insert: fn runs
+// once, after the hop latency.
+func (b *Bus) Broadcast(fn func()) {
 	b.Stats.Broadcasts++
 	b.Stats.Messages++
 	b.Stats.Bytes += 16
-	b.eng.After(b.cfg.HopLatency, func() {
-		for i := 0; i < endpoints; i++ {
-			fn(i)
-		}
-	})
+	b.eng.After(b.cfg.HopLatency, fn)
 }

@@ -59,21 +59,17 @@ func TestBandwidthIdleGapsReset(t *testing.T) {
 func TestBroadcast(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, Config{HopLatency: 24})
-	got := map[int]sim.Cycle{}
+	var at []sim.Cycle
 	eng.After(0, func() {
-		b.Broadcast(3, func(i int) { got[i] = eng.Now() })
+		b.Broadcast(func() { at = append(at, eng.Now()) })
 	})
 	eng.Drain()
-	if len(got) != 3 {
-		t.Fatalf("broadcast reached %d endpoints", len(got))
+	// One logical CTT: the broadcast is delivered once, after one hop.
+	if len(at) != 1 || at[0] != 24 {
+		t.Fatalf("broadcast delivered at %v, want once at 24", at)
 	}
-	for i, at := range got {
-		if at != 24 {
-			t.Fatalf("endpoint %d at %d, want 24", i, at)
-		}
-	}
-	if b.Stats.Broadcasts != 1 {
-		t.Fatalf("Broadcasts = %d", b.Stats.Broadcasts)
+	if b.Stats.Broadcasts != 1 || b.Stats.Messages != 1 || b.Stats.Bytes != 16 {
+		t.Fatalf("stats: %+v", b.Stats)
 	}
 }
 

@@ -9,15 +9,14 @@
 //     wrapper already issued CLWBs; this sweep is the hardware guarantee
 //     that MC-observed memory holds the source as-of-copy). The caches'
 //     FIFO write path delivers these writebacks before the packet;
-//  3. the packet crosses the interconnect and every controller inserts the
-//     CTT entry.
+//  3. the packet crosses the interconnect and the controllers insert the
+//     CTT entry;
+//  4. the acceptance acknowledgment crosses back to the core.
 package isa
 
 import (
 	"mcsquare/internal/cache"
 	"mcsquare/internal/core"
-	"mcsquare/internal/cpu"
-	"mcsquare/internal/interconnect"
 	"mcsquare/internal/memdata"
 	"mcsquare/internal/sim"
 	"mcsquare/internal/txtrace"
@@ -32,15 +31,14 @@ type Stats struct {
 	PacketCycles    uint64 // total cycles from issue to CTT acceptance
 }
 
-// Unit dispatches the (MC)² instructions for all cores. It satisfies
-// cpu.LazyIssuer.
+// Unit dispatches the (MC)² instructions for all cores.
 type Unit struct {
-	eng    *sim.Engine
-	hier   *cache.Hierarchy
-	lazy   *core.Engine
-	hopLat sim.Cycle
-	nMCs   int
-	tr     *txtrace.Tracer
+	eng  *sim.Engine
+	hier *cache.Hierarchy
+	lazy *core.Engine
+	tr   *txtrace.Tracer
+
+	pool sim.Pool[packet]
 
 	Stats Stats
 }
@@ -48,70 +46,93 @@ type Unit struct {
 // SetTracer attaches the transaction tracer (nil disables).
 func (u *Unit) SetTracer(t *txtrace.Tracer) { u.tr = t }
 
-var _ cpu.LazyIssuer = (*Unit)(nil)
-
-// New creates the instruction unit. hopLat is the cache-to-controller
-// interconnect latency charged to each packet; controllers is the number
-// of CTTs the packet broadcast reaches.
-func New(eng *sim.Engine, hier *cache.Hierarchy, lazy *core.Engine, hopLat sim.Cycle, controllers int) *Unit {
-	if controllers <= 0 {
-		controllers = 1
-	}
-	return &Unit{eng: eng, hier: hier, lazy: lazy, hopLat: hopLat, nMCs: controllers}
+// New creates the instruction unit. Packets travel the hierarchy's
+// interconnect, the same link as memory traffic.
+func New(eng *sim.Engine, hier *cache.Hierarchy, lazy *core.Engine) *Unit {
+	return &Unit{eng: eng, hier: hier, lazy: lazy}
 }
 
-// bus returns the hierarchy's interconnect: MCLAZY packets travel the same
-// link as memory traffic.
-func (u *Unit) bus() *interconnect.Bus { return u.hier.Bus() }
+// packet is one MCLAZY or MCFREE, from issue until the core is told it is
+// done. Packets come from the unit's pool and their steps are method
+// values bound when the packet is first allocated.
+type packet struct {
+	u       *Unit
+	dst     memdata.Range // the copy's destination, or the freed buffer
+	src     memdata.Addr
+	start   sim.Cycle
+	sp      txtrace.Tx
+	flushes int // FlushRange completions still to come
+	done    func()
+
+	flushedFn, deliverLazyFn, acceptedFn, ackedFn, deliverFreeFn, finishFn func()
+}
+
+func (u *Unit) newPacket(dst memdata.Range, tx txtrace.Tx, done func()) *packet {
+	p, fresh := u.pool.Get()
+	if fresh {
+		p.u = u
+		p.flushedFn = p.flushed
+		p.deliverLazyFn = p.deliverLazy
+		p.acceptedFn = p.accepted
+		p.ackedFn = p.acked
+		p.deliverFreeFn = p.deliverFree
+		p.finishFn = p.finish
+	}
+	p.dst, p.done, p.start = dst, done, u.eng.Now()
+	p.sp = u.tr.Begin(tx, txtrace.StageISAPacket, uint64(dst.Start), uint64(p.start))
+	return p
+}
+
+// finish closes the packet's span, recycles it and tells the core.
+func (p *packet) finish() {
+	u, done := p.u, p.done
+	u.tr.End(p.sp, uint64(u.eng.Now()))
+	p.done = nil
+	u.pool.Put(p)
+	done()
+}
 
 // MCLazy implements the MCLAZY instruction. dst must be cacheline-aligned
 // with a cacheline-multiple size no larger than a huge page; src may have
-// any alignment. done fires when the CTT has accepted the entry.
-func (u *Unit) MCLazy(coreID int, dst memdata.Range, src memdata.Addr, tx txtrace.Tx, done func()) {
+// any alignment. done fires when the acknowledgment of the CTT's
+// acceptance is back at the core.
+func (u *Unit) MCLazy(dst memdata.Range, src memdata.Addr, tx txtrace.Tx, done func()) {
 	u.Stats.MCLazies++
-	start := u.eng.Now()
-	psp := u.tr.Begin(tx, txtrace.StageISAPacket, uint64(dst.Start), uint64(start))
-
+	p := u.newPacket(dst, tx, done)
+	p.src = src
 	u.Stats.DestInvalidated += uint64(u.hier.InvalidateRange(dst))
-	srcRange := memdata.Range{Start: src, Size: dst.Size}
-	dirty := u.hier.FlushRange(srcRange, psp, func() {
-		// The packet is broadcast so every controller inserts the entry
-		// (Fig 6 step 3); the shared-table model makes that one logical
-		// insert, fired on the first endpoint delivery.
-		fired := false
-		u.bus().Broadcast(u.nMCs, func(int) {
-			if fired {
-				return
-			}
-			fired = true
-			u.lazy.MCLazy(dst, src, psp, func() {
-				// The acceptance acknowledgment crosses back to the core.
-				u.bus().Send(16, psp, func() {
-					u.Stats.PacketCycles += uint64(u.eng.Now() - start)
-					u.tr.End(psp, uint64(u.eng.Now()))
-					done()
-				})
-			})
-		})
-	})
+	dirty := u.hier.FlushRange(memdata.Range{Start: src, Size: dst.Size}, p.sp, p.flushedFn)
 	u.Stats.SrcFlushed += uint64(dirty)
+	p.flushes = dirty + 1
+}
+
+// flushed counts one FlushRange completion; the packet leaves once the
+// source's writebacks are accepted and the probe is done.
+func (p *packet) flushed() {
+	p.flushes--
+	if p.flushes == 0 {
+		p.u.hier.Bus().Broadcast(p.deliverLazyFn)
+	}
+}
+
+func (p *packet) deliverLazy() { p.u.lazy.MCLazy(p.dst, p.src, p.sp, p.acceptedFn) }
+
+// accepted sends the CTT's acknowledgment back across the interconnect.
+func (p *packet) accepted() { p.u.hier.Bus().Send(16, p.sp, p.ackedFn) }
+
+func (p *packet) acked() {
+	u := p.u
+	u.Stats.PacketCycles += uint64(u.eng.Now() - p.start)
+	p.finish()
 }
 
 // MCFree implements the MCFREE instruction: CTT entries whose destination
 // lies inside r are dropped. Reads of the freed buffer are undefined until
 // it is rewritten, so cached copies may be left in place.
-func (u *Unit) MCFree(coreID int, r memdata.Range, tx txtrace.Tx, done func()) {
+func (u *Unit) MCFree(r memdata.Range, tx txtrace.Tx, done func()) {
 	u.Stats.MCFrees++
-	psp := u.tr.Begin(tx, txtrace.StageISAPacket, uint64(r.Start), uint64(u.eng.Now()))
-	fired := false
-	u.bus().Broadcast(u.nMCs, func(int) {
-		if fired {
-			return
-		}
-		fired = true
-		u.lazy.MCFree(r, psp, func() {
-			u.tr.End(psp, uint64(u.eng.Now()))
-			done()
-		})
-	})
+	p := u.newPacket(r, tx, done)
+	u.hier.Bus().Broadcast(p.deliverFreeFn)
 }
+
+func (p *packet) deliverFree() { p.u.lazy.MCFree(p.dst, p.sp, p.finishFn) }

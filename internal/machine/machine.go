@@ -146,14 +146,12 @@ func New(p Params) *Machine {
 		return m.MCs[route(a)]
 	}, bus)
 
-	var issuer cpu.LazyIssuer
 	if p.LazyEnabled {
 		m.Lazy = core.NewEngine(m.Eng, p.Lazy, m.MCs, route)
-		m.ISA = isa.New(m.Eng, m.Hier, m.Lazy, p.Cache.XConLat, p.Channels)
-		issuer = m.ISA
+		m.ISA = isa.New(m.Eng, m.Hier, m.Lazy)
 	}
 	for i := 0; i < p.Cores; i++ {
-		m.Cores = append(m.Cores, cpu.New(i, p.CPU, m.Hier, issuer))
+		m.Cores = append(m.Cores, cpu.New(i, p.CPU, m.Hier, m.ISA))
 	}
 
 	// Transaction tracing: with tracing off Trace is nil and every

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcsquare/internal/copykit"
 	"mcsquare/internal/cpu"
 	"mcsquare/internal/invariant"
 	"mcsquare/internal/memdata"
@@ -351,17 +352,25 @@ func TestInterposerPolicy(t *testing.T) {
 	src := m.AllocPage(8 << 10)
 	dst := m.AllocPage(8 << 10)
 	m.FillRandom(src, 8<<10, 13)
-	ip := &softmc.Interposer{Threshold: 1024}
+	ip := copykit.Lazy{Threshold: 1024}
 	m.Run(func(c *cpu.Core) {
-		ip.Memcpy(c, dst, src, 512)            // below threshold: eager
+		ip.Memcpy(c, dst, src, 512) // below threshold: eager
+	})
+	if m.ISA.Stats.MCLazies != 0 {
+		t.Fatalf("a 512-byte copy under a 1 KB threshold issued %d MCLAZYs", m.ISA.Stats.MCLazies)
+	}
+	m.Run(func(c *cpu.Core) {
 		ip.Memcpy(c, dst+4096, src+4096, 4096) // redirected
 	})
-	if ip.Passed != 1 || ip.Redirected != 1 {
-		t.Fatalf("interposer: passed=%d redirected=%d", ip.Passed, ip.Redirected)
+	if m.ISA.Stats.MCLazies != 1 || m.Lazy.Stats.LazyOps == 0 {
+		t.Fatalf("redirected copy: %d MCLAZYs, %d lazy ops", m.ISA.Stats.MCLazies, m.Lazy.Stats.LazyOps)
 	}
-	if m.Lazy.Stats.LazyOps == 0 {
-		t.Fatal("redirected copy issued no MCLAZY")
-	}
+	m.Run(func(c *cpu.Core) {
+		if !bytes.Equal(c.Load(dst, 512), m.Phys.Read(src, 512)) ||
+			!bytes.Equal(c.Load(dst+4096, 4096), m.Phys.Read(src+4096, 4096)) {
+			t.Error("interposed copies read back wrong bytes")
+		}
+	})
 }
 
 func TestMCFreeThroughCore(t *testing.T) {

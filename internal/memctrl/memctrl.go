@@ -103,13 +103,12 @@ type writeReq struct {
 
 // Stats holds controller counters.
 type Stats struct {
-	Reads          uint64
-	Writes         uint64
-	ReadStalls     uint64 // reads that waited for an RPQ slot
-	WriteStalls    uint64 // writes that waited for a WPQ slot
-	Forwards       uint64 // reads serviced from the WPQ
-	RejectedWrites uint64 // hook-side writebacks refused (WPQ pressure)
-	ECCRetries     uint64 // DRAM reads re-issued after a detected bit upset
+	Reads       uint64
+	Writes      uint64
+	ReadStalls  uint64 // reads that waited for an RPQ slot
+	WriteStalls uint64 // writes that waited for a WPQ slot
+	Forwards    uint64 // reads serviced from the WPQ
+	ECCRetries  uint64 // DRAM reads re-issued after a detected bit upset
 }
 
 // Controller owns one DRAM channel. All methods must be called in engine
@@ -186,9 +185,6 @@ func (c *Controller) WPQOccupancy() float64 {
 	}
 	return float64(c.wpq.Used()) / float64(c.cfg.WPQCapacity)
 }
-
-// nop is the completion of writes nobody waits for.
-func nop() {}
 
 func (c *Controller) newRead(a memdata.Addr, tx txtrace.Tx, done func([]byte)) *readReq {
 	r, fresh := c.readPool.Get()
@@ -450,19 +446,6 @@ func (w *writeReq) accept() {
 	c.eng.After(c.cfg.AcceptLatency, w.release)
 	w.release = nil
 	c.maybeDrain()
-}
-
-// TryRawWriteLine behaves like RawWriteLine but refuses (returns false)
-// instead of waiting when WPQ occupancy is at or above the given fraction.
-// The (MC)² bounce-writeback optimization uses this with the paper's 75 %
-// threshold to avoid contending with demand traffic.
-func (c *Controller) TryRawWriteLine(a memdata.Addr, data []byte, frac float64) bool {
-	if float64(c.wpq.Used()) >= frac*float64(c.cfg.WPQCapacity) {
-		c.Stats.RejectedWrites++
-		return false
-	}
-	c.RawWriteLine(a, data, 0, nop)
-	return true
 }
 
 // forward returns buffered/in-flight write data for a, or nil. The slice

@@ -145,27 +145,6 @@ func TestWPQBackpressureAndDrain(t *testing.T) {
 	}
 }
 
-func TestTryRawWriteLineRejectsUnderPressure(t *testing.T) {
-	eng := sim.NewEngine()
-	mc, _ := newTestMC(eng)
-	d := make([]byte, memdata.LineSize)
-	var rejected bool
-	eng.After(0, func() {
-		// Fill the WPQ beyond 75%.
-		for i := 0; i < mc.cfg.WPQCapacity; i++ {
-			mc.RawWriteLine(memdata.Addr(i*memdata.LineSize), d, 0, func() {})
-		}
-		rejected = !mc.TryRawWriteLine(0, d, 0.75)
-	})
-	eng.Drain()
-	if !rejected {
-		t.Fatal("TryRawWriteLine accepted despite full WPQ")
-	}
-	if mc.Stats.RejectedWrites != 1 {
-		t.Fatalf("RejectedWrites = %d", mc.Stats.RejectedWrites)
-	}
-}
-
 type claimAllHook struct {
 	reads, writes int
 }

@@ -11,7 +11,6 @@ func (c *Controller) PublishMetrics(s metrics.Scope) {
 	s.Counter("read_stalls", &c.Stats.ReadStalls)
 	s.Counter("write_stalls", &c.Stats.WriteStalls)
 	s.Counter("forwards", &c.Stats.Forwards)
-	s.Counter("rejected_writes", &c.Stats.RejectedWrites)
 	s.Counter("ecc_retries", &c.Stats.ECCRetries)
 	s.Gauge("wpq_occupancy", c.WPQOccupancy)
 }

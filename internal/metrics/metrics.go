@@ -2,7 +2,7 @@
 //
 // Every component registers its counters, gauges and histograms into a
 // per-machine Registry at construction time, under a stable dotted
-// namespace ("mc0.rejected_writes", "l1.misses", "ctt.high_water", ...).
+// namespace ("mc0.write_stalls", "l1.misses", "ctt.high_water", ...).
 // The registry does not own any state: a Counter is a *uint64 view of a
 // field that the component keeps incrementing exactly as before, a Gauge
 // or CounterFunc is a closure, and a Histogram wraps a *stats.Histogram.

@@ -1,7 +1,7 @@
 // Package softmc is the software layer of (MC)²: the memcpy_lazy C library
-// function of §III-D (reproduced from the paper's Fig 8 pseudocode, byte
-// for byte) and the interposer policy that transparently redirects large
-// memcpy calls to it.
+// function of §III-D, reproduced from the paper's Fig 8 pseudocode byte
+// for byte. The interposer policy that redirects large memcpy calls to it
+// is copykit.Lazy.
 package softmc
 
 import (
@@ -78,28 +78,6 @@ func MemcpyLazy(c *cpu.Core, dst, src memdata.Addr, size uint64) {
 func MemcpyEager(c *cpu.Core, dst, src memdata.Addr, size uint64) {
 	c.Memcpy(dst, src, size)
 	c.Fence()
-}
-
-// Interposer is the copy_interpose.so policy: memcpy calls at or above
-// Threshold bytes become lazy copies, smaller ones stay eager. A zero
-// Interposer never redirects (Threshold 0 means "disabled" here; the paper
-// redirects calls ≥ 1 KB for Protobuf).
-type Interposer struct {
-	Threshold uint64 // 0 disables redirection
-
-	Redirected uint64 // calls sent to MemcpyLazy
-	Passed     uint64 // calls left eager
-}
-
-// Memcpy applies the interposition policy to one memcpy call.
-func (ip *Interposer) Memcpy(c *cpu.Core, dst, src memdata.Addr, size uint64) {
-	if ip.Threshold != 0 && size >= ip.Threshold {
-		ip.Redirected++
-		MemcpyLazy(c, dst, src, size)
-		return
-	}
-	ip.Passed++
-	MemcpyEager(c, dst, src, size)
 }
 
 // Free releases a buffer with the MCFREE hint (munmap-style): tracking for

@@ -75,29 +75,6 @@ func TestWrapperChunksStayInPages(t *testing.T) {
 	}
 }
 
-func TestInterposerCounters(t *testing.T) {
-	m := newM()
-	buf := m.AllocPage(64 << 10)
-	m.FillRandom(buf, 64<<10, 7)
-	ip := &Interposer{Threshold: 1024}
-	m.Run(func(c *cpu.Core) {
-		ip.Memcpy(c, buf+32<<10, buf, 512)
-		ip.Memcpy(c, buf+40<<10, buf, 1024)
-		ip.Memcpy(c, buf+48<<10, buf, 4096)
-	})
-	if ip.Passed != 1 || ip.Redirected != 2 {
-		t.Fatalf("passed=%d redirected=%d", ip.Passed, ip.Redirected)
-	}
-	// Disabled interposer never redirects.
-	ip2 := &Interposer{}
-	m2 := newM()
-	buf2 := m2.AllocPage(16 << 10)
-	m2.Run(func(c *cpu.Core) { ip2.Memcpy(c, buf2+8<<10, buf2, 4096) })
-	if ip2.Redirected != 0 || m2.Lazy.Stats.LazyOps != 0 {
-		t.Fatal("disabled interposer redirected")
-	}
-}
-
 func TestEagerMatchesLazyRandomized(t *testing.T) {
 	rnd := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {

@@ -98,3 +98,26 @@ func TestRunAllocationsPerField(t *testing.T) {
 		t.Fatalf("a copied field costs %.2f heap allocations, want at most 2", perField)
 	}
 }
+
+// TestLazyRunAllocationsPerField is TestRunAllocationsPerField on (MC)²
+// hardware behind the paper's 1 KB interposer: the MCLAZYs and MCFREEs a
+// field's copy issues draw their requests from pools, so a copied field
+// costs at most 3 heap allocations (about 12 when each MCLAZY allocated
+// its own continuations).
+func TestLazyRunAllocationsPerField(t *testing.T) {
+	run := func(ops int) (allocs, fields uint64) {
+		m := NewMachine(true, nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Run(m, Config{Ops: ops, Burst: 64, Seed: 11, Copier: copykit.Lazy{Threshold: 1024}})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, res.Copies
+	}
+	a0, f0 := run(64)
+	a1, f1 := run(192)
+	perField := float64(a1-a0) / float64(f1-f0)
+	t.Logf("%d allocations over %d more fields: %.2f a field", a1-a0, f1-f0, perField)
+	if perField > 3 {
+		t.Fatalf("a lazily copied field costs %.2f heap allocations, want at most 3", perField)
+	}
+}

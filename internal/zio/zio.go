@@ -99,9 +99,6 @@ func (z *Copier) PublishMetrics(s metrics.Scope) {
 	s.Counter("src_barriers", &z.Stats.SrcBarriers)
 }
 
-// Name implements copykit.Copier.
-func (z *Copier) Name() string { return "zio" }
-
 func (z *Copier) register(dst, src memdata.Addr) {
 	z.elided[dst] = src
 	for _, sp := range srcPages(src) {
